@@ -524,9 +524,8 @@ let monitor_subjects () =
   ]
 
 let traffic_subjects () =
-  (* ISSUE 6's substrate: the trace generator, the replayer, and the
-     batched submission path that amortizes per-op overhead.  The gentle
-     wear model keeps the devices healthy across thousands of bench
+  (* The traffic substrate: the trace generator and the replayer.  The
+     gentle wear model keeps the device healthy across thousands of bench
      iterations, so every run measures the same steady state. *)
   let spec =
     {
@@ -554,34 +553,6 @@ let traffic_subjects () =
     (Ftl.Device_intf.write_many replay_device
        (Array.init prefill (fun i -> (i, i))));
   let population = Traffic.Tenant.create ~tenants:64 () in
-  (* Twin engines on the same scale for the submission-path comparison:
-     64 distinct LBAs per round, once through Engine.write in a loop and
-     once through Engine.write_batch. *)
-  let make_engine seed =
-    let chip =
-      Flash.Chip.create ~rng:(Sim.Rng.create seed) ~geometry ~model:gentle ()
-    in
-    let policy =
-      Ftl.Policy.always_fresh
-        ~opages_per_fpage:geometry.Flash.Geometry.opages_per_fpage
-    in
-    let slots =
-      geometry.Flash.Geometry.blocks * geometry.Flash.Geometry.pages_per_block
-      * geometry.Flash.Geometry.opages_per_fpage
-    in
-    let logical = slots * 3 / 4 in
-    let engine =
-      Ftl.Engine.create ~chip ~rng:(Sim.Rng.create (seed + 1)) ~policy
-        ~logical_capacity:logical ()
-    in
-    for lba = 0 to logical - 1 do
-      ignore (Ftl.Engine.write engine ~logical:lba ~payload:lba)
-    done;
-    ignore (Ftl.Engine.flush engine);
-    engine
-  in
-  let per_op_engine = make_engine 23 and batch_engine = make_engine 23 in
-  let entries = Array.init 64 (fun i -> (i, i)) in
   [
     Test.make ~name:"traffic/generate_2k"
       (Staged.stage (fun () -> ignore (Traffic.Gen.generate spec ~seed:7)));
@@ -591,15 +562,6 @@ let traffic_subjects () =
              (Traffic.Replay.run ~qos:Traffic.Qos.default_config
                 ~intensity:(fun ~op -> Traffic.Gen.intensity spec ~op)
                 ~population ~trace ~device:replay_device ())));
-    Test.make ~name:"traffic/engine_write_per_op_64"
-      (Staged.stage (fun () ->
-           Array.iter
-             (fun (logical, payload) ->
-               ignore (Ftl.Engine.write per_op_engine ~logical ~payload))
-             entries));
-    Test.make ~name:"traffic/engine_write_batch_64"
-      (Staged.stage (fun () ->
-           ignore (Ftl.Engine.write_batch batch_engine entries)));
   ]
 
 let obs_subjects () =

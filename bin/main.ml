@@ -53,12 +53,18 @@ let render_snapshot format samples =
   | Prometheus -> Telemetry.Export.to_prometheus samples
   | Jsonl -> Telemetry.Export.to_jsonl samples
 
+let write_artifact ~what ~path content =
+  try Telemetry.Export.write_file ~path content
+  with Sys_error msg ->
+    Printf.eprintf "salamander: cannot write %s: %s\n" what msg;
+    exit 1
+
 (* Build the registry [f]'s components bind their metric handles against:
    a live one when a snapshot was requested (or when [force_live] — the
    health monitor samples the registry, so it needs real metrics even if
    no snapshot file was asked for), {!Telemetry.Registry.null}
    (collection compiled away) otherwise. *)
-let with_telemetry ?(force_live = false) opts f =
+let with_telemetry ~force_live opts f =
   Telemetry.Trace.set_level (Telemetry.Trace.level_of_verbosity opts.verbosity);
   if opts.verbosity > 0 then Logs.set_reporter (Logs.format_reporter ());
   match opts.metrics with
@@ -69,13 +75,8 @@ let with_telemetry ?(force_live = false) opts f =
   | Some path ->
       let reg = Telemetry.Registry.create () in
       let result = f reg in
-      (try
-         Telemetry.Export.write_file ~path
-           (render_snapshot opts.metrics_format
-              (Telemetry.Registry.snapshot reg))
-       with Sys_error msg ->
-         Printf.eprintf "salamander: cannot write metrics: %s\n" msg;
-         exit 1);
+      write_artifact ~what:"metrics" ~path
+        (render_snapshot opts.metrics_format (Telemetry.Registry.snapshot reg));
       result
 
 (* --- health monitor options ------------------------------------------------- *)
@@ -170,12 +171,6 @@ let default_rules () =
     Monitor.Alert.rule ~metric:"flash_rber_worst" ~fire:(0.9 *. tolerable)
       ~resolve:(0.7 *. tolerable) "rber-near-tolerable";
   ]
-
-let write_artifact ~what ~path content =
-  try Telemetry.Export.write_file ~path content
-  with Sys_error msg ->
-    Printf.eprintf "salamander: cannot write %s: %s\n" what msg;
-    exit 1
 
 (* Build the monitor engine when any monitor flag is set, run [f] with
    it, then write the requested artifacts and render the health report. *)
@@ -307,22 +302,42 @@ let jobs_term =
     & opt int (Parallel.Pool.default_domains ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
+(* --- run options ------------------------------------------------------------ *)
+
+type run_opts = {
+  tel : tel_opts;
+  jobs : int;
+  mon : mon_opts;
+  obs : obs_opts;
+}
+
+(* Every command's run flags in one term.  A command without the
+   parallel, monitor or fleet-report flags gets 1 / [no_monitor] /
+   [no_obs] fixed, so each command exposes exactly its own flags. *)
+let run_opts_term ~jobs ~mon ~obs =
+  let make tel jobs mon obs = { tel; jobs; mon; obs } in
+  Term.(
+    const make $ tel_opts_term
+    $ (if jobs then jobs_term else const 1)
+    $ (if mon then mon_opts_term else const no_monitor)
+    $ (if obs then obs_opts_term else const no_obs))
+
 (* Telemetry + execution context: spin up a scoped pool when parallel
    and hand [f] a ready-to-thread [Ctx.t].  An explicit [--jobs n] is
    honored even beyond the recommended domain count (the default already
    respects it): oversubscription only costs scheduling, and running the
    real multi-domain path everywhere is what the determinism guarantee
    is tested against. *)
-let with_context ?(mon = no_monitor) ?(obs = no_obs) ?(epoch = "run") opts
-    ~jobs f =
-  with_monitor mon @@ fun monitor ->
-  with_obs obs ~epoch @@ fun obs_acc ->
-  with_telemetry ~force_live:(Option.is_some monitor) opts @@ fun registry ->
-  let jobs = Stdlib.max 1 jobs in
-  if jobs = 1 then f (Experiments.Ctx.make ~registry ?monitor ?obs:obs_acc ())
-  else
-    Parallel.Pool.with_pool ~domains:jobs (fun pool ->
-        f (Experiments.Ctx.make ~registry ~pool ?monitor ?obs:obs_acc ()))
+let with_context ?(epoch = "run") opts f =
+  with_monitor opts.mon @@ fun monitor ->
+  with_obs opts.obs ~epoch @@ fun obs ->
+  with_telemetry ~force_live:(Option.is_some monitor) opts.tel
+  @@ fun registry ->
+  match Stdlib.max 1 opts.jobs with
+  | 1 -> f (Experiments.Ctx.make ~registry ?monitor ?obs ())
+  | domains ->
+      Parallel.Pool.with_pool ~domains (fun pool ->
+          f (Experiments.Ctx.make ~registry ~pool ?monitor ?obs ()))
 
 (* --- experiments ----------------------------------------------------------- *)
 
@@ -336,15 +351,15 @@ let experiments_cmd =
     in
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"ID" ~doc)
   in
-  let run tel jobs only =
+  let run opts only =
     match only with
     | None ->
-        with_context tel ~jobs (fun ctx -> Experiments.All.run ~ctx fmt);
+        with_context opts (fun ctx -> Experiments.All.run ~ctx fmt);
         `Ok ()
     | Some id -> (
         match List.assoc_opt id Experiments.All.experiments with
         | Some runner ->
-            with_context tel ~jobs (fun ctx ->
+            with_context opts (fun ctx ->
                 Telemetry.Trace.with_span
                   ~registry:ctx.Experiments.Ctx.registry
                   ("experiment:" ^ id)
@@ -359,34 +374,37 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper's tables and figures (DESIGN.md index)")
-    Term.(ret (const run $ tel_opts_term $ jobs_term $ only))
+    Term.(
+      ret (const run $ run_opts_term ~jobs:true ~mon:false ~obs:false $ only))
 
-(* --- age a single device ----------------------------------------------------- *)
+(* --- shared arguments ------------------------------------------------------- *)
 
 let kind_conv =
   Arg.enum
     [ ("baseline", `Baseline); ("cvss", `Cvss); ("shrinks", `Shrinks);
       ("regens", `Regens) ]
 
+let kind_term =
+  Arg.(
+    value
+    & opt kind_conv `Regens
+    & info [ "mode" ] ~docv:"MODE"
+        ~doc:"Device design: baseline, cvss, shrinks or regens.")
+
+let seed_term default =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
+
+(* --- age a single device ----------------------------------------------------- *)
+
 let age_cmd =
-  let kind =
-    Arg.(
-      value
-      & opt kind_conv `Regens
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:"Device design: baseline, cvss, shrinks or regens.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let utilization =
     Arg.(
       value & opt float 0.85
       & info [ "utilization" ] ~docv:"FRACTION"
           ~doc:"Fraction of exported capacity kept live.")
   in
-  let run tel jobs mon kind seed utilization =
-    with_context ~mon tel ~jobs @@ fun ctx ->
+  let run opts kind seed utilization =
+    with_context opts @@ fun ctx ->
     let registry = ctx.Experiments.Ctx.registry in
     let device = Experiments.Defaults.make_device ~registry kind ~seed in
     let pattern =
@@ -400,12 +418,17 @@ let age_cmd =
     in
     let max_writes = 50_000_000 in
     let rng = Sim.Rng.create (seed + 1) in
-    let outcome =
+    let age quota =
+      Workload.Aging.run_epoch ~quota ~utilization ~rng ~pattern ~device ()
+    in
+    (* One outcome per aging slice; the report sums them. *)
+    let slices =
       match ctx.Experiments.Ctx.monitor with
       | None ->
-          Telemetry.Trace.with_span ~registry "age" (fun () ->
-              Workload.Aging.run ~max_writes ~utilization ~rng ~pattern ~device
-                ())
+          [
+            Telemetry.Trace.with_span ~registry "age" (fun () ->
+                age max_writes);
+          ]
       | Some monitor ->
           (* Same workload stream, cut into fixed write slices so the
              monitor can sample the registry between them: one epoch =
@@ -429,55 +452,26 @@ let age_cmd =
           in
           Telemetry.Trace.with_span ~registry ?sink "age" (fun () ->
               sample 0;
-              let total =
-                ref
-                  {
-                    Workload.Aging.host_writes = 0;
-                    reads = 0;
-                    unmapped_reads = 0;
-                    uncorrectable_reads = 0;
-                    died = false;
-                  }
-              in
-              let epoch = ref 0 in
-              let finished = ref false in
-              while not !finished do
-                incr epoch;
+              let rec slice epoch written aged =
                 let o =
                   Telemetry.Trace.with_span ?sink
-                    ~args:[ ("epoch", string_of_int !epoch) ]
+                    ~args:[ ("epoch", string_of_int epoch) ]
                     "age:epoch"
-                    (fun () ->
-                      Workload.Aging.run_until ~utilization ~rng ~pattern
-                        ~device
-                        ~stop:(fun writes -> writes >= epoch_writes)
-                        ())
+                    (fun () -> age epoch_writes)
                 in
-                total :=
-                  {
-                    Workload.Aging.host_writes =
-                      !total.Workload.Aging.host_writes
-                      + o.Workload.Aging.host_writes;
-                    reads = !total.Workload.Aging.reads + o.Workload.Aging.reads;
-                    unmapped_reads =
-                      !total.Workload.Aging.unmapped_reads
-                      + o.Workload.Aging.unmapped_reads;
-                    uncorrectable_reads =
-                      !total.Workload.Aging.uncorrectable_reads
-                      + o.Workload.Aging.uncorrectable_reads;
-                    died =
-                      !total.Workload.Aging.died || o.Workload.Aging.died;
-                  };
-                if
-                  !total.Workload.Aging.died
-                  || o.Workload.Aging.host_writes = 0
-                  || !total.Workload.Aging.host_writes >= max_writes
-                then finished := true;
-                if Monitor.Engine.due monitor ~tick:!epoch || !finished then
-                  sample !epoch
-              done;
-              !total)
+                let written = written + o.Workload.Aging.host_writes in
+                let finished =
+                  o.Workload.Aging.died || o.Workload.Aging.host_writes = 0
+                  || written >= max_writes
+                in
+                if Monitor.Engine.due monitor ~tick:epoch || finished then
+                  sample epoch;
+                if finished then List.rev (o :: aged)
+                else slice (epoch + 1) written (o :: aged)
+              in
+              slice 1 0 [])
     in
+    let total field = List.fold_left (fun n o -> n + field o) 0 slices in
     Experiments.Report.section fmt
       (Printf.sprintf "aging %s (seed %d)" (Ftl.Device_intf.label device) seed);
     Experiments.Report.table fmt
@@ -487,13 +481,16 @@ let age_cmd =
           [ "initial capacity (oPages)";
             string_of_int (Ftl.Device_intf.initial_capacity device) ];
           [ "host writes accepted";
-            string_of_int outcome.Workload.Aging.host_writes ];
-          [ "reads"; string_of_int outcome.Workload.Aging.reads ];
+            string_of_int (total (fun o -> o.Workload.Aging.host_writes)) ];
+          [ "reads"; string_of_int (total (fun o -> o.Workload.Aging.reads)) ];
           [ "unmapped reads";
-            string_of_int outcome.Workload.Aging.unmapped_reads ];
+            string_of_int (total (fun o -> o.Workload.Aging.unmapped_reads)) ];
           [ "uncorrectable reads";
-            string_of_int outcome.Workload.Aging.uncorrectable_reads ];
-          [ "died of wear"; string_of_bool outcome.Workload.Aging.died ];
+            string_of_int
+              (total (fun o -> o.Workload.Aging.uncorrectable_reads)) ];
+          [ "died of wear";
+            string_of_bool
+              (List.exists (fun o -> o.Workload.Aging.died) slices) ];
           [ "write amplification";
             Experiments.Report.cell_f
               (Ftl.Device_intf.write_amplification device) ];
@@ -502,8 +499,8 @@ let age_cmd =
   Cmd.v
     (Cmd.info "age" ~doc:"Age one device to death and report its endurance")
     Term.(
-      const run $ tel_opts_term $ jobs_term $ mon_opts_term $ kind $ seed
-      $ utilization)
+      const run $ run_opts_term ~jobs:true ~mon:true ~obs:false $ kind_term
+      $ seed_term 42 $ utilization)
 
 (* --- fleet ------------------------------------------------------------------ *)
 
@@ -565,16 +562,17 @@ let fleet_args =
   in
   (days, years, epoch_days, aging, devices, dwpd, mode)
 
-let fleet_run ~force_report tel jobs mon obs days years epoch_days aging
-    devices dwpd mode =
-  let obs = if force_report then { obs with fleet_report = true } else obs in
+let fleet_run ~force_report opts days years epoch_days aging devices dwpd
+    mode =
+  let opts =
+    if force_report then
+      { opts with obs = { opts.obs with fleet_report = true } }
+    else opts
+  in
   let total_days =
     match years with Some y -> y * 365 | None -> days
   in
-  with_context ~mon ~obs
-    ~epoch:(Printf.sprintf "%dd" total_days)
-    tel ~jobs
-    (fun ctx ->
+  with_context ~epoch:(Printf.sprintf "%dd" total_days) opts (fun ctx ->
       Experiments.Fig3ab.run ~days:total_days ~devices ~dwpd ~aging
         ~epoch_days
         ?kinds:(Option.map (fun k -> [ k ]) mode)
@@ -587,8 +585,8 @@ let fleet_cmd =
        ~doc:"Fleet aging: alive devices and capacity over time (Figs. 3a/3b)")
     Term.(
       const (fleet_run ~force_report:false)
-      $ tel_opts_term $ jobs_term $ mon_opts_term $ obs_opts_term $ days
-      $ years $ epoch_days $ aging $ devices $ dwpd $ mode)
+      $ run_opts_term ~jobs:true ~mon:true ~obs:true
+      $ days $ years $ epoch_days $ aging $ devices $ dwpd $ mode)
 
 let fleet_report_cmd =
   let days, years, epoch_days, aging, devices, dwpd, mode = fleet_args in
@@ -600,35 +598,24 @@ let fleet_report_cmd =
           grades and the exact top-K worst devices in O(K) memory")
     Term.(
       const (fleet_run ~force_report:true)
-      $ tel_opts_term $ jobs_term $ mon_opts_term $ obs_opts_term $ days
-      $ years $ epoch_days $ aging $ devices $ dwpd $ mode)
+      $ run_opts_term ~jobs:true ~mon:true ~obs:true
+      $ days $ years $ epoch_days $ aging $ devices $ dwpd $ mode)
 
 (* --- stats ------------------------------------------------------------------ *)
 
 let stats_cmd =
-  let kind =
-    Arg.(
-      value
-      & opt kind_conv `Regens
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:"Device design: baseline, cvss, shrinks or regens.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let writes =
     Arg.(
       value & opt int 200_000
       & info [ "writes" ] ~docv:"N"
           ~doc:"Host writes to issue before snapshotting.")
   in
-  let run tel kind seed writes =
+  let run opts kind seed writes =
     (* [stats] exists to print a snapshot, so collection is always on;
        default destination is stdout. *)
-    let tel =
-      { tel with metrics = Some (Option.value tel.metrics ~default:"-") }
-    in
-    with_telemetry tel @@ fun registry ->
+    let metrics = Some (Option.value opts.tel.metrics ~default:"-") in
+    with_context { opts with tel = { opts.tel with metrics } } @@ fun ctx ->
+    let registry = ctx.Experiments.Ctx.registry in
     Telemetry.Trace.with_span ~registry "stats" @@ fun () ->
     let utilization = 0.85 in
     let device = Experiments.Defaults.make_device ~registry kind ~seed in
@@ -642,7 +629,7 @@ let stats_cmd =
         ~read_fraction:0.2
     in
     ignore
-      (Workload.Aging.run ~max_writes:writes ~utilization
+      (Workload.Aging.run_epoch ~quota:writes ~utilization
          ~rng:(Sim.Rng.create (seed + 1))
          ~pattern ~device ())
   in
@@ -651,7 +638,9 @@ let stats_cmd =
        ~doc:
          "Exercise one device briefly and dump its full metric snapshot \
           (counters, gauges, latency histograms)")
-    Term.(const run $ tel_opts_term $ kind $ seed $ writes)
+    Term.(
+      const run $ run_opts_term ~jobs:false ~mon:false ~obs:false $ kind_term
+      $ seed_term 42 $ writes)
 
 (* --- chaos ------------------------------------------------------------------ *)
 
@@ -666,22 +655,17 @@ let chaos_cmd =
              e.g. \
              $(b,transient=0.05@0.1,sticky=0.01,silent=0.02,corr@400:3,kill@600:1,crash@800).")
   in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
   let steps =
     Arg.(
       value & opt int 1000
       & info [ "steps" ] ~docv:"N" ~doc:"Workload steps per cell.")
   in
-  let run tel jobs mon obs plan seed steps =
+  let run opts plan seed steps =
     match Faults.Plan.parse plan with
     | Error msg -> `Error (false, msg)
     | Ok plan ->
         let ok =
-          with_context ~mon ~obs
-            ~epoch:(Printf.sprintf "chaos-%dsteps" steps)
-            tel ~jobs
+          with_context ~epoch:(Printf.sprintf "chaos-%dsteps" steps) opts
             (fun ctx ->
               Telemetry.Trace.with_span
                 ~registry:ctx.Experiments.Ctx.registry "chaos" (fun () ->
@@ -696,8 +680,8 @@ let chaos_cmd =
           tolerance invariants (byte-identical at any --jobs)")
     Term.(
       ret
-        (const run $ tel_opts_term $ jobs_term $ mon_opts_term $ obs_opts_term
-        $ plan $ seed $ steps))
+        (const run $ run_opts_term ~jobs:true ~mon:true ~obs:true $ plan
+        $ seed_term 42 $ steps))
 
 (* --- traffic ----------------------------------------------------------------- *)
 
@@ -711,9 +695,6 @@ let traffic_cmd =
     Arg.(
       value & opt int 12_000
       & info [ "ops" ] ~docv:"N" ~doc:"Trace length in accesses.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
   let batch =
     Arg.(
@@ -761,7 +742,7 @@ let traffic_cmd =
             "Write the latency-percentile table as JSON to $(docv) (\"-\" \
              for stdout).")
   in
-  let run tel jobs obs tenants ops seed batch qos plan trace_file emit_trace
+  let run opts tenants ops seed batch qos plan trace_file emit_trace
       latency_json =
     match Faults.Plan.parse plan with
     | Error msg -> `Error (false, msg)
@@ -774,12 +755,14 @@ let traffic_cmd =
         match trace with
         | Error msg -> `Error (false, msg)
         | Ok trace ->
-            Option.iter (fun path -> Workload.Trace.to_file trace ~path)
+            Option.iter
+              (fun path ->
+                write_artifact ~what:"workload trace" ~path
+                  (Workload.Trace.to_string trace))
               emit_trace;
             let rows =
-              with_context ~obs
-                ~epoch:(Printf.sprintf "traffic-%dops" ops)
-                tel ~jobs (fun ctx ->
+              with_context ~epoch:(Printf.sprintf "traffic-%dops" ops) opts
+                (fun ctx ->
                   Telemetry.Trace.with_span
                     ~registry:ctx.Experiments.Ctx.registry "traffic"
                     (fun () ->
@@ -788,7 +771,7 @@ let traffic_cmd =
             in
             Option.iter
               (fun path ->
-                Telemetry.Export.write_file ~path
+                write_artifact ~what:"latency table" ~path
                   (Experiments.Traffic_run.rows_to_json rows ^ "\n"))
               latency_json;
             `Ok ())
@@ -801,19 +784,13 @@ let traffic_cmd =
           any --jobs)")
     Term.(
       ret
-        (const run $ tel_opts_term $ jobs_term $ obs_opts_term $ tenants $ ops
-        $ seed $ batch $ qos $ plan $ trace_file $ emit_trace $ latency_json))
+        (const run $ run_opts_term ~jobs:true ~mon:false ~obs:true $ tenants
+        $ ops $ seed_term 42 $ batch $ qos $ plan $ trace_file $ emit_trace
+        $ latency_json))
 
 (* --- monitor ----------------------------------------------------------------- *)
 
 let monitor_cmd =
-  let kind =
-    Arg.(
-      value
-      & opt kind_conv `Regens
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:"Device design: baseline, cvss, shrinks or regens.")
-  in
   let devices =
     Arg.(value & opt int 6 & info [ "devices" ] ~docv:"N" ~doc:"Fleet size.")
   in
@@ -825,17 +802,12 @@ let monitor_cmd =
       value & opt float 2.
       & info [ "dwpd" ] ~docv:"X" ~doc:"Drive writes per day per device.")
   in
-  let seed =
-    Arg.(
-      value
-      & opt int Experiments.Defaults.fleet_seed
-      & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-  in
-  let run tel jobs mon kind devices days dwpd seed =
+  let run opts kind devices days dwpd seed =
     (* This command exists to monitor, so monitoring is always on: default
        to a health report when no monitor flag picked an output. *)
+    let mon = opts.mon in
     let mon = if monitor_active mon then mon else { mon with health = true } in
-    with_context ~mon tel ~jobs (fun ctx ->
+    with_context { opts with mon } (fun ctx ->
         ignore
           (Experiments.Monitor_run.run ~kind ~devices ~days ~dwpd ~seed ~ctx
              fmt))
@@ -847,8 +819,9 @@ let monitor_cmd =
           report per-device health, alerts, timelines and traces \
           (byte-identical at any --jobs)")
     Term.(
-      const run $ tel_opts_term $ jobs_term $ mon_opts_term $ kind $ devices
-      $ days $ dwpd $ seed)
+      const run $ run_opts_term ~jobs:true ~mon:true ~obs:false $ kind_term
+      $ devices $ days $ dwpd
+      $ seed_term Experiments.Defaults.fleet_seed)
 
 (* --- levels ------------------------------------------------------------------ *)
 

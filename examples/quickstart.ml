@@ -52,7 +52,7 @@ let () =
   in
   let rec age_until_events tries =
     let outcome =
-      Workload.Aging.run ~max_writes:5_000 ~rng:(Sim.Rng.create tries)
+      Workload.Aging.run_epoch ~quota:5_000 ~rng:(Sim.Rng.create tries)
         ~pattern ~device:(Salamander.Device.pack device) ()
     in
     let events = Salamander.Device.poll_events device in
@@ -74,7 +74,7 @@ let () =
 
   (* 5. Keep going until the device gives up entirely. *)
   let outcome =
-    Workload.Aging.run ~max_writes:50_000_000 ~rng:(Sim.Rng.create 7)
+    Workload.Aging.run_epoch ~quota:50_000_000 ~rng:(Sim.Rng.create 7)
       ~pattern ~device:(Salamander.Device.pack device) ()
   in
   printf

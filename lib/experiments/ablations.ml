@@ -13,22 +13,18 @@ let age_device ?(seed = 515) ?registry config =
       ~read_fraction:0.
   in
   let outcome =
-    Workload.Aging.run ~max_writes:50_000_000 ~rng:(Sim.Rng.create (seed + 1))
-      ~pattern ~device:packed ()
+    Workload.Aging.run_epoch ~quota:50_000_000
+      ~rng:(Sim.Rng.create (seed + 1)) ~pattern ~device:packed ()
   in
   (device, outcome)
 
 let average_writes ?(seeds = [ 515; 616; 717 ]) ?(ctx = Ctx.default) config =
-  let outcomes =
-    Parallel.Pool.map_opt ctx.Ctx.pool
-      (fun seed ->
-        let sub = Ctx.sub_registry ctx in
-        let _, outcome = age_device ~seed ~registry:sub config in
-        (outcome.Workload.Aging.host_writes, sub))
-      seeds
+  let writes =
+    Ctx.map ctx seeds (fun sub seed ->
+        let _, outcome = age_device ~seed ~registry:sub.Ctx.registry config in
+        outcome.Workload.Aging.host_writes)
   in
-  List.iter (fun (_, sub) -> Ctx.absorb ctx sub) outcomes;
-  List.fold_left (fun acc (w, _) -> acc + w) 0 outcomes / List.length seeds
+  List.fold_left ( + ) 0 writes / List.length seeds
 
 (* --- AB-MSIZE ------------------------------------------------------------- *)
 
@@ -36,23 +32,19 @@ let msize ?(ctx = Ctx.default) fmt =
   Report.section fmt "AB-MSIZE: minidisk size vs lifetime and granularity";
   let sizes = [ 16; 32; 64; 128; 256 ] in
   let aged =
-    Parallel.Pool.map_opt ctx.Ctx.pool
-      (fun mdisk_opages ->
+    Ctx.map ctx sizes (fun sub mdisk_opages ->
         let config =
           {
             (Defaults.salamander_config ~mode:Salamander.Device.Regen_s) with
             Salamander.Device.mdisk_opages;
           }
         in
-        let sub = Ctx.sub_registry ctx in
-        let device, outcome = age_device ~registry:sub config in
-        ((mdisk_opages, device, outcome), sub))
-      sizes
+        let device, outcome = age_device ~registry:sub.Ctx.registry config in
+        (mdisk_opages, device, outcome))
   in
-  List.iter (fun (_, sub) -> Ctx.absorb ctx sub) aged;
   let rows =
     List.map
-      (fun ((mdisk_opages, device, outcome), _) ->
+      (fun (mdisk_opages, device, outcome) ->
         [
           Printf.sprintf "%d KiB" (mdisk_opages * 4);
           string_of_int outcome.Workload.Aging.host_writes;
@@ -276,7 +268,7 @@ let pattern ?(ctx = Ctx.default) fmt =
                            (Ftl.Device_intf.logical_capacity device)))
                in
                let outcome =
-                 Workload.Aging.run ~max_writes:50_000_000
+                 Workload.Aging.run_epoch ~quota:50_000_000
                    ~rng:(Sim.Rng.create 903)
                    ~pattern:(make_pattern shape ~window)
                    ~device ()

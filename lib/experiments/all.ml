@@ -22,24 +22,18 @@ let experiments =
 
 let run ?(ctx = Ctx.default) fmt =
   (* One level of parallelism: whole experiments fan out across the pool,
-     so each runner receives a pool-less context (a task must never submit
-     into the pool it runs on).  Every experiment renders into its own
-     buffer and collects metrics in its own scratch registry; printing and
-     merging then happen in list order, making the output byte-identical
-     at any domain count. *)
+     so each runner receives a pool-less scratch context (a task must
+     never submit into the pool it runs on).  Every experiment renders
+     into its own buffer; printing and merging then happen in list order,
+     making the output byte-identical at any domain count. *)
   let rendered =
-    Ctx.map_cells ctx (Array.of_list experiments)
-      (fun ~sub ~mon:_ ~obs:_ (id, runner) ->
+    Ctx.map ctx experiments (fun sub (id, runner) ->
         let buf = Buffer.create 4096 in
         let bfmt = Format.formatter_of_buffer buf in
         Format.fprintf bfmt "@.### experiment %s@." id;
-        runner (Ctx.make ~registry:sub ()) bfmt;
+        runner sub bfmt;
         Format.pp_print_flush bfmt ();
-        (Buffer.contents buf, sub))
+        Buffer.contents buf)
   in
-  List.iter
-    (fun (text, sub) ->
-      Format.pp_print_string fmt text;
-      Ctx.absorb ctx sub)
-    rendered;
+  List.iter (Format.pp_print_string fmt) rendered;
   Format.fprintf fmt "@."

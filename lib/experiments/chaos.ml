@@ -327,61 +327,62 @@ let run ?(ctx = Ctx.default) ?(plan = default_plan) ?(seed = 42)
     ?(steps = 1000) fmt =
   Format.fprintf fmt "chaos campaign: plan=%a seed=%d steps=%d@."
     Faults.Plan.pp plan seed steps;
-  (* Six self-contained cells fan out over the pool via the chunked
-     path; rendering and registry absorption happen in submission
-     order, so the report is byte-identical at any job count (the PR 2
-     pattern).  The recovery cells always run the [live-recovery]
-     preset with live repair armed, whatever [plan] the rest of the
-     campaign exercises — they are the standing regression for the
-     no-corrupt-read-with-healthy-replica invariant. *)
+  (* Six self-contained cells fan out over the pool via {!Ctx.map};
+     rendering and sink absorption happen in submission order, so the
+     report is byte-identical at any job count.  The recovery cells
+     always run the [live-recovery] preset with live repair armed,
+     whatever [plan] the rest of the campaign exercises — they are the
+     standing regression for the no-corrupt-read-with-healthy-replica
+     invariant. *)
   let cells =
-    [|
+    [
       (`Device, seed);
       (`Device, seed + 1);
       (`Cluster, seed);
       (`Cluster, seed + 1);
       (`Recovery, seed);
       (`Recovery, seed + 1);
-    |]
+    ]
+  in
+  let cell_tag (arena, cell_seed) =
+    let tag =
+      match arena with
+      | `Device -> "device"
+      | `Cluster -> "cluster"
+      | `Recovery -> "recovery"
+    in
+    Printf.sprintf "%s-%d" tag cell_seed
   in
   let rendered =
-    Ctx.map_cells ctx cells
-      (fun ~sub ~mon ~obs (arena, cell_seed) ->
+    Ctx.map ctx
+      ~labels:(fun cell -> [ ("device", cell_tag cell) ])
+      cells
+      (fun sub ((arena, cell_seed) as cell) ->
+        let registry = sub.Ctx.registry
+        and mon = sub.Ctx.monitor
+        and obs = sub.Ctx.obs in
         let buf = Buffer.create 2048 in
         let bfmt = Format.formatter_of_buffer buf in
-        let tag =
-          match arena with
-          | `Device -> "device"
-          | `Cluster -> "cluster"
-          | `Recovery -> "recovery"
-        in
-        let cell_tag = Printf.sprintf "%s-%d" tag cell_seed in
         let ok =
           match arena with
           | `Device ->
-              run_device_arena ~registry:sub ?mon ?obs ~plan ~seed:cell_seed
+              run_device_arena ~registry ?mon ?obs ~plan ~seed:cell_seed
                 ~steps bfmt
           | `Cluster ->
-              (run_cluster_arena ~registry:sub ?mon ?obs ~obs_prefix:cell_tag
+              (run_cluster_arena ~registry ?mon ?obs ~obs_prefix:(cell_tag cell)
                  ~plan ~seed:cell_seed ~steps bfmt)
                 .ok
           | `Recovery ->
-              (run_cluster_arena ~registry:sub ?mon ?obs ~obs_prefix:cell_tag
+              (run_cluster_arena ~registry ?mon ?obs ~obs_prefix:(cell_tag cell)
                  ~live_repair:true ~plan:recovery_plan ~seed:cell_seed ~steps
                  bfmt)
                 .ok
         in
         Format.pp_print_flush bfmt ();
-        (Buffer.contents buf, ok, sub, mon, obs, cell_tag))
+        (Buffer.contents buf, ok))
   in
-  List.iter
-    (fun (text, _, sub, mon, obs, cell_tag) ->
-      Format.pp_print_string fmt text;
-      Ctx.absorb ctx sub;
-      Ctx.absorb_monitor ctx ~labels:[ ("device", cell_tag) ] mon;
-      Ctx.absorb_obs ctx obs)
-    rendered;
-  let all = List.for_all (fun (_, ok, _, _, _, _) -> ok) rendered in
+  List.iter (fun (text, _) -> Format.pp_print_string fmt text) rendered;
+  let all = List.for_all snd rendered in
   Format.fprintf fmt "chaos verdict: %s@." (if all then "PASS" else "FAIL");
   all
 
@@ -391,31 +392,28 @@ let run_shrink_vs_repair ?(ctx = Ctx.default) ?(seed = 42) ?(steps = 1000) fmt
     =
   Format.fprintf fmt "shrink-vs-repair: plan=%a seed=%d steps=%d@."
     Faults.Plan.pp recovery_plan seed steps;
+  let tag live_repair = if live_repair then "repair-on" else "repair-off" in
   let rendered =
-    Ctx.map_cells ctx [| false; true |]
-      (fun ~sub ~mon ~obs live_repair ->
+    Ctx.map ctx
+      ~labels:(fun live_repair -> [ ("device", tag live_repair) ])
+      [ false; true ]
+      (fun sub live_repair ->
         let buf = Buffer.create 2048 in
         let bfmt = Format.formatter_of_buffer buf in
-        let tag = if live_repair then "repair-on" else "repair-off" in
         let out =
-          run_cluster_arena ~registry:sub ?mon ?obs ~obs_prefix:tag
-            ~live_repair ~plan:recovery_plan ~seed ~steps bfmt
+          run_cluster_arena ~registry:sub.Ctx.registry ?mon:sub.Ctx.monitor
+            ?obs:sub.Ctx.obs ~obs_prefix:(tag live_repair) ~live_repair
+            ~plan:recovery_plan ~seed ~steps bfmt
         in
         Format.pp_print_flush bfmt ();
-        (Buffer.contents buf, out, sub, mon, obs, tag))
+        (Buffer.contents buf, out, tag live_repair))
   in
-  List.iter
-    (fun (text, _, sub, mon, obs, tag) ->
-      Format.pp_print_string fmt text;
-      Ctx.absorb ctx sub;
-      Ctx.absorb_monitor ctx ~labels:[ ("device", tag) ] mon;
-      Ctx.absorb_obs ctx obs)
-    rendered;
+  List.iter (fun (text, _, _) -> Format.pp_print_string fmt text) rendered;
   (* Effective lifetime under identical damage: repairing in place costs
      wear (exported capacity) but keeps data reachable (fewer
      unrecoverable oPages, fewer corrupt reads served). *)
   List.iter
-    (fun (_, out, _, _, _, tag) ->
+    (fun (_, out, tag) ->
       Format.fprintf fmt
         "%-10s capacity=%d unrecoverable=%d corrupt_served=%d lost_chunks=%d \
          chunks=%d+%d live_repairs=%d/%d@."
@@ -423,7 +421,7 @@ let run_shrink_vs_repair ?(ctx = Ctx.default) ?(seed = 42) ?(steps = 1000) fmt
         out.lost_chunks out.intact out.degraded out.live_successes
         out.live_attempts)
     rendered;
-  let all = List.for_all (fun (_, out, _, _, _, _) -> out.ok) rendered in
+  let all = List.for_all (fun (_, out, _) -> out.ok) rendered in
   Format.fprintf fmt "shrink-vs-repair verdict: %s@."
     (if all then "PASS" else "FAIL");
   all

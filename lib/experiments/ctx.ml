@@ -11,39 +11,43 @@ let default =
 let make ?(registry = Telemetry.Registry.null) ?pool ?monitor ?obs () =
   { registry; pool; monitor; obs }
 
-let sequential ctx = { ctx with pool = None }
-
-let sub_registry ctx =
+let sub ctx =
   (* A monitor samples the task's scratch registry, so it forces live
      sub-registries even when the context registry itself is null.
      Scratch registries are unshared (plain-ref metric cells): exactly
      one domain owns one until the barrier merge publishes it. *)
-  if Telemetry.Registry.is_null ctx.registry && Option.is_none ctx.monitor then
-    Telemetry.Registry.null
-  else Telemetry.Registry.create ~shared:false ()
+  let registry =
+    if Telemetry.Registry.is_null ctx.registry && Option.is_none ctx.monitor
+    then Telemetry.Registry.null
+    else Telemetry.Registry.create ~shared:false ()
+  in
+  {
+    registry;
+    pool = None;
+    monitor = Option.map Monitor.Engine.sub ctx.monitor;
+    obs = Option.map Obs.Fleet_report.Acc.sub ctx.obs;
+  }
 
-let absorb ctx sub = Telemetry.Registry.merge ~into:ctx.registry sub
-let sub_monitor ctx = Option.map Monitor.Engine.sub ctx.monitor
-let sub_obs ctx = Option.map Obs.Fleet_report.Acc.sub ctx.obs
-
-let absorb_obs ctx sub =
-  match (ctx.obs, sub) with
+let absorb ctx ?labels sub =
+  Telemetry.Registry.merge ~into:ctx.registry sub.registry;
+  (match (ctx.monitor, sub.monitor) with
+  | Some into, Some sub -> Monitor.Engine.absorb ~into ?labels sub
+  | _ -> ());
+  match (ctx.obs, sub.obs) with
   | Some into, Some sub -> Obs.Fleet_report.Acc.merge ~into sub
   | _ -> ()
 
-let absorb_monitor ctx ?labels sub =
-  match (ctx.monitor, sub) with
-  | Some into, Some sub -> Monitor.Engine.absorb ~into ?labels sub
-  | _ -> ()
-
-let map_cells ctx cells f =
-  (* Heterogeneous experiment cells don't bin-pack, so the chunk is one
-     cell; what the chunked path still buys is the single batched
-     submission and the scratch registry/monitor created once on the
-     worker that runs the cell. *)
-  Parallel.Pool.map_chunked ctx.pool ~chunk_size:1 ~n:(Array.length cells)
-    (fun (c : Parallel.Pool.chunk) ->
-      let sub = sub_registry ctx in
-      let mon = sub_monitor ctx in
-      let obs = sub_obs ctx in
-      f ~sub ~mon ~obs cells.(c.lo))
+let map ctx ?labels items f =
+  (* The scratch context is created on the worker that runs the task. *)
+  let results =
+    Parallel.Pool.map_opt ctx.pool
+      (fun item ->
+        let sub = sub ctx in
+        (f sub item, sub))
+      items
+  in
+  List.map2
+    (fun item (result, sub) ->
+      absorb ctx ?labels:(Option.map (fun labels -> labels item) labels) sub;
+      result)
+    items results

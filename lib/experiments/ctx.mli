@@ -1,9 +1,9 @@
 (** Execution context threaded through experiment runners.
 
-    Replaces the deprecated process-global telemetry registry: a runner
-    receives the registry its components should bind metrics against and,
-    optionally, a domain pool to fan independent simulations across.  The
-    default context is fully inert — a null registry and no pool — so
+    A runner receives the registry its components should bind metrics
+    against, optionally a domain pool to fan independent simulations
+    across, and the optional monitor and fleet-report sinks.  The default
+    context is fully inert — a null registry, no pool, no sinks — so
     callers that don't care pay nothing. *)
 
 type t = {
@@ -24,7 +24,7 @@ type t = {
 }
 
 val default : t
-(** Null registry, no pool, no monitor. *)
+(** Null registry, no pool, no monitor, no fleet-report accumulator. *)
 
 val make :
   ?registry:Telemetry.Registry.t ->
@@ -34,58 +34,34 @@ val make :
   unit ->
   t
 
-val sequential : t -> t
-(** Same context with the pool stripped.  Dispatchers hand this to the
-    tasks they submit: a task running {e on} the pool must never submit
-    into it (see {!Parallel.Pool}). *)
+val sub : t -> t
+(** A scratch context for one parallel task: no pool (a task running
+    {e on} the pool must never submit into it), a fresh unshared registry
+    — or {!Telemetry.Registry.null} when both the context's registry is
+    null and no monitor is attached, so inactive telemetry stays free; a
+    monitor needs live metrics to sample even when the caller never
+    exports them — plus a scratch monitor ({!Monitor.Engine.sub}) and a
+    scratch fleet-report accumulator ({!Obs.Fleet_report.Acc.sub}) when
+    the context carries those.  The task writes into it privately; merge
+    it back with {!absorb} {e in submission order} to keep every artifact
+    independent of execution interleaving. *)
 
-val sub_registry : t -> Telemetry.Registry.t
-(** A scratch registry for one parallel task: null when both the
-    context's registry is null and no monitor is attached (so inactive
-    telemetry stays free), otherwise a fresh live registry the task's
-    components bind against — a monitor needs live metrics to sample
-    even when the caller never exports them.  Merge it back with
-    {!absorb} {e in submission order} to keep metric output independent
-    of execution interleaving. *)
+val absorb : t -> ?labels:(string * string) list -> t -> unit
+(** [absorb ctx sub] merges a task's scratch context into [ctx]: the
+    registry ({!Telemetry.Registry.merge}; no-op when either is null),
+    the monitor ({!Monitor.Engine.absorb}, prefixing every series/alert
+    key with [labels], e.g. [("device", "cvss-3")]) and the fleet-report
+    accumulator ({!Obs.Fleet_report.Acc.merge}).  Each sink merges only
+    when both sides carry it. *)
 
-val absorb : t -> Telemetry.Registry.t -> unit
-(** [absorb ctx sub] merges a task's scratch registry into the context
-    registry ({!Telemetry.Registry.merge}); no-op when either is null. *)
-
-val sub_monitor : t -> Monitor.Engine.t option
-(** A scratch monitor engine for one parallel task ({!Monitor.Engine.sub}):
-    same cadence/rules as the context's monitor, fresh state.  [None] when
-    the context carries no monitor.  Like {!sub_registry}, the task samples
-    into it privately; merge back with {!absorb_monitor} in submission
-    order so timelines are independent of execution interleaving. *)
-
-val absorb_monitor : t -> ?labels:(string * string) list -> Monitor.Engine.t option -> unit
-(** Merge a task's scratch monitor into the context monitor
-    ({!Monitor.Engine.absorb}), prefixing every series/alert key with
-    [labels] (e.g. [("device", "cvss-3")]).  No-op when either side is
-    [None]. *)
-
-val sub_obs : t -> Obs.Fleet_report.Acc.t option
-(** A scratch fleet-report accumulator for one parallel task
-    ({!Obs.Fleet_report.Acc.sub}); [None] when the context carries
-    none.  Merge back with {!absorb_obs} in submission order. *)
-
-val absorb_obs : t -> Obs.Fleet_report.Acc.t option -> unit
-(** Merge a task's scratch accumulator into the context's
-    ({!Obs.Fleet_report.Acc.merge}); no-op when either side is [None]. *)
-
-val map_cells :
+val map :
   t ->
-  'cell array ->
-  (sub:Telemetry.Registry.t ->
-  mon:Monitor.Engine.t option ->
-  obs:Obs.Fleet_report.Acc.t option ->
-  'cell ->
-  'r) ->
-  'r list
-(** Fan an array of self-contained experiment cells over the context's
-    pool via {!Parallel.Pool.map_chunked} (one cell per chunk — cells
-    are heterogeneous), handing each invocation a fresh {!sub_registry}
-    and {!sub_monitor} created on the worker.  Results come back in
-    cell order; the caller renders/absorbs them in that order to stay
-    byte-identical at any job count. *)
+  ?labels:('a -> (string * string) list) ->
+  'a list ->
+  (t -> 'a -> 'b) ->
+  'b list
+(** [map ctx items f] runs [f (sub ctx) item] for every item on the
+    context's pool (sequentially when it has none), then {!absorb}s each
+    scratch context in submission order, labelled by [labels item].
+    Results come back in item order; output is byte-identical at any job
+    count. *)

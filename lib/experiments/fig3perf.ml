@@ -204,15 +204,8 @@ let measure_point ~registry ~l1_fraction ~seed =
 
 let measure ?(fractions = [ 0.; 0.25; 0.5; 0.75; 1. ]) ?(seed = 11)
     ?(ctx = Ctx.default) () =
-  let points =
-    Parallel.Pool.map_opt ctx.Ctx.pool
-      (fun l1_fraction ->
-        let sub = Ctx.sub_registry ctx in
-        (measure_point ~registry:sub ~l1_fraction ~seed, sub))
-      fractions
-  in
-  List.iter (fun (_, sub) -> Ctx.absorb ctx sub) points;
-  List.map fst points
+  Ctx.map ctx fractions (fun sub l1_fraction ->
+      measure_point ~registry:sub.Ctx.registry ~l1_fraction ~seed)
 
 let run ?(ctx = Ctx.default) fmt =
   Report.section fmt

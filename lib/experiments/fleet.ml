@@ -23,16 +23,14 @@ type device_streams = {
   afr_rng : Sim.Rng.t;
 }
 
-(* Chunk-local accumulator: one scratch registry, one scratch monitor
-   and plain per-day sums shared by every device of the chunk.  Created
-   once per chunk on the worker that runs it, folded device by device
-   with no synchronization, merged into the context once at the
-   barrier. *)
+(* Chunk-local accumulator: one scratch context (registry, monitor,
+   fleet-report accumulator) and plain per-day sums shared by every
+   device of the chunk.  Created once per chunk on the worker that runs
+   it, folded device by device with no synchronization, merged into the
+   context once at the barrier. *)
 type chunk_acc = {
   chunk : Parallel.Pool.chunk;
-  sub : Telemetry.Registry.t;
-  mon : Monitor.Engine.t option;
-  obs : Obs.Fleet_report.Acc.t option;
+  ctx : Ctx.t;
   alive_by_day : int array; (* live devices per day 0 .. days *)
   cap_by_day : int array; (* summed live capacity per day *)
   mutable acc_host_writes : int;
@@ -43,19 +41,20 @@ type chunk_acc = {
 let simulate_device ~kind ~days ~dwpd ~afr_per_day ~aging ~epoch_days ~streams
     acc index =
   let s : device_streams = streams.(index) in
-  let device = Defaults.make_device_rng ~registry:acc.sub kind ~rng:s.dev_rng in
-  let sink = Option.bind acc.mon Monitor.Engine.sink in
+  let registry = acc.ctx.Ctx.registry in
+  let device = Defaults.make_device_rng ~registry kind ~rng:s.dev_rng in
+  let sink = Option.bind acc.ctx.Ctx.monitor Monitor.Engine.sink in
   (* Liveness/capacity gauges exist only for the monitor: they feed the
      health model's alive and capacity series. *)
   let liveness =
     Option.map
       (fun _ ->
-        ( Telemetry.Registry.gauge acc.sub
+        ( Telemetry.Registry.gauge registry
             ~help:"1 while the device still accepts writes" "device_alive",
-          Telemetry.Registry.gauge acc.sub
+          Telemetry.Registry.gauge registry
             ~help:"Current logical capacity in oPages"
             "device_capacity_opages" ))
-      acc.mon
+      acc.ctx.Ctx.monitor
   in
   let pattern =
     Workload.Pattern.uniform
@@ -73,7 +72,7 @@ let simulate_device ~kind ~days ~dwpd ~afr_per_day ~aging ~epoch_days ~streams
     if alive () then Ftl.Device_intf.logical_capacity device else 0
   in
   let sample day =
-    match acc.mon with
+    match acc.ctx.Ctx.monitor with
     | Some mon when Monitor.Engine.due mon ~tick:day || day = 0 || day = days
       ->
         Option.iter
@@ -81,7 +80,7 @@ let simulate_device ~kind ~days ~dwpd ~afr_per_day ~aging ~epoch_days ~streams
             Telemetry.Registry.Gauge.set alive_g (if alive () then 1. else 0.);
             Telemetry.Registry.Gauge.set cap_g (float_of_int (capacity ())))
           liveness;
-        Monitor.Engine.sample mon ~time:(float_of_int day) acc.sub
+        Monitor.Engine.sample mon ~time:(float_of_int day) registry
     | _ -> ()
   in
   let record day =
@@ -165,7 +164,7 @@ let simulate_device ~kind ~days ~dwpd ~afr_per_day ~aging ~epoch_days ~streams
           host_writes = Ftl.Device_intf.host_writes device;
           alive = alive ();
         })
-    acc.obs
+    acc.ctx.Ctx.obs
 
 (* Chunk sizing depends only on the fleet shape — never on the job
    count, which must not be observable.  A monitored fleet pins one
@@ -206,9 +205,7 @@ let run ?(devices = Defaults.fleet_devices) ?(days = 150) ?(dwpd = 1.)
           (fun chunk ->
             {
               chunk;
-              sub = Ctx.sub_registry ctx;
-              mon = Ctx.sub_monitor ctx;
-              obs = Ctx.sub_obs ctx;
+              ctx = Ctx.sub ctx;
               alive_by_day = Array.make (days + 1) 0;
               cap_by_day = Array.make (days + 1) 0;
               acc_host_writes = 0;
@@ -230,12 +227,10 @@ let run ?(devices = Defaults.fleet_devices) ?(days = 150) ?(dwpd = 1.)
   let kind_tag = Defaults.kind_label kind in
   List.iter
     (fun o ->
-      Ctx.absorb ctx o.sub;
-      Ctx.absorb_monitor ctx
+      Ctx.absorb ctx
         ~labels:
           [ ("device", Printf.sprintf "%s-%d" kind_tag o.chunk.Parallel.Pool.lo) ]
-        o.mon;
-      Ctx.absorb_obs ctx o.obs)
+        o.ctx)
     outcomes;
   (* Devices record only at epoch boundaries, so snapshots exist only
      there: day 0, then the end of each epoch (the final partial epoch

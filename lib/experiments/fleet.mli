@@ -67,7 +67,7 @@ val run :
     @raise Invalid_argument if [epoch_days < 1].
 
     When [ctx] carries a monitor, each device samples its scratch
-    registry into a {!Ctx.sub_monitor} engine at the monitor's epoch
+    registry into its {!Ctx.sub} context's monitor at the monitor's epoch
     interval (plus day 0 and the final day) with time = the simulated
     day, wraps its life in a [fleet:device] span with per-day [fleet:day]
     child spans, and is merged back under a [device=<kind>-<i>] label —

@@ -19,8 +19,8 @@ let age_one ~registry kind ~seed =
       ~read_fraction:0.
   in
   let outcome =
-    Workload.Aging.run ~max_writes:50_000_000 ~rng:(Sim.Rng.create (seed + 1))
-      ~pattern ~device ()
+    Workload.Aging.run_epoch ~quota:50_000_000
+      ~rng:(Sim.Rng.create (seed + 1)) ~pattern ~device ()
   in
   (outcome.Workload.Aging.host_writes,
    Ftl.Device_intf.write_amplification device)
@@ -35,20 +35,16 @@ let measure ?(seeds = [ 101; 202; 303 ]) ?(ctx = Ctx.default) () =
       kinds
   in
   let aged =
-    Parallel.Pool.map_opt ctx.Ctx.pool
-      (fun (kind, seed) ->
-        let sub = Ctx.sub_registry ctx in
-        let w, a = age_one ~registry:sub kind ~seed in
-        (kind, w, a, sub))
-      tasks
+    Ctx.map ctx tasks (fun sub (kind, seed) ->
+        let w, a = age_one ~registry:sub.Ctx.registry kind ~seed in
+        (kind, w, a))
   in
-  List.iter (fun (_, _, _, sub) -> Ctx.absorb ctx sub) aged;
   let totals =
     List.map
       (fun kind ->
         let writes, wafs =
           List.fold_left
-            (fun (acc_w, acc_a) (k, w, a, _) ->
+            (fun (acc_w, acc_a) (k, w, a) ->
               if k = kind then (acc_w + w, acc_a +. a) else (acc_w, acc_a))
             (0, 0.) aged
         in

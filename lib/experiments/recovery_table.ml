@@ -74,31 +74,27 @@ let measure_kind ~registry kind ~devices ~seed =
 let measure ?(devices = 6) ?(seed = 4242) ?(ctx = Ctx.default) () =
   (* One cluster per kind, each fully self-contained: the pool runs the
      four cluster lifetimes concurrently. *)
-  let rows =
-    Parallel.Pool.map_opt ctx.Ctx.pool
-      (fun kind ->
-        let sub = Ctx.sub_registry ctx in
-        (measure_kind ~registry:sub kind ~devices ~seed, sub))
-      kinds
-  in
-  List.iter (fun (_, sub) -> Ctx.absorb ctx sub) rows;
-  List.map fst rows
+  Ctx.map ctx kinds (fun sub kind ->
+      measure_kind ~registry:sub.Ctx.registry kind ~devices ~seed)
 
 (* Same aging protocol, but comparing redundancy schemes on identical
    RegenS fleets: replication recovers a lost share with one read; (4,2)
    erasure coding needs four — the §4.3 recovery-traffic question under
    the redundancy datacenters actually deploy. *)
 let measure_redundancy ?(devices = 8) ?(seed = 5353) ?(ctx = Ctx.default) () =
-  let schemes =
-    Parallel.Pool.map_opt ctx.Ctx.pool
-      (fun (label, cluster_config) ->
-      let sub = Ctx.sub_registry ctx in
-      let cluster = Difs.Cluster.create ~config:cluster_config ~registry:sub () in
+  Ctx.map ctx
+    [
+      ("replication x3", Difs.Cluster.default_config);
+      ("erasure (4,2)", Difs.Cluster.default_ec_config);
+    ]
+    (fun sub (label, cluster_config) ->
+      let registry = sub.Ctx.registry in
+      let cluster = Difs.Cluster.create ~config:cluster_config ~registry () in
       List.iter
         (fun i ->
           ignore
             (Difs.Cluster.add_device cluster ~node:i
-               (backend ~registry:sub `Regens ~seed:(seed + (61 * i)))))
+               (backend ~registry `Regens ~seed:(seed + (61 * i)))))
         (List.init devices Fun.id);
       let physical_per_chunk =
         Difs.Cluster.share_opages cluster * Difs.Cluster.total_shares cluster
@@ -121,14 +117,7 @@ let measure_redundancy ?(devices = 8) ?(seed = 5353) ?(ctx = Ctx.default) () =
         | Error _ -> incr consecutive_failures
       done;
       Difs.Cluster.repair cluster;
-      ((label, cluster, !host_writes), sub))
-    [
-      ("replication x3", Difs.Cluster.default_config);
-      ("erasure (4,2)", Difs.Cluster.default_ec_config);
-    ]
-  in
-  List.iter (fun (_, sub) -> Ctx.absorb ctx sub) schemes;
-  List.map fst schemes
+      (label, cluster, !host_writes))
 
 let run ?(ctx = Ctx.default) fmt =
   Report.section fmt

@@ -270,32 +270,24 @@ let run ?(ctx = Ctx.default) ?(tenants = 64) ?(ops = 12_000) ?(seed = 42)
     (Workload.Trace.length trace)
     seed batch qos Faults.Plan.pp (media_only plan);
   let cells =
-    Array.of_list
-      (List.concat_map (fun kind -> [ (kind, false); (kind, true) ]) kinds)
+    List.concat_map (fun kind -> [ (kind, false); (kind, true) ]) kinds
   in
-  (* Six self-contained cells fan out over the pool via the chunked
-     path; rendering and registry absorption happen in submission
-     order, so the report is byte-identical at any job count (the PR 2
-     pattern). *)
+  (* Six self-contained cells fan out over the pool via {!Ctx.map};
+     rendering and sink absorption happen in submission order, so the
+     report is byte-identical at any job count. *)
   let rendered =
-    Ctx.map_cells ctx cells
-      (fun ~sub ~mon:_ ~obs (kind, chaos) ->
+    Ctx.map ctx cells (fun sub (kind, chaos) ->
         let buf = Buffer.create 2048 in
         let bfmt = Format.formatter_of_buffer buf in
         let row =
-          run_cell ~registry:sub ?obs ~spec ~trace ~seed ~batch ~qos ~plan
-            ~kind ~chaos bfmt
+          run_cell ~registry:sub.Ctx.registry ?obs:sub.Ctx.obs ~spec ~trace
+            ~seed ~batch ~qos ~plan ~kind ~chaos bfmt
         in
         Format.pp_print_flush bfmt ();
-        (Buffer.contents buf, row, sub, obs))
+        (Buffer.contents buf, row))
   in
-  List.iter
-    (fun (text, _, sub, obs) ->
-      Format.pp_print_string fmt text;
-      Ctx.absorb ctx sub;
-      Ctx.absorb_obs ctx obs)
-    rendered;
-  let rows = List.map (fun (_, row, _, _) -> row) rendered in
+  List.iter (fun (text, _) -> Format.pp_print_string fmt text) rendered;
+  let rows = List.map snd rendered in
   Format.fprintf fmt "latency comparison (us):@.";
   Format.fprintf fmt "  %-10s %-6s %10s %10s %10s %10s  %s@." "device" "chaos"
     "p50" "p95" "p99" "p999" "tail-cause";

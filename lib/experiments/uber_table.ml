@@ -60,8 +60,8 @@ let measure_kind ~registry kind ~seed =
       ~read_fraction:0.3
   in
   let outcome =
-    Workload.Aging.run ~max_writes:50_000_000 ~rng:(Sim.Rng.create (seed + 1))
-      ~pattern ~device ()
+    Workload.Aging.run_epoch ~quota:50_000_000
+      ~rng:(Sim.Rng.create (seed + 1)) ~pattern ~device ()
   in
   {
     kind;
@@ -76,15 +76,8 @@ let measure_kind ~registry kind ~seed =
   }
 
 let measure ?(seed = 9090) ?(ctx = Ctx.default) () =
-  let rows =
-    Parallel.Pool.map_opt ctx.Ctx.pool
-      (fun kind ->
-        let sub = Ctx.sub_registry ctx in
-        (measure_kind ~registry:sub kind ~seed, sub))
-      kinds
-  in
-  List.iter (fun (_, sub) -> Ctx.absorb ctx sub) rows;
-  List.map fst rows
+  Ctx.map ctx kinds (fun sub kind ->
+      measure_kind ~registry:sub.Ctx.registry kind ~seed)
 
 let run ?(ctx = Ctx.default) fmt =
   Report.section fmt

@@ -115,12 +115,11 @@ let wear_stats (Packed ((module D), d)) = D.wear_stats d
 let set_recovery_hook (Packed ((module D), d)) ?config hook =
   D.set_recovery_hook d ?config hook
 
-(* Submit a batch through the flat interface.  Devices whose capacity can
-   move mid-batch (CVSS shrinks, Salamander decommissions) make a true
-   batched entry point ambiguous — which entries were in range? — so the
-   packed path loops per-op and reports how far it got; the per-batch
-   amortization lives in [Engine.write_batch] below the device layer and
-   in the replayer's submission-cost model above it. *)
+(* Write a run of entries through the flat interface, one [write] per
+   entry, stopping at the first error and reporting how far it got.  It
+   is a convenience loop for prefill, not a batched submission path:
+   nothing is amortized per batch.  The traffic replayer writes per op
+   and models batching only as a [submit_us] charge per batch. *)
 let write_many p entries =
   let n = Array.length entries in
   let rec go i =

@@ -528,29 +528,6 @@ let write t ~logical ~payload =
   Write_buffer.put t.buffer ~logical ~payload;
   drain t ~force:false
 
-(* Batched submission: land every entry in the buffer, then drain once.
-   Programs pop the buffer in the same FIFO slot-groups a per-op loop
-   would, so the physical layout is identical — except when a batch
-   rewrites an LBA whose earlier copy a per-op loop would already have
-   flushed: the buffer's dedup then saves a program, which is the point
-   of batching.  The per-call overhead (bounds checks, telemetry, the
-   drain loop entry) is paid once per batch instead of once per oPage. *)
-let write_batch t entries =
-  Array.iter
-    (fun (logical, _) ->
-      if logical < 0 || logical >= t.logical_capacity then
-        invalid_arg "Engine.write_batch: logical index out of range")
-    entries;
-  match Array.length entries with
-  | 0 -> Ok ()
-  | n ->
-      t.host_writes <- t.host_writes + n;
-      Telemetry.Registry.Counter.incr t.tel.tel_host_writes ~by:n;
-      Array.iter
-        (fun (logical, payload) -> Write_buffer.put t.buffer ~logical ~payload)
-        entries;
-      drain t ~force:false
-
 let flush t =
   notify_crash t Flush;
   drain t ~force:true

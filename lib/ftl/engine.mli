@@ -67,19 +67,6 @@ val read : t -> logical:int -> (int, read_error) result
     effective RBER — rare below the retirement threshold, exactly the
     residual UBER a real drive exhibits. *)
 
-val write_batch : t -> (int * int) array -> (unit, write_error) result
-(** Submit [(logical, payload)] writes as one batch: all entries land in
-    the write buffer before a single drain flushes the full fPages, so
-    the per-call overhead is paid once per batch rather than once per
-    oPage (the traffic frontend's submission path).  The resulting
-    logical state — and, unless the batch rewrites an LBA mid-stream,
-    the physical layout — is identical to issuing the entries through
-    {!write} one by one.  On [`No_space] the device is out of usable
-    flash mid-batch; all entries were counted as host writes and the
-    unflushed remainder stays buffered (the caller treats the device as
-    dead or shrunk, exactly as for {!write}).
-    @raise Invalid_argument if any logical index is out of range. *)
-
 (** {2 Bulk-aging write stream}
 
     The per-op path above costs a handful of calls, list cells and

@@ -14,21 +14,24 @@ let sync_window pattern device ~utilization =
   if window <> Pattern.window pattern && capacity > 0 then
     Pattern.resize pattern ~window
 
-let run_until ?(stop_every = 256) ?(utilization = 0.85) ~rng ~pattern ~device
-    ~stop () =
-  if stop_every <= 0 then invalid_arg "Aging.run_until: stop_every";
+(* The pattern window is resynced to the device's current capacity every
+   [resync_every] accepted writes, so a shrink is noticed within one
+   stride. *)
+let resync_every = 256
+
+let per_op ~utilization ~rng ~pattern ~device ~quota =
   let host_writes = ref 0 in
   let reads = ref 0 in
   let unmapped_reads = ref 0 in
   let uncorrectable_reads = ref 0 in
   let died = ref false in
   (try
-     while not (stop !host_writes) do
+     while !host_writes < quota do
        if not (Ftl.Device_intf.alive device) then begin
          died := true;
          raise Exit
        end;
-       if !host_writes mod stop_every = 0 then
+       if !host_writes mod resync_every = 0 then
          sync_window pattern device ~utilization;
        let access = Pattern.next pattern rng in
        match access.Access.kind with
@@ -59,30 +62,20 @@ let run_until ?(stop_every = 256) ?(utilization = 0.85) ~rng ~pattern ~device
     unmapped_reads = !unmapped_reads;
     uncorrectable_reads = !uncorrectable_reads; died = !died }
 
-let run ?(max_writes = 10_000_000) ?utilization ~rng ~pattern ~device () =
-  run_until ?utilization ~rng ~pattern ~device
-    ~stop:(fun writes -> writes >= max_writes)
-    ()
-
 type path = Auto | Per_op
 
-(* Epoch driver for steady-state aging: same loop structure as
-   [run_until] — stop predicate, then alive check, then the window
-   resync every [stop_every] accepted writes — but the writes between
-   those decision points are delegated wholesale to the device's
-   bulk-aging stream.  Each segment's budget runs exactly to the next
-   stop_every boundary (or the quota), so every per-op decision point is
-   hit at the same write counts with the same device state, and the RNG
-   stream is identical: the fast path is bit-exact with [Per_op], which
-   survives as the oracle for the differential suite. *)
-let run_epoch ?(path = Auto) ?(stop_every = 256) ?(utilization = 0.85) ~rng
-    ~pattern ~device ~quota () =
-  if stop_every <= 0 then invalid_arg "Aging.run_epoch: stop_every";
-  let per_op () =
-    run_until ~stop_every ~utilization ~rng ~pattern ~device
-      ~stop:(fun writes -> writes >= quota)
-      ()
-  in
+(* The bulk path keeps [per_op]'s loop structure — quota check, then
+   alive check, then the window resync every [resync_every] accepted
+   writes — but delegates the writes between those decision points
+   wholesale to the device's bulk-aging stream.  Each segment's budget
+   runs exactly to the next resync boundary (or the quota), so every
+   per-op decision point is hit at the same write counts with the same
+   device state, and the RNG stream is identical: the fast path is
+   bit-exact with [Per_op], which survives as the oracle for the
+   differential suite. *)
+let run_epoch ?(path = Auto) ?(utilization = 0.85) ~rng ~pattern ~device
+    ~quota () =
+  let per_op () = per_op ~utilization ~rng ~pattern ~device ~quota in
   match path with
   | Per_op -> per_op ()
   | Auto when not (Pattern.write_only_uniform pattern) -> per_op ()
@@ -96,11 +89,11 @@ let run_epoch ?(path = Auto) ?(stop_every = 256) ?(utilization = 0.85) ~rng
              died := true;
              raise Exit
            end;
-           if !host_writes mod stop_every = 0 then
+           if !host_writes mod resync_every = 0 then
              sync_window pattern device ~utilization;
            let budget =
              Stdlib.min (quota - !host_writes)
-               (stop_every - (!host_writes mod stop_every))
+               (resync_every - (!host_writes mod resync_every))
            in
            let r =
              Ftl.Device_intf.write_stream device ~rng

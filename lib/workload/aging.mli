@@ -1,6 +1,6 @@
-(** Drivers that wear a device out under a workload.
+(** Wear a device out under a workload.
 
-    These run against any {!Ftl.Device_intf.packed} device (Salamander
+    It runs against any {!Ftl.Device_intf.packed} device (Salamander
     devices through their flat adapter), confining the pattern window to
     a fixed utilization of whatever capacity the device currently exports
     — the distributed-system assumption that freed space is rebalanced
@@ -14,36 +14,6 @@ type outcome = {
   died : bool;  (** stopped because the device failed, not the cap *)
 }
 
-val run :
-  ?max_writes:int ->
-  ?utilization:float ->
-  rng:Sim.Rng.t ->
-  pattern:Pattern.t ->
-  device:Ftl.Device_intf.packed ->
-  unit ->
-  outcome
-(** Drive accesses until the device dies or [max_writes] (default 10M)
-    writes have been accepted.  The pattern window tracks
-    [utilization * logical_capacity] (default 0.85) as the device
-    shrinks. *)
-
-val run_until :
-  ?stop_every:int ->
-  ?utilization:float ->
-  rng:Sim.Rng.t ->
-  pattern:Pattern.t ->
-  device:Ftl.Device_intf.packed ->
-  stop:(int -> bool) ->
-  unit ->
-  outcome
-(** Same, but the [stop] predicate (called with accepted writes so far)
-    ends the run; used by fleet simulations that interleave devices.  The
-    pattern window is resynced to the device's current capacity every
-    [stop_every] accepted writes (default 256) — callers interleaving at
-    finer granularity (fleet epochs, the traffic replayer) pass a smaller
-    stride so a shrink is noticed within their slice.
-    @raise Invalid_argument if [stop_every <= 0]. *)
-
 (** How {!run_epoch} advances the device. *)
 type path =
   | Auto
@@ -54,7 +24,6 @@ type path =
 
 val run_epoch :
   ?path:path ->
-  ?stop_every:int ->
   ?utilization:float ->
   rng:Sim.Rng.t ->
   pattern:Pattern.t ->
@@ -62,10 +31,11 @@ val run_epoch :
   quota:int ->
   unit ->
   outcome
-(** Accept up to [quota] writes (an aging epoch: one fleet day or a
-    coalesced run of days).  Bit-exact with
-    [run_until ~stop:(fun w -> w >= quota)] — same RNG draws, same
-    device state, same outcome — but [Auto] advances the boring
-    stretches between window resyncs through
-    {!Ftl.Device_intf.S.write_stream} instead of one call per write.
-    @raise Invalid_argument if [stop_every <= 0]. *)
+(** Drive accesses until [quota] writes have been accepted (an aging
+    epoch: one fleet day, a coalesced run of days, or a whole lifetime
+    under a large quota) or the device dies.  The pattern window tracks
+    [utilization * logical_capacity] (default 0.85) as the device
+    shrinks, resynced every 256 accepted writes.  [Auto] advances the
+    stretches between resyncs through {!Ftl.Device_intf.S.write_stream}
+    instead of one call per write; the result is bit-exact with
+    [Per_op] — same RNG draws, same device state, same outcome. *)

@@ -100,12 +100,6 @@ let of_string text =
         go 2 body
       end
 
-let to_file t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
-
 let of_file ~path =
   match
     let ic = open_in path in

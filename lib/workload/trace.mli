@@ -43,7 +43,4 @@ val format_version : int
 val to_string : t -> string
 val of_string : string -> (t, string) result
 
-val to_file : t -> path:string -> unit
-(** @raise Sys_error when the path cannot be written. *)
-
 val of_file : path:string -> (t, string) result

@@ -210,6 +210,52 @@ let test_experiment_measure_deterministic () =
   in
   checkb "lifetime rows identical at jobs=1 and jobs=4" true (seq = par)
 
+(* Ctx.map hands every task a pool-less scratch context, returns the
+   same results and merged registry with or without a pool, and tags
+   each task's absorbed monitor series with its [~labels]. *)
+let ctx_map_at pool =
+  let registry = Telemetry.Registry.create () in
+  let monitor = Monitor.Engine.create () in
+  let ctx = Experiments.Ctx.make ~registry ?pool ~monitor () in
+  let results =
+    Experiments.Ctx.map ctx
+      ~labels:(fun i -> [ ("task", string_of_int i) ])
+      (List.init 5 Fun.id)
+      (fun sub i ->
+        let reg = sub.Experiments.Ctx.registry in
+        Telemetry.Registry.Counter.incr ~by:(i + 1)
+          (Telemetry.Registry.counter reg "ctx_map_items_total");
+        Option.iter
+          (fun m -> Monitor.Engine.sample m ~time:0. reg)
+          sub.Experiments.Ctx.monitor;
+        (i * i, Option.is_none sub.Experiments.Ctx.pool))
+  in
+  (results, Telemetry.Registry.snapshot registry, monitor)
+
+let test_ctx_map () =
+  let seq, seq_snapshot, _ = ctx_map_at None in
+  let par, par_snapshot, monitor =
+    Parallel.Pool.with_pool ~domains:3 (fun pool -> ctx_map_at (Some pool))
+  in
+  checkb "results in item order"
+    true
+    (seq = List.init 5 (fun i -> (i * i, true)));
+  checkb "pooled results equal sequential" true (seq = par);
+  checkb "merged registry identical" true
+    (compare seq_snapshot par_snapshot = 0);
+  List.iter
+    (fun i ->
+      checkb
+        (Printf.sprintf "task %d series carries its label" i)
+        true
+        (Option.is_some
+           (Monitor.Sampler.find
+              (Monitor.Engine.sampler monitor)
+              (Monitor.Sampler.key
+                 ~labels:[ ("task", string_of_int i) ]
+                 "ctx_map_items_total"))))
+    (List.init 5 Fun.id)
+
 let suite =
   [
     ("map keeps submission order", `Quick, test_map_submission_order);
@@ -229,4 +275,5 @@ let suite =
     ("fleet deterministic across jobs", `Slow, test_fleet_jobs_deterministic);
     ("lifetime table deterministic across jobs", `Slow,
      test_experiment_measure_deterministic);
+    ("ctx map absorbs in order", `Quick, test_ctx_map);
   ]

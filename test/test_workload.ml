@@ -126,7 +126,7 @@ let test_trace_file_roundtrip () =
       Workload.Trace.capture trace
         (Workload.Pattern.uniform ~window:100 ~read_fraction:0.5)
         (Sim.Rng.create 13) ~n:50;
-      Workload.Trace.to_file trace ~path;
+      Telemetry.Export.write_file ~path (Workload.Trace.to_string trace);
       match Workload.Trace.of_file ~path with
       | Error e -> Alcotest.fail e
       | Ok loaded ->
@@ -167,7 +167,7 @@ let test_aging_stops_at_cap () =
   let device = make_baseline 5 gentle_model in
   let pattern = Workload.Pattern.uniform ~window:100 ~read_fraction:0.1 in
   let outcome =
-    Workload.Aging.run ~max_writes:500 ~rng:(Sim.Rng.create 6) ~pattern
+    Workload.Aging.run_epoch ~quota:500 ~rng:(Sim.Rng.create 6) ~pattern
       ~device ()
   in
   checki "writes capped" 500 outcome.Workload.Aging.host_writes;
@@ -177,8 +177,8 @@ let test_aging_runs_to_death () =
   let device = make_baseline 7 fast_model in
   let pattern = Workload.Pattern.uniform ~window:100 ~read_fraction:0. in
   let outcome =
-    Workload.Aging.run ~max_writes:10_000_000 ~rng:(Sim.Rng.create 8) ~pattern
-      ~device ()
+    Workload.Aging.run_epoch ~quota:10_000_000 ~rng:(Sim.Rng.create 8)
+      ~pattern ~device ()
   in
   checkb "died" true outcome.Workload.Aging.died;
   checkb "device agrees" true (not (Ftl.Device_intf.alive device))
@@ -195,40 +195,24 @@ let test_aging_window_tracks_capacity () =
       ~read_fraction:0.
   in
   let outcome =
-    Workload.Aging.run ~max_writes:10_000_000 ~utilization:0.45
+    Workload.Aging.run_epoch ~quota:10_000_000 ~utilization:0.45
       ~rng:(Sim.Rng.create 10) ~pattern ~device ()
   in
   checkb "shrank before dying" true (Ftl.Cvss.retired_blocks d > 0);
   checkb "completed life" true outcome.Workload.Aging.died
 
-let test_aging_stop_predicate () =
-  let device = make_baseline 11 gentle_model in
-  let pattern = Workload.Pattern.uniform ~window:50 ~read_fraction:0. in
-  let outcome =
-    Workload.Aging.run_until ~rng:(Sim.Rng.create 12) ~pattern ~device
-      ~stop:(fun writes -> writes >= 123)
-      ()
-  in
-  checki "stopped exactly at predicate" 123 outcome.Workload.Aging.host_writes
-
-let test_aging_stop_every () =
-  (* stop_every only paces the window resync; the predicate is still
-     honoured exactly, at any cadence. *)
-  let run stop_every =
+let test_aging_quota () =
+  (* Both paths stop exactly at the quota, even mid resync stride, and
+     agree on the outcome. *)
+  let run path =
     let device = make_baseline 11 gentle_model in
     let pattern = Workload.Pattern.uniform ~window:50 ~read_fraction:0. in
-    Workload.Aging.run_until ?stop_every ~rng:(Sim.Rng.create 12) ~pattern
-      ~device
-      ~stop:(fun writes -> writes >= 123)
-      ()
+    Workload.Aging.run_epoch ~path ~rng:(Sim.Rng.create 12) ~pattern ~device
+      ~quota:123 ()
   in
-  checki "stop_every=1 stops at predicate" 123
-    (run (Some 1)).Workload.Aging.host_writes;
-  checkb "resync cadence does not change the run" true
-    (run (Some 1) = run (Some 10_000));
-  Alcotest.check_raises "stop_every must be positive"
-    (Invalid_argument "Aging.run_until: stop_every") (fun () ->
-      ignore (run (Some 0)))
+  let auto = run Workload.Aging.Auto in
+  checki "stopped exactly at quota" 123 auto.Workload.Aging.host_writes;
+  checkb "auto and per-op agree" true (auto = run Workload.Aging.Per_op)
 
 let suite =
   [
@@ -246,6 +230,5 @@ let suite =
     ("aging stops at cap", `Quick, test_aging_stops_at_cap);
     ("aging runs to death", `Slow, test_aging_runs_to_death);
     ("aging window tracks capacity", `Slow, test_aging_window_tracks_capacity);
-    ("aging stop predicate", `Quick, test_aging_stop_predicate);
-    ("aging stop_every cadence", `Quick, test_aging_stop_every);
+    ("aging quota (auto and per-op)", `Quick, test_aging_quota);
   ]
