@@ -350,11 +350,10 @@ let telemetry_subjects () =
   let live_reg = Telemetry.Registry.create () in
   let live_counter = Telemetry.Registry.counter live_reg "bench_live_total" in
   let null_hist =
-    Telemetry.Registry.histogram Telemetry.Registry.null ~lo:0. ~hi:100.
-      "bench_noop_us"
+    Telemetry.Registry.histogram Telemetry.Registry.null "bench_noop_us"
   in
   let live_hist =
-    Telemetry.Registry.histogram live_reg ~lo:0. ~hi:100. "bench_live_us"
+    Telemetry.Registry.histogram live_reg "bench_live_us"
   in
   let make_device registry =
     let gentle =
@@ -565,17 +564,17 @@ let traffic_subjects () =
   ]
 
 let obs_subjects () =
-  (* The observability plane's cost model: one digest observation
-     (amortized compression), one quantile query over a compressed
-     digest, one top-K offer against a full tracker, one fleet-report
-     observation (four digests + grade + top-K), and the per-chunk
-     merge the reduction pays once per chunk, not per device. *)
-  let warm = Obs.Digest.create () in
+  (* The observability plane's cost model: one histogram observation
+     (bucket index + increment), one percentile query (a scan over the
+     observed bucket span), one top-K offer against a full tracker, one
+     fleet-report observation (four histograms + grade + top-K), and the
+     per-chunk merge the reduction pays once per chunk, not per
+     device. *)
+  let warm = Sim.Stats.Histogram.create () in
   let i = ref 0 in
   for j = 0 to 9_999 do
-    Obs.Digest.add warm (float_of_int ((j * 7919) mod 997))
+    Sim.Stats.Histogram.add warm (float_of_int ((j * 7919) mod 997))
   done;
-  ignore (Obs.Digest.quantile warm 0.5);
   let topk = Obs.Topk.Topk.create ~k:10 () in
   for j = 0 to 999 do
     Obs.Topk.Topk.offer topk
@@ -603,12 +602,13 @@ let obs_subjects () =
     Obs.Fleet_report.Acc.observe chunk (observation j)
   done;
   [
-    Test.make ~name:"obs/digest_add"
+    Test.make ~name:"obs/hist_add"
       (Staged.stage (fun () ->
            i := !i + 1;
-           Obs.Digest.add warm (float_of_int (!i mod 997))));
-    Test.make ~name:"obs/digest_quantile"
-      (Staged.stage (fun () -> ignore (Obs.Digest.quantile warm 0.99)));
+           Sim.Stats.Histogram.add warm (float_of_int (!i mod 997))));
+    Test.make ~name:"obs/hist_quantile"
+      (Staged.stage (fun () ->
+           ignore (Sim.Stats.Histogram.percentile warm 0.99)));
     Test.make ~name:"obs/topk_offer"
       (Staged.stage (fun () ->
            i := !i + 1;

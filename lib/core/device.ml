@@ -101,7 +101,7 @@ let make_tel registry profile mode =
         ~help:
           "Host writes elapsed between Mdisk_retiring and its \
            acknowledgement (grace-period duration)"
-        ~lo:0. ~hi:100_000. "salamander_grace_duration_writes";
+        "salamander_grace_duration_writes";
     tel_rng = Sim.Rng.create 0x7e1e7e1;
     drain_started = Hashtbl.create 8;
   }

@@ -46,9 +46,9 @@ type tel = {
 }
 
 let make_tel registry =
-  let latency op lo hi =
+  let latency op =
     Telemetry.Registry.histogram registry ~labels:[ ("op", op) ]
-      ~help:"Modeled flash operation latency" ~lo ~hi "flash_op_latency_us"
+      ~help:"Modeled flash operation latency" "flash_op_latency_us"
   in
   let fault_counter cls =
     Telemetry.Registry.counter registry
@@ -65,9 +65,9 @@ let make_tel registry =
     tel_erases =
       Telemetry.Registry.counter registry ~help:"Block erases"
         "flash_erases_total";
-    tel_read_us = latency "read" 0. 500.;
-    tel_program_us = latency "program" 0. 2_000.;
-    tel_erase_us = latency "erase" 0. 10_000.;
+    tel_read_us = latency "read";
+    tel_program_us = latency "program";
+    tel_erase_us = latency "erase";
     tel_faults_transient = fault_counter "transient";
     tel_faults_sticky = fault_counter "sticky";
     tel_faults_silent = fault_counter "silent";

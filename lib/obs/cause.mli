@@ -7,7 +7,9 @@
     (rather than a single cause) because one slow op routinely pays for
     several at once — a GC pass that also relocated pages, a retry that
     escalated.  The set fits the tag channel of
-    {!Traffic.Lathist.observe_tagged} ([width] <= its tag width). *)
+    {!Traffic.Lathist.observe_tagged} ([width] <=
+    {!Traffic.Lathist.tags_width}), which records each set bit into that
+    cause's own latency histogram. *)
 
 type t = int
 (** A union of cause bits; [none] = untagged. *)

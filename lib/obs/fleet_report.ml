@@ -1,7 +1,7 @@
 (* Fleet-scale wear-imbalance analytics.
 
-   One [observation] per device per run flows into an [Acc]: bounded
-   quantile digests for wear, wear spread, worst RBER and retry rate;
+   One [observation] per device per run flows into an [Acc]: log-linear
+   histograms for wear, wear spread, worst RBER and retry rate;
    exact sums for mean/CV; grade counts; and an exact top-K of the
    worst devices.  Accumulators follow the scratch/merge discipline of
    the rest of the reduction path — each parallel chunk observes into
@@ -9,6 +9,7 @@
    the built report is byte-identical at any job count. *)
 
 module Health = Monitor.Health
+module Histogram = Sim.Stats.Histogram
 
 type observation = {
   id : string;
@@ -47,10 +48,10 @@ module Acc = struct
   type t = {
     top_k : int;
     thresholds : Health.thresholds;
-    pec : Digest.t;
-    spread : Digest.t;
-    rber : Digest.t;
-    retry : Digest.t;
+    pec : Histogram.t;
+    spread : Histogram.t;
+    rber : Histogram.t;
+    retry : Histogram.t;
     mutable devices : int;
     mutable pec_sum : float;
     mutable pec_sumsq : float;
@@ -66,10 +67,10 @@ module Acc = struct
     {
       top_k;
       thresholds;
-      pec = Digest.create ();
-      spread = Digest.create ();
-      rber = Digest.create ();
-      retry = Digest.create ();
+      pec = Histogram.create ();
+      spread = Histogram.create ();
+      rber = Histogram.create ();
+      retry = Histogram.create ();
       devices = 0;
       pec_sum = 0.;
       pec_sumsq = 0.;
@@ -86,10 +87,10 @@ module Acc = struct
   let observe t obs =
     t.devices <- t.devices + 1;
     let pec = float_of_int obs.pec_max in
-    Digest.add t.pec pec;
-    Digest.add t.spread (float_of_int (obs.pec_max - obs.pec_min));
-    Digest.add t.rber obs.rber_worst;
-    Digest.add t.retry (retry_rate obs);
+    Histogram.add t.pec pec;
+    Histogram.add t.spread (float_of_int (obs.pec_max - obs.pec_min));
+    Histogram.add t.rber obs.rber_worst;
+    Histogram.add t.retry (retry_rate obs);
     t.pec_sum <- t.pec_sum +. pec;
     t.pec_sumsq <- t.pec_sumsq +. (pec *. pec);
     let g = Health.grade_rank (grade t.thresholds obs) in
@@ -102,10 +103,10 @@ module Acc = struct
 
   let merge ~into src =
     into.devices <- into.devices + src.devices;
-    Digest.merge ~into:into.pec src.pec;
-    Digest.merge ~into:into.spread src.spread;
-    Digest.merge ~into:into.rber src.rber;
-    Digest.merge ~into:into.retry src.retry;
+    Histogram.merge ~into:into.pec src.pec;
+    Histogram.merge ~into:into.spread src.spread;
+    Histogram.merge ~into:into.rber src.rber;
+    Histogram.merge ~into:into.retry src.retry;
     into.pec_sum <- into.pec_sum +. src.pec_sum;
     into.pec_sumsq <- into.pec_sumsq +. src.pec_sumsq;
     Array.iteri (fun i n -> into.grades.(i) <- into.grades.(i) + n) src.grades;
@@ -118,23 +119,22 @@ module Acc = struct
   let devices t = t.devices
 end
 
-(* Gini coefficient of the wear distribution from the compressed
-   centroids: G = sum_ij w_i w_j |x_i - x_j| / (2 W^2 mean).  O(K^2)
-   over at most [budget] centroids — independent of fleet size. *)
-let gini_of_digest d =
-  let cs = Digest.centroids d in
-  let w_total = Digest.total_weight d and mu = Digest.mean d in
-  if Array.length cs = 0 || w_total <= 0. || Float.is_nan mu || mu <= 0. then 0.
-  else begin
-    let acc = ref 0. in
-    Array.iter
-      (fun (xi, wi) ->
-        Array.iter
-          (fun (xj, wj) -> acc := !acc +. (wi *. wj *. Float.abs (xi -. xj)))
-          cs)
-      cs;
-    !acc /. (2. *. w_total *. w_total *. mu)
-  end
+(* Gini coefficient of the wear distribution from the histogram's
+   buckets, in one ascending pass: over sorted groups (x_k, w_k),
+   sum_ij w_i w_j |x_i - x_j| = 2 sum_k w_k x_k (W_below - W_above), and
+   G = that / (2 W^2 mean) with the mean of the same representatives.
+   O(buckets) — independent of fleet size. *)
+let gini_of_histogram h =
+  let w_total = float_of_int (Histogram.count h) in
+  let pairs, weighted, _ =
+    Histogram.fold h ~init:(0., 0., 0.) (fun (pairs, weighted, below) x n ->
+        let w = float_of_int n in
+        ( pairs +. (w *. x *. ((2. *. below) +. w -. w_total)),
+          weighted +. (w *. x),
+          below +. w ))
+  in
+  if w_total <= 0. || weighted <= 0. then 0.
+  else pairs /. (w_total *. weighted)
 
 type stats = {
   mean : float;
@@ -145,14 +145,14 @@ type stats = {
   p99 : float;
 }
 
-let stats_of_digest d =
+let stats_of_histogram h =
   {
-    mean = Digest.mean d;
-    smin = Digest.min d;
-    smax = Digest.max d;
-    p50 = Digest.quantile d 0.5;
-    p90 = Digest.quantile d 0.9;
-    p99 = Digest.quantile d 0.99;
+    mean = Histogram.mean h;
+    smin = Histogram.min h;
+    smax = Histogram.max h;
+    p50 = Histogram.percentile h 0.5;
+    p90 = Histogram.percentile h 0.9;
+    p99 = Histogram.percentile h 0.99;
   }
 
 type t = {
@@ -190,12 +190,12 @@ let build ~epoch (acc : Acc.t) =
     epoch;
     devices = acc.Acc.devices;
     grades = Array.copy acc.Acc.grades;
-    pec = stats_of_digest acc.Acc.pec;
-    spread = stats_of_digest acc.Acc.spread;
-    rber = stats_of_digest acc.Acc.rber;
-    retry = stats_of_digest acc.Acc.retry;
+    pec = stats_of_histogram acc.Acc.pec;
+    spread = stats_of_histogram acc.Acc.spread;
+    rber = stats_of_histogram acc.Acc.rber;
+    retry = stats_of_histogram acc.Acc.retry;
     cv;
-    gini = gini_of_digest acc.Acc.pec;
+    gini = gini_of_histogram acc.Acc.pec;
     fleet_retry_rate = per_write acc.Acc.retries;
     fleet_escalation_rate = per_write acc.Acc.escalations;
     retries = acc.Acc.retries;

@@ -3,11 +3,11 @@
     Every device in a run contributes one {!observation}; per-chunk
     {!Acc}s are merged in submission order, so the built report is
     byte-identical at any job count.  The report carries wear/RBER/rate
-    quantiles (from {!Digest}), the coefficient of variation and Gini
-    coefficient of the P/E-cycle distribution (the wear-imbalance
-    signals), per-grade device counts, and an {e exact} top-K of the
-    worst devices (union of per-chunk top-Ks, each device observed
-    once). *)
+    quantiles (from {!Sim.Stats.Histogram}, whose merge does not depend
+    on chunk order), the coefficient of variation and Gini coefficient
+    of the P/E-cycle distribution (the wear-imbalance signals),
+    per-grade device counts, and an {e exact} top-K of the worst devices
+    (union of per-chunk top-Ks, each device observed once). *)
 
 type observation = {
   id : string;  (** fleet-unique subject id, e.g. ["salamander-1742"] *)
@@ -65,7 +65,7 @@ type t = {
   rber : stats;  (** per-device worst RBER *)
   retry : stats;  (** per-device retries per host write *)
   cv : float;  (** coefficient of variation of pec (exact) *)
-  gini : float;  (** Gini coefficient of pec (from centroids) *)
+  gini : float;  (** Gini coefficient of pec (from histogram buckets) *)
   fleet_retry_rate : float;
   fleet_escalation_rate : float;
   retries : int;

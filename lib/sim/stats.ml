@@ -53,95 +53,136 @@ module Online = struct
 end
 
 module Histogram = struct
+  (* A positive float's bucket is its bit pattern shifted right past all
+     but the top [sub_bits] mantissa bits: exponent and sub-bucket in
+     one integer, monotone in the value (IEEE-754 orders positive floats
+     like their encodings).  [infinity] is index [top]; the [<= 0]
+     bucket sits below index 0 in its own counter. *)
+  let sub_bits = 4
+  let shift = 52 - sub_bits
+
+  let index_of_pos x =
+    Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) shift)
+
+  let lower_edge i =
+    Int64.float_of_bits (Int64.shift_left (Int64.of_int i) shift)
+  let top = index_of_pos infinity
+
+  (* All-float record: stored flat, so updates do not allocate. *)
+  type moments = { mutable sum : float; mutable lo : float; mutable hi : float }
+
   type t = {
-    lo : float;
-    hi : float;
-    counts : int array;
-    mutable total_count : int;
-    mutable sum : float;
+    mutable counts : int array; (* counts.(j) is bucket [base + j] *)
+    mutable base : int;
+    mutable nonpos : int; (* observations <= 0 *)
+    mutable count : int;
+    m : moments;
   }
 
-  let create ?(buckets = 128) ~lo ~hi () =
-    if hi <= lo then invalid_arg "Histogram.create: hi must exceed lo";
-    if buckets <= 0 then invalid_arg "Histogram.create: buckets must be > 0";
-    { lo; hi; counts = Array.make buckets 0; total_count = 0; sum = 0. }
+  let create () =
+    { counts = [||]; base = 0; nonpos = 0; count = 0;
+      m = { sum = 0.; lo = infinity; hi = neg_infinity } }
 
-  let bucket_of t x =
-    let buckets = Array.length t.counts in
-    let raw =
-      int_of_float ((x -. t.lo) /. (t.hi -. t.lo) *. float_of_int buckets)
-    in
-    Stdlib.max 0 (Stdlib.min (buckets - 1) raw)
+  let bucket_index x =
+    if x > 0. then index_of_pos x
+    else if x <= 0. then -1
+    else invalid_arg "Histogram: nan has no bucket"
+
+  (* Widen [counts] to cover bucket [i]: at least double, toward [i], so
+     a range growing one bucket at a time reallocates O(log) times. *)
+  let widen t i =
+    let len = Array.length t.counts in
+    if len = 0 then begin
+      t.counts <- Array.make 16 0;
+      t.base <- i
+    end
+    else if i < t.base || i >= t.base + len then begin
+      let lo = Stdlib.min i t.base and hi = Stdlib.max i (t.base + len - 1) in
+      let len' = Stdlib.max (hi - lo + 1) (2 * len) in
+      let base' = if i < t.base then Stdlib.max 0 (hi + 1 - len') else lo in
+      let counts = Array.make len' 0 in
+      Array.blit t.counts 0 counts (t.base - base') len;
+      t.counts <- counts;
+      t.base <- base'
+    end
+
+  let bump t i n =
+    if i < t.base || i - t.base >= Array.length t.counts then widen t i;
+    t.counts.(i - t.base) <- t.counts.(i - t.base) + n
 
   let add t x =
-    t.counts.(bucket_of t x) <- t.counts.(bucket_of t x) + 1;
-    t.total_count <- t.total_count + 1;
-    t.sum <- t.sum +. x
+    if x > 0. then bump t (index_of_pos x) 1
+    else if x <= 0. then t.nonpos <- t.nonpos + 1
+    else invalid_arg "Histogram.add: nan";
+    t.count <- t.count + 1;
+    let m = t.m in
+    m.sum <- m.sum +. x;
+    if x < m.lo then m.lo <- x;
+    if x > m.hi then m.hi <- x
 
-  let count t = t.total_count
+  let count t = t.count
+  let sum t = t.m.sum
+  let mean t = if t.count = 0 then nan else t.m.sum /. float_of_int t.count
+  let min t = if t.count = 0 then nan else t.m.lo
+  let max t = if t.count = 0 then nan else t.m.hi
 
-  let bucket_midpoint t i =
-    let buckets = float_of_int (Array.length t.counts) in
-    t.lo +. ((float_of_int i +. 0.5) /. buckets *. (t.hi -. t.lo))
-
-  let percentile t rank =
-    if t.total_count = 0 then invalid_arg "Histogram.percentile: empty";
-    if rank < 0. || rank > 1. then
-      invalid_arg "Histogram.percentile: rank outside [0,1]";
-    let threshold = rank *. float_of_int t.total_count in
-    let rec scan i acc =
-      if i >= Array.length t.counts - 1 then bucket_midpoint t i
+  (* Bucket midpoint clamped to the observed range: the clamp only ever
+     moves it toward the exact values, which all lie in [lo, hi]. *)
+  let representative t i =
+    let mid =
+      if i < 0 then 0.
+      else if i >= top then infinity
       else
-        let acc = acc + t.counts.(i) in
-        if float_of_int acc >= threshold then bucket_midpoint t i
-        else scan (i + 1) acc
+        let lo = lower_edge i in
+        lo +. (0.5 *. (lower_edge (i + 1) -. lo))
     in
-    scan 0 0
+    Float.min t.m.hi (Float.max t.m.lo mid)
 
-  let mean t = if t.total_count = 0 then nan else t.sum /. float_of_int t.total_count
-
-  let merge a b =
-    if a.lo <> b.lo || a.hi <> b.hi
-       || Array.length a.counts <> Array.length b.counts
-    then invalid_arg "Histogram.merge: incompatible bucket layouts";
-    {
-      lo = a.lo;
-      hi = a.hi;
-      counts = Array.init (Array.length a.counts) (fun i -> a.counts.(i) + b.counts.(i));
-      total_count = a.total_count + b.total_count;
-      sum = a.sum +. b.sum;
-    }
-end
-
-module Series = struct
-  type t = { mutable points : (float * float) list }
-  (* Stored in reverse insertion order. *)
-
-  let create () = { points = [] }
-  let add t ~time value = t.points <- (time, value) :: t.points
-  let to_list t = List.rev t.points
-
-  let binned t ~bin =
-    if bin <= 0. then invalid_arg "Series.binned: bin must be > 0";
-    let table = Hashtbl.create 64 in
-    List.iter
-      (fun (time, value) ->
-        let key = int_of_float (floor (time /. bin)) in
-        let online =
-          match Hashtbl.find_opt table key with
-          | Some o -> o
-          | None ->
-              let o = Online.create () in
-              Hashtbl.add table key o;
-              o
+  let percentile t q =
+    if t.count = 0 then nan
+    else begin
+      let rank =
+        if q >= 1. then t.count
+        else
+          Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int t.count)))
+      in
+      if rank <= t.nonpos then representative t (-1)
+      else begin
+        let rec walk j seen =
+          let seen = seen + t.counts.(j) in
+          if seen >= rank then j else walk (j + 1) seen
         in
-        Online.add online value)
-      t.points;
-    Hashtbl.fold
-      (fun key online acc ->
-        (float_of_int key *. bin, Online.mean online) :: acc)
-      table []
-    |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
+        representative t (t.base + walk 0 t.nonpos)
+      end
+    end
 
-  let last t = match t.points with [] -> None | p :: _ -> Some p
+  let count_from t x =
+    let b = bucket_index x in
+    if b < 0 then t.count
+    else begin
+      let n = ref 0 in
+      for j = Stdlib.max 0 (b - t.base) to Array.length t.counts - 1 do
+        n := !n + t.counts.(j)
+      done;
+      !n
+    end
+
+  let fold t ~init f =
+    let acc = ref init in
+    if t.nonpos > 0 then acc := f !acc (representative t (-1)) t.nonpos;
+    Array.iteri
+      (fun j n ->
+        if n > 0 then acc := f !acc (representative t (t.base + j)) n)
+      t.counts;
+    !acc
+
+  let merge ~into src =
+    Array.iteri
+      (fun j n -> if n > 0 then bump into (src.base + j) n)
+      src.counts;
+    into.nonpos <- into.nonpos + src.nonpos;
+    into.count <- into.count + src.count;
+    into.m.sum <- into.m.sum +. src.m.sum;
+    if src.m.lo < into.m.lo then into.m.lo <- src.m.lo;
+    if src.m.hi > into.m.hi then into.m.hi <- src.m.hi
 end

@@ -116,28 +116,16 @@ module Histogram = struct
      entirely. *)
   type t = {
     mutex : Mutex.t;
-    mutable buckets : Sim.Stats.Histogram.t;
-    mutable online : Sim.Stats.Online.t;
-    nbuckets : int;
-    lo : float;
-    hi : float;
+    hist : Sim.Stats.Histogram.t;
     active : bool;
     shared : bool;
   }
 
-  let make ?(shared = true) ~buckets ~lo ~hi ~active () =
-    {
-      mutex = Mutex.create ();
-      buckets = Sim.Stats.Histogram.create ~buckets ~lo ~hi ();
-      online = Sim.Stats.Online.create ();
-      nbuckets = buckets;
-      lo;
-      hi;
-      active;
-      shared;
-    }
+  let make ?(shared = true) ~active () =
+    { mutex = Mutex.create (); hist = Sim.Stats.Histogram.create (); active;
+      shared }
 
-  let dummy = make ~buckets:1 ~lo:0. ~hi:1. ~active:false ()
+  let dummy = make ~active:false ()
 
   let locked t f =
     if not t.shared then f ()
@@ -147,41 +135,25 @@ module Histogram = struct
     end
 
   let observe t x =
-    if t.active then
-      locked t (fun () ->
-          Sim.Stats.Histogram.add t.buckets x;
-          Sim.Stats.Online.add t.online x)
+    if t.active then locked t (fun () -> Sim.Stats.Histogram.add t.hist x)
 
-  let count t = locked t (fun () -> Sim.Stats.Online.count t.online)
-  let mean t = locked t (fun () -> Sim.Stats.Online.mean t.online)
+  let count t = locked t (fun () -> Sim.Stats.Histogram.count t.hist)
+  let mean t = locked t (fun () -> Sim.Stats.Histogram.mean t.hist)
 
   let percentile t rank =
-    locked t (fun () ->
-        if Sim.Stats.Online.count t.online = 0 then nan
-        else Sim.Stats.Histogram.percentile t.buckets rank)
+    locked t (fun () -> Sim.Stats.Histogram.percentile t.hist rank)
 
-  let min t =
-    locked t (fun () ->
-        if Sim.Stats.Online.count t.online = 0 then nan
-        else Sim.Stats.Online.min t.online)
-
-  let max t =
-    locked t (fun () ->
-        if Sim.Stats.Online.count t.online = 0 then nan
-        else Sim.Stats.Online.max t.online)
-
+  let min t = locked t (fun () -> Sim.Stats.Histogram.min t.hist)
+  let max t = locked t (fun () -> Sim.Stats.Histogram.max t.hist)
   let is_active t = t.active
 
   (* Fold [src] into [dst].  Only called with both histograms quiescent
      or via [Registry.merge] (single caller thread); the locks still
      guard against concurrent observers. *)
   let merge_into ~dst src =
-    let src_buckets, src_online =
-      locked src (fun () -> (src.buckets, src.online))
-    in
-    locked dst (fun () ->
-        dst.buckets <- Sim.Stats.Histogram.merge dst.buckets src_buckets;
-        dst.online <- Sim.Stats.Online.merge dst.online src_online)
+    locked src (fun () ->
+        locked dst (fun () ->
+            Sim.Stats.Histogram.merge ~into:dst.hist src.hist))
 end
 
 type metric =
@@ -281,13 +253,11 @@ let gauge t ?(help = "") ?(labels = []) name =
            else Gauge.Local (ref 0.)))
       (function Gauge_m g -> Some g | _ -> None)
 
-let histogram t ?(help = "") ?(labels = []) ?(buckets = 128) ~lo ~hi name =
+let histogram t ?(help = "") ?(labels = []) name =
   if not t.live then Histogram.dummy
   else
     register t ~name ~labels ~help ~kind:"histogram"
-      (fun () ->
-        Histogram_m
-          (Histogram.make ~shared:t.shared ~buckets ~lo ~hi ~active:true ()))
+      (fun () -> Histogram_m (Histogram.make ~shared:t.shared ~active:true ()))
       (function Histogram_m h -> Some h | _ -> None)
 
 type summary = {
@@ -344,13 +314,14 @@ let snapshot t =
                (Labels.to_string b.labels)
          | c -> c)
 
-(* Reduce [src] into [into]: counters add, histograms combine via
-   Sim.Stats merges, gauges adopt the source value (the merge caller
-   orders sources, so last-merged wins deterministically).  Metrics
-   absent from [into] are registered with the source's help text and
-   bucket layout.  The per-domain registries a parallel fleet or
-   experiment suite accumulates reduce to exactly the snapshot a
-   sequential run against one registry would produce. *)
+(* Reduce [src] into [into]: counters add, histograms add bucket counts
+   (every histogram shares one layout), gauges adopt the source value
+   (the merge caller orders sources, so last-merged wins
+   deterministically).  Metrics absent from [into] are registered with
+   the source's help text.  The per-domain registries a parallel fleet
+   or experiment suite accumulates reduce to the snapshot a sequential
+   run against one registry would produce — exactly, except for float
+   rounding in histogram means. *)
 let merge ~into src =
   if is_null into || is_null src then ()
   else begin
@@ -374,10 +345,6 @@ let merge ~into src =
               ~by:(Counter.value c)
         | Gauge_m g -> Gauge.set (gauge into ~help ~labels name) (Gauge.value g)
         | Histogram_m h ->
-            let dst =
-              histogram into ~help ~labels ~buckets:h.Histogram.nbuckets
-                ~lo:h.Histogram.lo ~hi:h.Histogram.hi name
-            in
-            Histogram.merge_into ~dst h)
+            Histogram.merge_into ~dst:(histogram into ~help ~labels name) h)
       sorted
   end

@@ -69,9 +69,10 @@ module Gauge : sig
   val is_active : t -> bool
 end
 
-(** Bucketed distribution with percentile queries, backed by
-    {!Sim.Stats.Histogram} plus a {!Sim.Stats.Online} accumulator for
-    exact count/mean/min/max. *)
+(** Distribution with percentile queries, backed by the log-linear
+    {!Sim.Stats.Histogram}: exact count/mean/min/max, percentiles within
+    2{^-5} relative error at any magnitude and never outside
+    \[min, max\]. *)
 module Histogram : sig
   type t
 
@@ -81,7 +82,8 @@ module Histogram : sig
   (** [nan] when empty. *)
 
   val percentile : t -> float -> float
-  (** Bucket-midpoint approximation; [nan] when empty. *)
+  (** Nearest-rank bucket approximation (see
+      {!Sim.Stats.Histogram.percentile}); [nan] when empty. *)
 
   val min : t -> float
   val max : t -> float
@@ -112,16 +114,10 @@ val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> C
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> Gauge.t
 
 val histogram :
-  t ->
-  ?help:string ->
-  ?labels:(string * string) list ->
-  ?buckets:int ->
-  lo:float ->
-  hi:float ->
-  string ->
-  Histogram.t
-(** Linear buckets over \[lo, hi); out-of-range observations clamp to the
-    edge buckets (see {!Sim.Stats.Histogram}).  Default 128 buckets. *)
+  t -> ?help:string -> ?labels:(string * string) list -> string -> Histogram.t
+(** Every histogram has the same parameter-free log-linear layout (see
+    {!Sim.Stats.Histogram}), so any value is recorded without clamping.
+    @raise Invalid_argument when a [nan] is observed. *)
 
 (** {2 Snapshots} *)
 
@@ -152,13 +148,14 @@ val snapshot : t -> sample list
 
 val merge : into:t -> t -> unit
 (** [merge ~into src] reduces [src]'s metrics into [into]: counters add,
-    histograms combine bucket-by-bucket (via [Sim.Stats] merges, exact
-    for count/mean/min/max), and gauges adopt the source value — callers
-    merge per-domain registries in submission order, so the result is
-    deterministic and equal to what a sequential run against a single
-    registry would have produced.  Metrics missing from [into] are
-    registered on the fly.  A no-op when either side is {!null}.
-    @raise Invalid_argument on a metric-kind or bucket-layout clash.
+    histograms add bucket counts (exact for count/min/max and every
+    percentile whatever the merge order; the mean up to float rounding),
+    and gauges adopt the source value — callers merge per-domain
+    registries in submission order, so the result is deterministic and
+    equal to what a sequential run against a single registry would have
+    produced.  Metrics missing from [into] are registered on the fly.  A
+    no-op when either side is {!null}.
+    @raise Invalid_argument on a metric-kind clash.
 
     {2 Removed: the process-default registry}
 

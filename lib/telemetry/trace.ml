@@ -134,11 +134,8 @@ end
 (* --- spans and events ------------------------------------------------------ *)
 
 let span_histogram registry name =
-  (* 0..1 s in 256 buckets of ~4 ms: coarse, but spans wrap whole
-     experiment phases, not single flash ops. *)
   Registry.histogram registry ~labels:[ ("span", name) ]
-    ~help:"Duration of traced spans" ~buckets:256 ~lo:0. ~hi:1_000_000.
-    "span_duration_us"
+    ~help:"Duration of traced spans" "span_duration_us"
 
 let with_span ?(registry = Registry.null) ?sink ?(args = []) name f =
   let inert = Registry.is_null registry in

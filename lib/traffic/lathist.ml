@@ -1,176 +1,82 @@
-let lo_us = 1.0
-let buckets_per_decade = 24
-let decades = 7
+(* A request-latency histogram with root-cause attribution, layered over
+   the shared log-linear [Sim.Stats.Histogram].  The attribution channel
+   is allocated on the first tagged observation, so untagged histograms
+   stay one plain histogram: one histogram per cause bit over the same
+   bucket space, plus the single highest-latency tagged op. *)
 
-let n_buckets = (buckets_per_decade * decades) + 1 (* + overflow *)
-let overflow = n_buckets - 1
-let log_ratio = Stdlib.log 10. /. float_of_int buckets_per_decade
+module H = Sim.Stats.Histogram
 
 let tags_width = 8
 
 type t = {
-  counts : int array;
-  mutable count : int;
-  mutable sum : float;
-  mutable vmin : float;
-  mutable vmax : float;
-  (* Attribution channel, allocated on the first tagged observation so
-     untagged histograms stay as small as before: per-bucket per-tag-bit
-     counts plus one exemplar slot per bucket (the highest-latency
-     tagged op that landed there, with its tag set). *)
-  mutable tag_counts : int array; (* n_buckets * tags_width; [||] = none *)
-  mutable ex_us : float array; (* per bucket; neg_infinity = empty slot *)
-  mutable ex_tags : int array;
+  all : H.t;
+  mutable causes : H.t array; (* per tag bit; [||] = none yet *)
+  mutable exemplar : (float * int) option; (* worst tagged (us, tags) *)
 }
 
-let create () =
-  {
-    counts = Array.make n_buckets 0;
-    count = 0;
-    sum = 0.;
-    vmin = infinity;
-    vmax = neg_infinity;
-    tag_counts = [||];
-    ex_us = [||];
-    ex_tags = [||];
-  }
+let create () = { all = H.create (); causes = [||]; exemplar = None }
+let observe t v = H.add t.all v
 
-let bucket_of v =
-  if v <= lo_us then 0
-  else
-    let i = int_of_float (Stdlib.log (v /. lo_us) /. log_ratio) in
-    if i >= overflow then overflow else i
+let ensure_causes t =
+  if Array.length t.causes = 0 then
+    t.causes <- Array.init tags_width (fun _ -> H.create ())
 
-(* Geometric midpoint of bucket [i]'s range [lo_us * 10^(i/bpd),
-   lo_us * 10^((i+1)/bpd)). *)
-let representative t i =
-  if i = overflow then t.vmax
-  else lo_us *. Stdlib.exp ((float_of_int i +. 0.5) *. log_ratio)
-
-let observe t v =
-  t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1;
-  t.count <- t.count + 1;
-  t.sum <- t.sum +. v;
-  if v < t.vmin then t.vmin <- v;
-  if v > t.vmax then t.vmax <- v
-
-let ensure_tags t =
-  if Array.length t.tag_counts = 0 then begin
-    t.tag_counts <- Array.make (n_buckets * tags_width) 0;
-    t.ex_us <- Array.make n_buckets neg_infinity;
-    t.ex_tags <- Array.make n_buckets 0
-  end
+(* Strict [>]: the first op to reach the max keeps the slot, so
+   sequential and chunk-merged replays (merged in submission order)
+   agree. *)
+let offer_exemplar t (v, _ as e) =
+  match t.exemplar with
+  | Some (best, _) when v <= best -> ()
+  | _ -> t.exemplar <- Some e
 
 let observe_tagged t v ~tags =
   observe t v;
   let tags = tags land ((1 lsl tags_width) - 1) in
   if tags <> 0 then begin
-    ensure_tags t;
-    let b = bucket_of v in
-    let base = b * tags_width in
+    ensure_causes t;
     for bit = 0 to tags_width - 1 do
-      if tags land (1 lsl bit) <> 0 then
-        t.tag_counts.(base + bit) <- t.tag_counts.(base + bit) + 1
+      if tags land (1 lsl bit) <> 0 then H.add t.causes.(bit) v
     done;
-    (* Strict [>]: the first op to reach a bucket's max keeps the slot,
-       so sequential and chunk-merged replays agree. *)
-    if v > t.ex_us.(b) then begin
-      t.ex_us.(b) <- v;
-      t.ex_tags.(b) <- tags
-    end
+    offer_exemplar t (v, tags)
   end
 
-let count t = t.count
-let sum t = t.sum
-let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
-let min t = if t.count = 0 then nan else t.vmin
-let max t = if t.count = 0 then nan else t.vmax
+let count t = H.count t.all
+let sum t = H.sum t.all
+let mean t = H.mean t.all
+let min t = H.min t.all
+let max t = H.max t.all
+let percentile t q = H.percentile t.all q
 
-let percentile_bucket t q =
-  if t.count = 0 then None
-  else begin
-    let q = Stdlib.min 1. (Stdlib.max 0. q) in
-    let rank =
-      Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int t.count)))
-    in
-    let rec walk i seen =
-      let seen = seen + t.counts.(i) in
-      if seen >= rank || i = overflow then i else walk (i + 1) seen
-    in
-    Some (walk 0 0)
-  end
-
-let percentile t q =
-  match percentile_bucket t q with
-  | None -> nan
-  | Some i -> representative t i
-
+(* Counts "at and above percentile q" are counts from the bucket holding
+   the percentile, which [H.percentile] always reports a value of. *)
 let count_above t q =
-  match percentile_bucket t q with
-  | None -> 0
-  | Some b ->
-      let n = ref 0 in
-      for i = b to overflow do
-        n := !n + t.counts.(i)
-      done;
-      !n
+  if count t = 0 then 0 else H.count_from t.all (percentile t q)
 
 let tag_totals_above t q =
-  let totals = Array.make tags_width 0 in
-  (match percentile_bucket t q with
-  | None -> ()
-  | Some b ->
-      if Array.length t.tag_counts <> 0 then
-        for i = b to overflow do
-          let base = i * tags_width in
-          for bit = 0 to tags_width - 1 do
-            totals.(bit) <- totals.(bit) + t.tag_counts.(base + bit)
-          done
-        done);
-  totals
+  if count t = 0 || Array.length t.causes = 0 then Array.make tags_width 0
+  else
+    let p = percentile t q in
+    Array.map (fun h -> H.count_from h p) t.causes
 
+(* The best exemplar in "the percentile's bucket and above" is the
+   global tagged max whenever that max lies there, and none otherwise. *)
 let exemplar_above t q =
-  match percentile_bucket t q with
-  | None -> None
-  | Some b ->
-      if Array.length t.ex_us = 0 then None
-      else begin
-        let best = ref None in
-        for i = b to overflow do
-          if t.ex_us.(i) > neg_infinity then
-            match !best with
-            | Some (v, _) when t.ex_us.(i) <= v -> ()
-            | _ -> best := Some (t.ex_us.(i), t.ex_tags.(i))
-        done;
-        !best
-      end
+  match t.exemplar with
+  | Some (v, _) when H.bucket_index v >= H.bucket_index (percentile t q) ->
+      t.exemplar
+  | _ -> None
 
 let merge ~into src =
-  Array.iteri
-    (fun i n -> into.counts.(i) <- into.counts.(i) + n)
-    src.counts;
-  into.count <- into.count + src.count;
-  into.sum <- into.sum +. src.sum;
-  if src.vmin < into.vmin then into.vmin <- src.vmin;
-  if src.vmax > into.vmax then into.vmax <- src.vmax;
-  if Array.length src.tag_counts <> 0 then begin
-    ensure_tags into;
-    Array.iteri
-      (fun i n -> into.tag_counts.(i) <- into.tag_counts.(i) + n)
-      src.tag_counts;
-    (* Strict [>] keeps [into]'s exemplar on ties; with sources merged
-       in submission order that reproduces sequential first-max. *)
-    for b = 0 to n_buckets - 1 do
-      if src.ex_us.(b) > into.ex_us.(b) then begin
-        into.ex_us.(b) <- src.ex_us.(b);
-        into.ex_tags.(b) <- src.ex_tags.(b)
-      end
-    done
-  end
+  H.merge ~into:into.all src.all;
+  if Array.length src.causes <> 0 then begin
+    ensure_causes into;
+    Array.iteri (fun bit h -> H.merge ~into:into.causes.(bit) h) src.causes
+  end;
+  Option.iter (offer_exemplar into) src.exemplar
 
 let pp_row ppf t =
-  if t.count = 0 then
+  if count t = 0 then
     Format.fprintf ppf "%10s %10s %10s %10s %10s" "-" "-" "-" "-" "-"
   else
     Format.fprintf ppf "%10.1f %10.1f %10.1f %10.1f %10.1f" (percentile t 0.5)
-      (percentile t 0.95) (percentile t 0.99) (percentile t 0.999) t.vmax
+      (percentile t 0.95) (percentile t 0.99) (percentile t 0.999) (max t)

@@ -1,30 +1,20 @@
-(** Fixed-bucket latency histogram for request-latency percentiles.
+(** Request-latency histogram with root-cause attribution.
 
-    Telemetry's {!Telemetry.Registry.Histogram} buckets linearly over a
-    caller-chosen range — fine for error counts, useless for latencies
-    spanning five decades where p999 must stay resolvable next to p50.
-    This histogram is log-spaced: a fixed layout of [buckets_per_decade]
-    buckets per decade from [lo_us] up, so relative resolution is
-    constant (~10% at 24 buckets/decade) at every magnitude and two
-    histograms always merge bucket-for-bucket.
+    Latencies record into {!Sim.Stats.Histogram}, the simulator's one
+    log-linear histogram: 16 sub-buckets per octave at any magnitude, so
+    p999 stays resolvable next to p50 however many decades the
+    distribution spans, and two histograms always merge bucket for
+    bucket.  On top of it this module keeps, per cause bit, a histogram
+    of the tagged ops and the single worst tagged op — enough to say
+    what a tail percentile's population was paying for.
 
-    Count, sum, min and max are exact; percentiles are bucket
-    approximations (the bucket's geometric midpoint).  All operations
-    are single-domain; parallel cells keep their own histogram and the
+    Count, sum, min and max are exact; percentiles are nearest-rank
+    bucket approximations within \[min, max\].  All operations are
+    single-domain; parallel cells keep their own histogram and the
     driver {!merge}s in submission order, so results are deterministic
     at any job count. *)
 
 type t
-
-val lo_us : float
-(** Lower edge of the first bucket (1 us); smaller observations clamp
-    into it. *)
-
-val buckets_per_decade : int
-
-val decades : int
-(** Span of the bucketed range; beyond it observations land in one
-    overflow bucket whose representative value is the observed max. *)
 
 val tags_width : int
 (** Tag-bit positions accepted by {!observe_tagged} (bits
@@ -36,11 +26,10 @@ val observe : t -> float -> unit
 
 val observe_tagged : t -> float -> tags:int -> unit
 (** {!observe} plus root-cause attribution: each set bit in [tags]
-    increments that cause's count in the value's bucket, and the
-    observation competes (strict max, first wins) for the bucket's
-    exemplar slot.  [tags = 0] degrades to plain {!observe}; the
-    attribution side tables are only allocated once a tagged
-    observation arrives. *)
+    records the value in that cause's histogram, and the observation
+    competes (strict max, first wins) for the exemplar slot.
+    [tags = 0] degrades to plain {!observe}; the per-cause histograms
+    are only allocated once a tagged observation arrives. *)
 
 val count : t -> int
 val sum : t -> float
@@ -58,17 +47,18 @@ val count_above : t -> float -> int
     population the attribution counters are reported against. *)
 
 val tag_totals_above : t -> float -> int array
-(** Per-tag-bit observation counts ([tags_width] entries) over the
-    buckets at and above percentile [q] — "what the tail ops were
+(** Per-tag-bit observation counts ([tags_width] entries) in the
+    percentile-[q] bucket and above — "what the tail ops were
     paying for".  All zeros when no tagged observation landed there. *)
 
 val exemplar_above : t -> float -> (float * int) option
 (** Worst tagged exemplar at or above percentile [q]:
-    [(latency_us, tags)] of the highest-latency tagged op retained in
-    those buckets, if any. *)
+    [(latency_us, tags)] of the highest-latency tagged op, if it lies in
+    the percentile-[q] bucket or above. *)
 
 val merge : into:t -> t -> unit
-(** Add the source's buckets into [into]; exact for count/sum/min/max. *)
+(** Add the source's buckets and attribution into [into]; exact for
+    count/min/max and every percentile (the sum up to float rounding). *)
 
 val pp_row : Format.formatter -> t -> unit
 (** Render [p50 p95 p99 p999 max] in microseconds, fixed width — one row

@@ -75,7 +75,7 @@ let test_sampler_snapshots_registry () =
     (Telemetry.Registry.counter reg "writes_total")
     ~by:7;
   Telemetry.Registry.Gauge.set (Telemetry.Registry.gauge reg "depth") 2.5;
-  let h = Telemetry.Registry.histogram reg ~lo:0. ~hi:10. "lat_us" in
+  let h = Telemetry.Registry.histogram reg "lat_us" in
   let s = Monitor.Sampler.create () in
   Monitor.Sampler.sample s ~time:0. reg;
   (* Empty histogram: count series only — no NaN mean/p99 series. *)

@@ -1,135 +1,14 @@
-(* Tests for the fleet observability plane: the merging t-digest
-   (qcheck rank-error bound, exactness of count/sum/min/max, chunked
-   merge determinism), the exact top-K tracker (brute-force equality on
-   fleets up to 4096), the space-saving counts sketch (error bounds and
-   heavy-hitter guarantee), and the fleet report (grading, imbalance
-   statistics, submission-order merge determinism of the rendered
-   bytes). *)
+(* Tests for the fleet observability plane: the exact top-K tracker
+   (brute-force equality on fleets up to 4096), the space-saving counts
+   sketch (error bounds and heavy-hitter guarantee), and the fleet
+   report (grading, imbalance statistics, histogram quantile accuracy
+   and merge-order independence, submission-order merge determinism of
+   the rendered bytes). *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 let checkf epsilon = Alcotest.check (Alcotest.float epsilon)
-
-(* --- Digest ------------------------------------------------------------------ *)
-
-let exact_quantile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else sorted.(Stdlib.min (n - 1) (int_of_float (q *. float_of_int n)))
-
-(* Rank error: where the sketch's answer actually sits in the sorted
-   data, as a fraction of n, versus where q asked.  This is the t-digest
-   accuracy contract (value error is unbounded for adversarial data;
-   rank error is not). *)
-let rank_error sorted q estimate =
-  let n = Array.length sorted in
-  let below = ref 0 and at_or_below = ref 0 in
-  Array.iter
-    (fun v ->
-      if v < estimate then incr below;
-      if v <= estimate then incr at_or_below)
-    sorted;
-  (* The estimate covers the whole rank interval [below, at_or_below]:
-     distance from q to that interval. *)
-  let lo = float_of_int !below /. float_of_int n
-  and hi = float_of_int !at_or_below /. float_of_int n in
-  if q < lo then lo -. q else if q > hi then q -. hi else 0.
-
-let float_list_gen =
-  QCheck.Gen.(
-    oneof
-      [
-        (* uniform *)
-        list_size (int_range 100 3000) (float_bound_inclusive 1000.);
-        (* heavy-tailed: squares of uniforms stretched *)
-        map
-          (List.map (fun x -> (x *. x) +. 1.))
-          (list_size (int_range 100 3000) (float_bound_inclusive 100.));
-        (* few distinct values, many repeats *)
-        list_size (int_range 100 3000)
-          (map float_of_int (int_range 0 5));
-      ])
-
-let prop_digest_rank_error =
-  QCheck.Test.make ~count:60 ~name:"digest: rank error under 2%"
-    (QCheck.make float_list_gen)
-    (fun values ->
-      let d = Obs.Digest.create () in
-      List.iter (Obs.Digest.add d) values;
-      let sorted = Array.of_list (List.sort compare values) in
-      List.for_all
-        (fun q -> rank_error sorted q (Obs.Digest.quantile d q) <= 0.02)
-        [ 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999 ])
-
-(* Chunked merging is what the parallel runners do; the partition is a
-   pure function of the fleet shape (never of --jobs), so the contract
-   is: a fixed partition merged in submission order is bit-for-bit
-   reproducible, and merging costs little accuracy. *)
-let prop_digest_merge_deterministic =
-  QCheck.Test.make ~count:40
-    ~name:"digest: fixed-partition merge reproducible, accuracy kept"
-    (QCheck.make
-       QCheck.Gen.(
-         pair float_list_gen (int_range 1 7)))
-    (fun (values, chunks) ->
-      let arr = Array.of_list values in
-      let n = Array.length arr in
-      let per = Stdlib.max 1 ((n + chunks - 1) / chunks) in
-      let run () =
-        let merged = Obs.Digest.create () in
-        let i = ref 0 in
-        while !i < n do
-          let sub = Obs.Digest.create () in
-          for j = !i to Stdlib.min (n - 1) (!i + per - 1) do
-            Obs.Digest.add sub arr.(j)
-          done;
-          Obs.Digest.merge ~into:merged sub;
-          i := !i + per
-        done;
-        merged
-      in
-      let a = run () and b = run () in
-      let qs = [ 0.; 0.1; 0.25; 0.5; 0.9; 0.99; 1. ] in
-      let sorted = Array.of_list (List.sort compare values) in
-      Obs.Digest.count a = n
-      && Float.abs (Obs.Digest.sum a -. List.fold_left ( +. ) 0. values)
-         <= 1e-6 *. Float.abs (Obs.Digest.sum a)
-      && List.for_all
-           (fun q ->
-             Int64.equal
-               (Int64.bits_of_float (Obs.Digest.quantile a q))
-               (Int64.bits_of_float (Obs.Digest.quantile b q)))
-           qs
-      && List.for_all
-           (fun q -> rank_error sorted q (Obs.Digest.quantile a q) <= 0.02)
-           qs)
-
-let test_digest_exact_moments () =
-  let d = Obs.Digest.create ~budget:8 () in
-  checkb "empty quantile is nan" true (Float.is_nan (Obs.Digest.quantile d 0.5));
-  let values = List.init 1000 (fun i -> float_of_int ((i * 7919) mod 997)) in
-  List.iter (Obs.Digest.add d) values;
-  checki "count exact" 1000 (Obs.Digest.count d);
-  checkf 1e-9 "sum exact" (List.fold_left ( +. ) 0. values) (Obs.Digest.sum d);
-  checkf 0. "min exact"
-    (List.fold_left Stdlib.min infinity values)
-    (Obs.Digest.min d);
-  checkf 0. "max exact"
-    (List.fold_left Stdlib.max neg_infinity values)
-    (Obs.Digest.max d);
-  checkb "quantiles clamp to observed range" true
-    (Obs.Digest.quantile d 0. = Obs.Digest.min d
-    && Obs.Digest.quantile d 1. = Obs.Digest.max d);
-  checkb "compressed size bounded by O(budget log n)" true
-    (Array.length (Obs.Digest.centroids d) <= 8 * Obs.Digest.budget d)
-
-let test_digest_single_value () =
-  let d = Obs.Digest.create () in
-  Obs.Digest.add d 42.;
-  List.iter
-    (fun q -> checkf 0. "single value at every quantile" 42. (Obs.Digest.quantile d q))
-    [ 0.; 0.5; 1. ]
 
 (* --- Topk -------------------------------------------------------------------- *)
 
@@ -319,6 +198,114 @@ let test_report_merge_deterministic () =
   checks "report jsonl independent of worker completion order" json_a json_b;
   checkb "report is non-trivial" true (String.length text_a > 100)
 
+(* Quantile accuracy and merge laws, seen through the report: the
+   report's quantiles come from log-linear histograms, so each lies in
+   the bucket of the exact nearest-rank order statistic — within 2^-5
+   relative error at any magnitude — and never outside [min, max]. *)
+
+let float_list_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        (* uniform *)
+        list_size (int_range 100 3000) (float_bound_inclusive 1000.);
+        (* heavy-tailed: squares of uniforms stretched *)
+        map
+          (List.map (fun x -> (x *. x) +. 1.))
+          (list_size (int_range 100 3000) (float_bound_inclusive 100.));
+        (* few distinct values, many repeats *)
+        list_size (int_range 100 3000) (map float_of_int (int_range 0 5));
+        (* RBER-like: many decades *)
+        list_size (int_range 100 3000)
+          (map (fun e -> 10. ** e) (float_range (-12.) 0.));
+      ])
+
+let exact_percentile sorted q =
+  let n = Array.length sorted in
+  let rank = Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
+  sorted.(Stdlib.min n rank - 1)
+
+let within_bucket exact estimate =
+  if exact <= 0. then estimate = exact
+  else Float.abs (estimate -. exact) <= exact /. 32.
+
+let report_of values ~chunks ~order =
+  let arr = Array.of_list values in
+  let n = Array.length arr in
+  let per = Stdlib.max 1 ((n + chunks - 1) / chunks) in
+  let acc = Obs.Fleet_report.Acc.create ~thresholds () in
+  let subs =
+    List.init chunks (fun c ->
+        let sub = Obs.Fleet_report.Acc.sub acc in
+        for j = c * per to Stdlib.min (n - 1) (((c + 1) * per) - 1) do
+          Obs.Fleet_report.Acc.observe sub
+            (obs ~rber:arr.(j) ~pec_max:(int_of_float arr.(j))
+               (Printf.sprintf "d-%d" j))
+        done;
+        sub)
+  in
+  List.iter
+    (fun i -> Obs.Fleet_report.Acc.merge ~into:acc (List.nth subs i))
+    order;
+  Obs.Fleet_report.build ~epoch:"q" acc
+
+let rber_fields (r : Obs.Fleet_report.t) =
+  let s = r.Obs.Fleet_report.rber in
+  Obs.Fleet_report.[ s.smin; s.smax; s.p50; s.p90; s.p99 ]
+
+let prop_report_quantiles_accurate =
+  QCheck.Test.make ~count:60 ~name:"report: quantiles within 2^-5 of exact"
+    (QCheck.make float_list_gen)
+    (fun values ->
+      let r = report_of values ~chunks:1 ~order:[ 0 ] in
+      let sorted = Array.of_list (List.sort compare values) in
+      let s = r.Obs.Fleet_report.rber in
+      List.for_all2
+        (fun q estimate -> within_bucket (exact_percentile sorted q) estimate)
+        [ 0.5; 0.9; 0.99 ]
+        Obs.Fleet_report.[ s.p50; s.p90; s.p99 ]
+      && s.Obs.Fleet_report.smin = sorted.(0)
+      && s.Obs.Fleet_report.smax = sorted.(Array.length sorted - 1))
+
+(* Histogram merge is bucket addition: any chunking merged in any order
+   yields bit-identical quantiles, extremes and Gini. *)
+let prop_report_merge_order_free =
+  QCheck.Test.make ~count:40
+    ~name:"report: quantiles and gini independent of chunking and merge order"
+    (QCheck.make
+       QCheck.Gen.(
+         triple float_list_gen (int_range 1 7) (int_range 0 1_000_000)))
+    (fun (values, chunks, seed) ->
+      let order =
+        let a = Array.init chunks Fun.id in
+        let st = Random.State.make [| seed |] in
+        for i = chunks - 1 downto 1 do
+          let j = Random.State.int st (i + 1) in
+          let t = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- t
+        done;
+        Array.to_list a
+      in
+      let whole = report_of values ~chunks:1 ~order:[ 0 ]
+      and merged = report_of values ~chunks ~order in
+      let bits r =
+        List.map Int64.bits_of_float
+          (r.Obs.Fleet_report.gini
+          :: r.Obs.Fleet_report.pec.Obs.Fleet_report.p99
+          :: rber_fields r)
+      in
+      merged.Obs.Fleet_report.devices = List.length values
+      && bits whole = bits merged)
+
+let test_report_single_device () =
+  let acc = Obs.Fleet_report.Acc.create ~thresholds () in
+  Obs.Fleet_report.Acc.observe acc (obs ~rber:42e-5 "only");
+  let r = Obs.Fleet_report.build ~epoch:"t" acc in
+  List.iter
+    (fun v -> checkf 0. "single value at every quantile" 42e-5 v)
+    (rber_fields r)
+
 let test_report_worst_ranking () =
   let acc = Obs.Fleet_report.Acc.create ~top_k:3 ~thresholds () in
   Obs.Fleet_report.Acc.observe acc (obs ~alive:false "dead-1");
@@ -337,10 +324,6 @@ let test_report_worst_ranking () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_digest_rank_error;
-    QCheck_alcotest.to_alcotest prop_digest_merge_deterministic;
-    ("digest: exact moments", `Quick, test_digest_exact_moments);
-    ("digest: single value", `Quick, test_digest_single_value);
     QCheck_alcotest.to_alcotest prop_topk_exact_vs_brute_force;
     ("topk: natural tie order", `Quick, test_topk_natural_tie_order);
     ("counts: error bounds", `Quick, test_counts_error_bounds);
@@ -348,5 +331,8 @@ let suite =
     ("report: grading", `Quick, test_report_grading);
     ("report: balance statistics", `Quick, test_report_balance_stats);
     ("report: merge determinism", `Quick, test_report_merge_deterministic);
+    QCheck_alcotest.to_alcotest prop_report_quantiles_accurate;
+    QCheck_alcotest.to_alcotest prop_report_merge_order_free;
+    ("report: single device", `Quick, test_report_single_device);
     ("report: worst ranking", `Quick, test_report_worst_ranking);
   ]

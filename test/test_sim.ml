@@ -293,85 +293,139 @@ let test_online_merge () =
   checkf 1e-6 "merged variance" (Sim.Stats.Online.variance all)
     (Sim.Stats.Online.variance merged)
 
-let test_histogram_percentiles () =
-  let hist = Sim.Stats.Histogram.create ~buckets:1000 ~lo:0. ~hi:100. () in
-  for i = 1 to 10_000 do
-    Sim.Stats.Histogram.add hist (float_of_int (i mod 100))
-  done;
-  checkf 1.0 "p50" 50. (Sim.Stats.Histogram.percentile hist 0.5);
-  checkf 1.5 "p99" 99. (Sim.Stats.Histogram.percentile hist 0.99);
-  Alcotest.check_raises "empty percentile"
-    (Invalid_argument "Histogram.percentile: empty") (fun () ->
-      let empty = Sim.Stats.Histogram.create ~lo:0. ~hi:1. () in
-      ignore (Sim.Stats.Histogram.percentile empty 0.5))
+module H = Sim.Stats.Histogram
 
-let test_histogram_percentile_clamping () =
-  (* Out-of-range samples land in the edge buckets, so percentiles of a
-     histogram fed only out-of-range data report the edge midpoints. *)
-  let hist = Sim.Stats.Histogram.create ~buckets:10 ~lo:0. ~hi:10. () in
-  for _ = 1 to 50 do
-    Sim.Stats.Histogram.add hist (-100.)
-  done;
-  for _ = 1 to 50 do
-    Sim.Stats.Histogram.add hist 1e9
-  done;
-  checki "count includes clamped" 100 (Sim.Stats.Histogram.count hist);
-  checkf 1e-9 "low tail = first bucket midpoint" 0.5
-    (Sim.Stats.Histogram.percentile hist 0.25);
-  checkf 1e-9 "high tail = last bucket midpoint" 9.5
-    (Sim.Stats.Histogram.percentile hist 0.99);
-  (* Rank bounds are inclusive; just outside raises. *)
-  ignore (Sim.Stats.Histogram.percentile hist 0.);
-  ignore (Sim.Stats.Histogram.percentile hist 1.);
-  Alcotest.check_raises "rank above 1"
-    (Invalid_argument "Histogram.percentile: rank outside [0,1]") (fun () ->
-      ignore (Sim.Stats.Histogram.percentile hist 1.1));
-  Alcotest.check_raises "negative rank"
-    (Invalid_argument "Histogram.percentile: rank outside [0,1]") (fun () ->
-      ignore (Sim.Stats.Histogram.percentile hist (-0.1)))
+let histogram_of values =
+  let h = H.create () in
+  List.iter (H.add h) values;
+  h
+
+(* Nearest rank, as the histogram defines it. *)
+let exact_percentile sorted q =
+  let n = Array.length sorted in
+  let rank = Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
+  sorted.(Stdlib.min n rank - 1)
+
+let test_histogram_percentiles () =
+  let hist =
+    histogram_of (List.init 10_000 (fun i -> float_of_int (i mod 100)))
+  in
+  checkf (49. /. 32.) "p50" 49. (H.percentile hist 0.5);
+  checkf (98. /. 32.) "p99" 98. (H.percentile hist 0.99);
+  checkf 0. "p0 is the exact min" 0. (H.percentile hist 0.);
+  checkf (99. /. 32.) "p100 in the max's bucket" 99. (H.percentile hist 1.);
+  let empty = H.create () in
+  checkb "empty percentile is nan" true (Float.is_nan (H.percentile empty 0.5));
+  checkb "empty min/max/mean are nan" true
+    (Float.is_nan (H.min empty) && Float.is_nan (H.max empty)
+    && Float.is_nan (H.mean empty));
+  checki "empty fold visits nothing" 0
+    (H.fold empty ~init:0 (fun n _ _ -> n + 1))
 
 let test_histogram_singleton () =
-  let hist = Sim.Stats.Histogram.create ~buckets:100 ~lo:0. ~hi:100. () in
-  Sim.Stats.Histogram.add hist 42.;
-  checki "count" 1 (Sim.Stats.Histogram.count hist);
-  checkf 1e-9 "mean is the sample" 42. (Sim.Stats.Histogram.mean hist);
-  (* Every positive percentile of a single observation is that
-     observation's bucket midpoint; rank 0 degenerates to the first
-     bucket (its threshold is met before any count accumulates). *)
+  let hist = histogram_of [ 42. ] in
+  checki "count" 1 (H.count hist);
+  checkf 1e-9 "mean is the sample" 42. (H.mean hist);
+  (* The bucket midpoint clamps to [min, max]: one observation is
+     reported exactly at every rank. *)
   List.iter
     (fun rank ->
-      checkf 1e-9
+      checkf 0.
         (Printf.sprintf "p%g" (rank *. 100.))
-        42.5
-        (Sim.Stats.Histogram.percentile hist rank))
-    [ 0.001; 0.5; 0.99; 1. ];
-  checkf 1e-9 "rank 0 is the first bucket" 0.5
-    (Sim.Stats.Histogram.percentile hist 0.)
+        42. (H.percentile hist rank))
+    [ 0.; 0.001; 0.5; 0.99; 1. ]
 
-let test_series_binned () =
-  let series = Sim.Stats.Series.create () in
-  Sim.Stats.Series.add series ~time:0.1 10.;
-  Sim.Stats.Series.add series ~time:0.9 20.;
-  Sim.Stats.Series.add series ~time:1.5 30.;
-  let binned = Sim.Stats.Series.binned series ~bin:1.0 in
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "binned averages"
-    [ (0., 15.); (1., 30.) ]
-    binned
+let test_histogram_edge_values () =
+  Alcotest.check_raises "nan raises" (Invalid_argument "Histogram.add: nan")
+    (fun () -> H.add (H.create ()) nan);
+  Alcotest.check_raises "nan has no bucket"
+    (Invalid_argument "Histogram: nan has no bucket") (fun () ->
+      ignore (H.bucket_index nan));
+  let h = histogram_of [ 1.; 2.; infinity ] in
+  checkb "infinity is the max" true (H.max h = infinity);
+  checkb "infinity is the top percentile" true (H.percentile h 1. = infinity);
+  checkf (2. /. 32.) "finite percentiles unaffected" 2. (H.percentile h 0.6);
+  checkb "infinity is the top bucket" true
+    (H.bucket_index infinity > H.bucket_index Float.max_float);
+  (* -0., 0. and negatives share the bucket below every positive one. *)
+  let h = histogram_of [ -0.; 0.; -5.; 3. ] in
+  checki "zero bucket index" (-1) (H.bucket_index (-0.));
+  checki "negatives share it" (-1) (H.bucket_index (-5.));
+  checki "count" 4 (H.count h);
+  checkf 0. "sum exact" (-2.) (H.sum h);
+  checkf 0. "min exact" (-5.) (H.min h);
+  checkb "p50 in the zero bucket" true (H.percentile h 0.5 = 0.);
+  checkf 0. "p100 exact" 3. (H.percentile h 1.);
+  checki "count_from zero covers all" 4 (H.count_from h 0.);
+  checki "count_from 3 covers its bucket" 1 (H.count_from h 3.);
+  (* Bucket widths: 16 linear sub-buckets per octave. *)
+  checkb "adjacent sub-buckets differ" true
+    (H.bucket_index 1. + 1 = H.bucket_index (1. +. (1. /. 16.)));
+  checkb "one sub-bucket holds [1, 1 + 1/16)" true
+    (H.bucket_index 1. = H.bucket_index (1. +. (1. /. 17.)))
 
-let test_series_binned_empty_bins () =
-  (* Bins with no samples are omitted, not reported as zero: a gap in the
-     series must not fabricate data points. *)
-  let series = Sim.Stats.Series.create () in
-  Sim.Stats.Series.add series ~time:0.5 10.;
-  Sim.Stats.Series.add series ~time:5.5 20.;
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "gap bins omitted"
-    [ (0., 10.); (5., 20.) ]
-    (Sim.Stats.Series.binned series ~bin:1.0);
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "empty series binned" []
-    (Sim.Stats.Series.binned (Sim.Stats.Series.create ()) ~bin:1.0)
+(* Values spanning 1e-9 .. 1e12 plus zeros. *)
+let wide_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 400)
+      (frequency
+         [
+           (1, return 0.);
+           (8, map (fun e -> 10. ** e) (float_range (-9.) 12.));
+           (2, map float_of_int (int_range 1 100));
+         ]))
+
+let quantiles = [ 0.; 0.001; 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999; 1. ]
+
+let prop_histogram_accuracy =
+  QCheck.Test.make ~count:300
+    ~name:"histogram: percentile in the exact order statistic's bucket"
+    (QCheck.make ~print:QCheck.Print.(list float) wide_gen)
+    (fun values ->
+      let h = histogram_of values in
+      let sorted = Array.of_list (List.sort compare values) in
+      List.for_all
+        (fun q ->
+          let exact = exact_percentile sorted q and p = H.percentile h q in
+          H.bucket_index p = H.bucket_index exact
+          && (exact = 0. || Float.abs (p -. exact) <= exact *. (2. ** -5.))
+          && H.min h <= p && p <= H.max h)
+        quantiles)
+
+let prop_histogram_merge =
+  QCheck.Test.make ~count:300
+    ~name:"histogram: any chunking, any merge order = one histogram"
+    (QCheck.make
+       QCheck.Gen.(
+         triple wide_gen (list_size (int_range 0 6) (int_range 0 400)) int))
+    (fun (values, cuts, seed) ->
+      let arr = Array.of_list values in
+      let n = Array.length arr in
+      let cuts =
+        List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts)
+      in
+      let bounds = (0 :: cuts) @ [ n ] in
+      let rec chunks = function
+        | a :: (b :: _ as rest) -> Array.sub arr a (b - a) :: chunks rest
+        | _ -> []
+      in
+      let parts = Array.of_list (chunks bounds) in
+      Sim.Rng.shuffle (Sim.Rng.create seed) parts;
+      let merged = H.create () in
+      Array.iter
+        (fun part ->
+          let h = H.create () in
+          Array.iter (H.add h) part;
+          H.merge ~into:merged h)
+        parts;
+      let whole = histogram_of values in
+      let bits h =
+        List.map Int64.bits_of_float
+          (H.min h :: H.max h :: List.map (H.percentile h) quantiles)
+      and buckets h = H.fold h ~init:[] (fun acc v c -> (v, c) :: acc) in
+      H.count merged = H.count whole
+      && bits merged = bits whole
+      && buckets merged = buckets whole)
 
 let prop_online_merge_matches_combined =
   (* merge a b must behave exactly as if every observation had been fed
@@ -514,11 +568,10 @@ let suite =
     ("stats online known values", `Quick, test_online_known_values);
     ("stats online merge", `Quick, test_online_merge);
     ("stats histogram percentiles", `Quick, test_histogram_percentiles);
-    ("stats histogram percentile clamping", `Quick,
-     test_histogram_percentile_clamping);
     ("stats histogram singleton", `Quick, test_histogram_singleton);
-    ("stats series binned", `Quick, test_series_binned);
-    ("stats series binned empty bins", `Quick, test_series_binned_empty_bins);
+    ("stats histogram edge values", `Quick, test_histogram_edge_values);
+    QCheck_alcotest.to_alcotest prop_histogram_accuracy;
+    QCheck_alcotest.to_alcotest prop_histogram_merge;
     QCheck_alcotest.to_alcotest prop_online_merge_matches_combined;
     ("event queue ordering", `Quick, test_event_queue_ordering);
     ("event queue fifo ties", `Quick, test_event_queue_fifo_ties);

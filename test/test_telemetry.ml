@@ -102,8 +102,7 @@ let test_kind_clash_raises () =
   (* ... even under different labels of the same name. *)
   checkb "kind clash across labels raises" true
     (raises_invalid (fun () ->
-         Telemetry.Registry.histogram reg "x_total" ~labels:[ ("l", "1") ]
-           ~lo:0. ~hi:1.));
+         Telemetry.Registry.histogram reg "x_total" ~labels:[ ("l", "1") ]));
   (* Same name + labels + kind is idempotent, not an error. *)
   let again = Telemetry.Registry.counter reg "x_total" in
   Telemetry.Registry.Counter.incr again;
@@ -123,8 +122,7 @@ let populate reg order =
             2.5
       | _ ->
           let h =
-            Telemetry.Registry.histogram reg "gamma_us" ~help:"g" ~lo:0.
-              ~hi:100. ~buckets:100
+            Telemetry.Registry.histogram reg "gamma_us" ~help:"g"
               ~labels:[ ("op", "read") ]
           in
           List.iter
@@ -157,7 +155,7 @@ let test_null_registry_inert () =
   let c = Telemetry.Registry.counter Telemetry.Registry.null "n_total" in
   let g = Telemetry.Registry.gauge Telemetry.Registry.null "n" in
   let h =
-    Telemetry.Registry.histogram Telemetry.Registry.null ~lo:0. ~hi:1. "n_us"
+    Telemetry.Registry.histogram Telemetry.Registry.null "n_us"
   in
   checkb "counter inactive" false (Telemetry.Registry.Counter.is_active c);
   checkb "gauge inactive" false (Telemetry.Registry.Gauge.is_active g);
@@ -230,7 +228,7 @@ let test_jsonl_nonfinite () =
   (* An empty histogram has nan summary fields; they must survive export
      (as null) and come back as nan rather than crashing the parser. *)
   let reg = Telemetry.Registry.create () in
-  ignore (Telemetry.Registry.histogram reg ~lo:0. ~hi:1. "empty_us");
+  ignore (Telemetry.Registry.histogram reg "empty_us");
   let parsed =
     Telemetry.Export.of_jsonl
       (Telemetry.Export.to_jsonl (Telemetry.Registry.snapshot reg))
@@ -245,7 +243,7 @@ let test_prometheus_empty_histogram () =
   (* An empty histogram must render finite text: count 0, sum 0, and no
      quantile lines (there is no data to summarize) — never NaN. *)
   let reg = Telemetry.Registry.create () in
-  ignore (Telemetry.Registry.histogram reg ~lo:0. ~hi:1. "empty_us");
+  ignore (Telemetry.Registry.histogram reg "empty_us");
   let text =
     Telemetry.Export.to_prometheus (Telemetry.Registry.snapshot reg)
   in
@@ -257,7 +255,7 @@ let test_prometheus_empty_histogram () =
 let test_prometheus_single_observation () =
   let reg = Telemetry.Registry.create () in
   Telemetry.Registry.Histogram.observe
-    (Telemetry.Registry.histogram reg ~lo:0. ~hi:10. "one_us")
+    (Telemetry.Registry.histogram reg "one_us")
     2.5;
   let text =
     Telemetry.Export.to_prometheus (Telemetry.Registry.snapshot reg)
@@ -361,8 +359,8 @@ let test_merge_reduces () =
     ~by:32;
   Telemetry.Registry.Gauge.set (Telemetry.Registry.gauge into "depth") 1.;
   Telemetry.Registry.Gauge.set (Telemetry.Registry.gauge src "depth") 4.;
-  let h_into = Telemetry.Registry.histogram into ~lo:0. ~hi:10. "lat_us" in
-  let h_src = Telemetry.Registry.histogram src ~lo:0. ~hi:10. "lat_us" in
+  let h_into = Telemetry.Registry.histogram into "lat_us" in
+  let h_src = Telemetry.Registry.histogram src "lat_us" in
   List.iter (Telemetry.Registry.Histogram.observe h_into) [ 1.; 2. ];
   List.iter (Telemetry.Registry.Histogram.observe h_src) [ 3.; 9. ];
   Telemetry.Registry.Counter.incr
@@ -412,7 +410,7 @@ let test_unshared_registry () =
   Telemetry.Registry.Gauge.set g 2.;
   Telemetry.Registry.Gauge.add g 1.5;
   checkf 1e-9 "local gauge arithmetic" 3.5 (Telemetry.Registry.Gauge.value g);
-  let h = Telemetry.Registry.histogram local ~lo:1. ~hi:100. "lat" in
+  let h = Telemetry.Registry.histogram local "lat" in
   List.iter (Telemetry.Registry.Histogram.observe h) [ 1.; 10.; 100. ];
   checki "local histogram count" 3 (Telemetry.Registry.Histogram.count h);
   let into = Telemetry.Registry.create () in
@@ -425,7 +423,7 @@ let test_unshared_registry () =
        (Telemetry.Registry.counter into "ops_total"));
   checki "merged histogram lands shared" 3
     (Telemetry.Registry.Histogram.count
-       (Telemetry.Registry.histogram into ~lo:1. ~hi:100. "lat"))
+       (Telemetry.Registry.histogram into "lat"))
 
 let test_merge_kind_clash_raises () =
   let into = Telemetry.Registry.create () in
@@ -500,7 +498,7 @@ let prop_jsonl_roundtrip =
                 (match obs with [] -> nan | x :: _ -> x -. 50.)
           | _ ->
               let h =
-                Telemetry.Registry.histogram reg ~labels ~lo:0. ~hi:100. name
+                Telemetry.Registry.histogram reg ~labels name
               in
               List.iter (Telemetry.Registry.Histogram.observe h) obs)
         specs;
@@ -529,6 +527,63 @@ let prop_jsonl_roundtrip =
              | _ -> false)
            samples parsed)
 
+(* --- Histogram percentiles --------------------------------------------- *)
+
+(* The [stats] subcommand's run: one RegenS device, 20k host writes
+   under a live registry, inside a span. *)
+let stats_snapshot () =
+  let registry = Telemetry.Registry.create () in
+  Telemetry.Trace.with_span ~registry "stats" (fun () ->
+      let device = Experiments.Defaults.make_device ~registry `Regens ~seed:42 in
+      let utilization = 0.85 in
+      let window =
+        int_of_float
+          (utilization *. float_of_int (Ftl.Device_intf.logical_capacity device))
+      in
+      let pattern = Workload.Pattern.uniform ~window ~read_fraction:0.2 in
+      ignore
+        (Workload.Aging.run_epoch ~quota:20_000 ~utilization
+           ~rng:(Sim.Rng.create 43) ~pattern ~device ()));
+  Telemetry.Registry.snapshot registry
+
+let test_snapshot_percentiles_ordered () =
+  let histograms =
+    List.filter_map
+      (fun (s : Telemetry.Registry.sample) ->
+        match s.value with
+        | Histogram h when h.count > 0 ->
+            Some (s.name ^ "{" ^ Telemetry.Registry.Labels.to_string s.labels ^ "}", h)
+        | _ -> None)
+      (stats_snapshot ())
+  in
+  checkb "flash latencies and spans observed" true (List.length histograms >= 4);
+  List.iter
+    (fun (name, (h : Telemetry.Registry.summary)) ->
+      let chain = [ h.min; h.p50; h.p90; h.p95; h.p99; h.p999; h.max ] in
+      checkb
+        (name ^ ": min <= p50 <= p90 <= p95 <= p99 <= p999 <= max")
+        true
+        (List.sort compare chain = chain))
+    histograms
+
+let test_long_span_not_clamped () =
+  (* A 5 s span: the wall clock advances 5 s between enter and exit. *)
+  let now = ref 0. in
+  Telemetry.Trace.set_clock (fun () ->
+      let t = !now in
+      now := t +. 5.;
+      t);
+  let reg = Telemetry.Registry.create () in
+  Fun.protect
+    ~finally:(fun () -> Telemetry.Trace.set_clock Sys.time)
+    (fun () -> Telemetry.Trace.with_span ~registry:reg "long" ignore);
+  match Telemetry.Registry.snapshot reg with
+  | [ { Telemetry.Registry.value = Histogram h; _ } ] ->
+      checkf 0. "exact max" 5e6 h.max;
+      checkb "p999 within 1/32 of 5e6" true
+        (Float.abs (h.p999 -. 5e6) <= 5e6 /. 32.)
+  | _ -> Alcotest.fail "expected the one span histogram"
+
 let suite =
   [
     ("counter and gauge basics", `Quick, test_counter_gauge_basics);
@@ -549,6 +604,9 @@ let suite =
     ("trace span propagates exceptions", `Quick,
      test_trace_span_propagates_exceptions);
     ("level_of_verbosity", `Quick, test_level_of_verbosity);
+    ("stats snapshot percentiles ordered", `Quick,
+     test_snapshot_percentiles_ordered);
+    ("long span not clamped", `Quick, test_long_span_not_clamped);
     ("registry merge reduces", `Quick, test_merge_reduces);
     ("registry merge null no-op", `Quick, test_merge_null_noop);
     ("unshared registry flavour", `Quick, test_unshared_registry);
