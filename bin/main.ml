@@ -239,11 +239,12 @@ let obs_opts_term =
       value & flag
       & info [ "fleet-report" ]
           ~doc:
-            "Print the fleet wear-imbalance report after the run: sketch \
-             quantiles of per-device wear / spread / worst RBER / retry \
-             rate, CV and Gini of the P/E distribution, per-grade counts \
-             and the exact top-K worst devices — in O(K) memory however \
-             large the fleet, byte-identical at any --jobs.")
+            "Print the fleet wear-imbalance report after the run: \
+             histogram quantiles of per-device wear / spread / worst RBER \
+             / retry rate, CV and Gini of the P/E distribution, per-grade \
+             counts and the exact top-K worst devices — in bounded \
+             histograms plus O(K) memory however large the fleet, \
+             byte-identical at any --jobs.")
   in
   let top_k =
     Arg.(
@@ -594,8 +595,9 @@ let fleet_report_cmd =
     (Cmd.info "fleet-report"
        ~doc:
          "Age a fleet and print its wear-imbalance report (the fleet command \
-          with --fleet-report forced on): sketch quantiles, CV/Gini, health \
-          grades and the exact top-K worst devices in O(K) memory")
+          with --fleet-report forced on): histogram quantiles, CV/Gini, \
+          health grades and the exact top-K worst devices in bounded \
+          histograms plus O(K) memory")
     Term.(
       const (fleet_run ~force_report:true)
       $ run_opts_term ~jobs:true ~mon:true ~obs:true

@@ -179,10 +179,7 @@ let create ?(config = default_config) ?registry ~geometry ~model ~rng () =
   let tel = make_tel tel_registry profile config.mode in
   (* Health-monitor input: the deepest tiredness level's code sets the
      RBER ceiling this device can ever correct past. *)
-  Telemetry.Registry.Gauge.set
-    (Telemetry.Registry.gauge tel_registry
-       ~help:"Highest RBER the device's strongest code corrects"
-       "device_tolerable_rber")
+  Ftl.Device_intf.set_tolerable_rber tel_registry
     (Tiredness.info profile (Tiredness.max_level profile)).Tiredness.tolerable_rber;
   let policy =
     {
@@ -218,7 +215,8 @@ let create ?(config = default_config) ?registry ~geometry ~model ~rng () =
           let level = levels.(page_index geometry ~block ~page) in
           let info = Tiredness.info profile level in
           info.Tiredness.tolerable_rber > 0.
-          && rber > 0.9 *. info.Tiredness.tolerable_rber);
+          && rber
+             > Ftl.Ecc_profile.reclaim_margin *. info.Tiredness.tolerable_rber);
       on_block_erased = (fun ~block:_ -> ());
     }
   in
@@ -792,26 +790,13 @@ module As_device = struct
   let host_writes = host_writes
   let write_amplification = write_amplification
 
-  let bg_stats t =
-    {
-      Ftl.Device_intf.gc_runs = Ftl.Engine.gc_runs t.engine;
-      relocated_opages = Ftl.Engine.relocated_opages t.engine;
-      read_retries = Ftl.Engine.read_retries t.engine;
-      read_reclaims = Ftl.Engine.read_reclaims t.engine;
-      live_repair_attempts = Ftl.Engine.read_escalations t.engine;
-      live_repairs = Ftl.Engine.escalation_successes t.engine;
-    }
+  let bg_stats t = Ftl.Device_intf.engine_bg_stats t.engine
 
   let wear_stats t =
-    let w = Flash.Chip.wear (Ftl.Engine.chip t.engine) in
-    {
-      Ftl.Device_intf.pec_max = w.Flash.Chip.wear_pec_max;
-      pec_min = w.Flash.Chip.wear_pec_min;
-      rber_worst = w.Flash.Chip.wear_rber_worst;
-      tolerable_rber =
+    Ftl.Device_intf.engine_wear_stats t.engine
+      ~tolerable_rber:
         (Tiredness.info t.profile (Tiredness.max_level t.profile))
-          .Tiredness.tolerable_rber;
-    }
+          .Tiredness.tolerable_rber
 
   let set_recovery_hook t ?config hook =
     (* reverse of [locate]: engine logical -> slot -> position in the

@@ -257,7 +257,7 @@ let pattern ?(ctx = Ctx.default) fmt =
              (fun kind ->
                let device =
                  Defaults.make_device ~registry:ctx.Ctx.registry
-                   (kind :> [ `Baseline | `Cvss | `Shrinks | `Regens ])
+                   (kind :> Defaults.kind)
                    ~seed:902
                in
                let window =

@@ -19,28 +19,34 @@ let salamander_config ~mode =
 let fleet_devices = 24
 let fleet_seed = 1789
 
-let make_device_rng ?registry kind ~rng =
+type kind = [ `Baseline | `Cvss | `Shrinks | `Regens ]
+
+let device ?registry ?(model = model) kind ~rng =
   match kind with
-  | `Baseline ->
-      let d = Ftl.Baseline_ssd.create ?registry ~geometry ~model ~rng () in
-      Ftl.Device_intf.Packed ((module Ftl.Baseline_ssd), d)
-  | `Cvss ->
-      let d = Ftl.Cvss.create ?registry ~geometry ~model ~rng () in
-      Ftl.Device_intf.Packed ((module Ftl.Cvss), d)
-  | `Shrinks ->
-      let d =
-        Salamander.Device.create
-          ~config:(salamander_config ~mode:Salamander.Device.Shrink_s)
-          ?registry ~geometry ~model ~rng ()
+  | (`Baseline | `Cvss) as k ->
+      let retirement =
+        match k with
+        | `Baseline -> Ftl.Conventional.Brick
+        | `Cvss -> Ftl.Conventional.Shrink
       in
-      Salamander.Device.pack d
-  | `Regens ->
       let d =
-        Salamander.Device.create
-          ~config:(salamander_config ~mode:Salamander.Device.Regen_s)
-          ?registry ~geometry ~model ~rng ()
+        Ftl.Conventional.create ~retirement ?registry ~geometry ~model ~rng ()
       in
-      Salamander.Device.pack d
+      ( Ftl.Device_intf.Packed ((module Ftl.Conventional), d),
+        Ftl.Conventional.engine d )
+  | (`Shrinks | `Regens) as k ->
+      let mode =
+        match k with
+        | `Shrinks -> Salamander.Device.Shrink_s
+        | `Regens -> Salamander.Device.Regen_s
+      in
+      let d =
+        Salamander.Device.create ~config:(salamander_config ~mode) ?registry
+          ~geometry ~model ~rng ()
+      in
+      (Salamander.Device.pack d, Salamander.Device.engine d)
+
+let make_device_rng ?registry kind ~rng = fst (device ?registry kind ~rng)
 
 let make_device ?registry kind ~seed =
   make_device_rng ?registry kind ~rng:(Sim.Rng.create seed)

@@ -29,22 +29,34 @@ val salamander_config : mode:Salamander.Device.mode -> Salamander.Device.config
 val fleet_devices : int
 val fleet_seed : int
 
-val make_device :
+type kind = [ `Baseline | `Cvss | `Shrinks | `Regens ]
+(** The four competing designs: the bricking baseline SSD, CVSS, and
+    Salamander's ShrinkS and RegenS. *)
+
+val device :
   ?registry:Telemetry.Registry.t ->
-  [ `Baseline | `Cvss | `Shrinks | `Regens ] ->
-  seed:int ->
-  Ftl.Device_intf.packed
-(** A fresh device of each competing design on the shared scale, its
-    telemetry bound to [registry] (default: the null registry, i.e.
-    telemetry off). *)
+  ?model:Flash.Rber_model.t ->
+  kind ->
+  rng:Sim.Rng.t ->
+  Ftl.Device_intf.packed * Ftl.Engine.t
+(** A fresh device of [kind] on the shared scale, drawing from [rng],
+    plus the FTL engine underneath it (the packed wrapper hides the
+    concrete type; chaos cells and probes reach the chip and the
+    engine's counters through it).  Telemetry binds to [registry]
+    (default: the null registry, i.e. telemetry off); [model] defaults
+    to {!model}. *)
+
+val make_device :
+  ?registry:Telemetry.Registry.t -> kind -> seed:int -> Ftl.Device_intf.packed
+(** [device] from a fresh seed, without the engine. *)
 
 val make_device_rng :
   ?registry:Telemetry.Registry.t ->
-  [ `Baseline | `Cvss | `Shrinks | `Regens ] ->
+  kind ->
   rng:Sim.Rng.t ->
   Ftl.Device_intf.packed
-(** Same, but drawing from a caller-owned stream instead of a fresh seed —
+(** [device] without the engine, drawing from a caller-owned stream —
     the building block for deterministic parallel fleets, where each
     device's stream is split off a root RNG in submission order. *)
 
-val kind_label : [ `Baseline | `Cvss | `Shrinks | `Regens ] -> string
+val kind_label : kind -> string

@@ -1,4 +1,4 @@
-type kind = [ `Baseline | `Cvss | `Shrinks | `Regens ]
+type kind = Defaults.kind
 
 type snapshot = { day : int; alive : int; capacity_opages : int }
 

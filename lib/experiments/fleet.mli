@@ -9,7 +9,7 @@
     less per day as they shrink, exactly like a real deployment whose
     data has been rebalanced away. *)
 
-type kind = [ `Baseline | `Cvss | `Shrinks | `Regens ]
+type kind = Defaults.kind
 
 type snapshot = {
   day : int;

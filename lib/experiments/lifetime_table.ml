@@ -1,11 +1,11 @@
 type row = {
-  kind : [ `Baseline | `Cvss | `Shrinks | `Regens ];
+  kind : Defaults.kind;
   host_writes : int;
   factor : float;
   write_amplification : float;
 }
 
-let kinds : [ `Baseline | `Cvss | `Shrinks | `Regens ] list =
+let kinds : Defaults.kind list =
   [ `Baseline; `Cvss; `Shrinks; `Regens ]
 
 let age_one ~registry kind ~seed =

@@ -7,7 +7,7 @@
     baseline < CVSS <= ShrinkS < RegenS. *)
 
 type row = {
-  kind : [ `Baseline | `Cvss | `Shrinks | `Regens ];
+  kind : Defaults.kind;
   host_writes : int;
   factor : float;  (** vs baseline *)
   write_amplification : float;

@@ -17,7 +17,7 @@ type result = {
 }
 
 val run :
-  ?kind:[ `Baseline | `Cvss | `Shrinks | `Regens ] ->
+  ?kind:Defaults.kind ->
   ?devices:int ->
   ?days:int ->
   ?dwpd:float ->

@@ -1,5 +1,5 @@
 type row = {
-  kind : [ `Baseline | `Cvss | `Shrinks | `Regens ];
+  kind : Defaults.kind;
   recovery_opages : int;
   recovery_events : int;
   host_writes : int;
@@ -7,7 +7,7 @@ type row = {
   recovery_per_host_write : float;
 }
 
-let kinds : [ `Baseline | `Cvss | `Shrinks | `Regens ] list =
+let kinds : Defaults.kind list =
   [ `Baseline; `Cvss; `Shrinks; `Regens ]
 
 let backend ~registry kind ~seed =

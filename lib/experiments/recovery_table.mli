@@ -10,7 +10,7 @@
     fail again and are shorter-lived. *)
 
 type row = {
-  kind : [ `Baseline | `Cvss | `Shrinks | `Regens ];
+  kind : Defaults.kind;
   recovery_opages : int;
   recovery_events : int;
   host_writes : int;

@@ -25,27 +25,6 @@ let make_spec ~tenants ~ops =
 
 let kinds = [ `Baseline; `Cvss; `Regens ]
 
-(* Build the device AND keep its chip handle: the packed wrapper hides
-   the concrete type, but chaos cells must reach Flash.Chip.inject. *)
-let make_device kind ~registry ~rng =
-  let geometry = Defaults.geometry and model = Defaults.model in
-  match kind with
-  | `Baseline ->
-      let d = Ftl.Baseline_ssd.create ~registry ~geometry ~model ~rng () in
-      ( Ftl.Device_intf.Packed ((module Ftl.Baseline_ssd), d),
-        Ftl.Engine.chip (Ftl.Baseline_ssd.engine d) )
-  | `Cvss ->
-      let d = Ftl.Cvss.create ~registry ~geometry ~model ~rng () in
-      ( Ftl.Device_intf.Packed ((module Ftl.Cvss), d),
-        Ftl.Engine.chip (Ftl.Cvss.engine d) )
-  | `Regens ->
-      let d =
-        Salamander.Device.create
-          ~config:(Defaults.salamander_config ~mode:Salamander.Device.Regen_s)
-          ~registry ~geometry ~model ~rng ()
-      in
-      (Salamander.Device.pack d, Ftl.Engine.chip (Salamander.Device.engine d))
-
 (* Media faults only: kills and power cuts need cluster / crash-rebuild
    plumbing that belongs to the chaos experiment, not the latency one. *)
 let media_only plan =
@@ -119,7 +98,10 @@ let run_cell ~registry ?obs ~spec ~trace ~seed ~batch ~qos ~plan ~kind ~chaos
   (* The device stream depends on the kind but not on the chaos flag, so
      a faulted cell ages the same device its fault-free twin does. *)
   let rng = Sim.Rng.create (seed + (17 * (kind_index + 1))) in
-  let device, chip = make_device kind ~registry ~rng in
+  (* Keep the chip handle: the packed wrapper hides the concrete type,
+     but chaos cells must reach Flash.Chip.inject. *)
+  let device, engine = Defaults.device ~registry (kind :> Defaults.kind) ~rng in
+  let chip = Ftl.Engine.chip engine in
   let label = Ftl.Device_intf.label device in
   (* Prefill the window so trace reads hit mapped LBAs instead of
      returning `Unmapped before the first write lands there. *)

@@ -1,5 +1,5 @@
 type row = {
-  kind : [ `Baseline | `Cvss | `Shrinks | `Regens ];
+  kind : Defaults.kind;
   host_writes : int;
   reads : int;
   read_errors : int;
@@ -7,7 +7,7 @@ type row = {
   reclaims : int;
 }
 
-let kinds : [ `Baseline | `Cvss | `Shrinks | `Regens ] list =
+let kinds : Defaults.kind list =
   [ `Baseline; `Cvss; `Shrinks; `Regens ]
 
 (* The defaults model with read disturb switched on: ~1e-8 RBER per read
@@ -21,36 +21,11 @@ let disturb_model =
       (Salamander.Tiredness.info profile 0).Salamander.Tiredness.tolerable_rber
     ~target_pec:Defaults.target_pec ~read_disturb_per_read:1e-8 ()
 
-let make_device ~registry kind ~seed =
-  let rng = Sim.Rng.create seed in
-  let geometry = Defaults.geometry in
-  match kind with
-  | `Baseline ->
-      let d =
-        Ftl.Baseline_ssd.create ~registry ~geometry ~model:disturb_model ~rng
-          ()
-      in
-      (Ftl.Device_intf.Packed ((module Ftl.Baseline_ssd), d),
-       fun () -> Ftl.Engine.read_reclaims (Ftl.Baseline_ssd.engine d))
-  | `Cvss ->
-      let d = Ftl.Cvss.create ~registry ~geometry ~model:disturb_model ~rng () in
-      (Ftl.Device_intf.Packed ((module Ftl.Cvss), d),
-       fun () -> Ftl.Engine.read_reclaims (Ftl.Cvss.engine d))
-  | (`Shrinks | `Regens) as k ->
-      let mode =
-        match k with
-        | `Shrinks -> Salamander.Device.Shrink_s
-        | `Regens -> Salamander.Device.Regen_s
-      in
-      let d =
-        Salamander.Device.create ~config:(Defaults.salamander_config ~mode)
-          ~registry ~geometry ~model:disturb_model ~rng ()
-      in
-      (Salamander.Device.pack d,
-       fun () -> Ftl.Engine.read_reclaims (Salamander.Device.engine d))
-
 let measure_kind ~registry kind ~seed =
-  let device, reclaims = make_device ~registry kind ~seed in
+  let device, engine =
+    Defaults.device ~registry ~model:disturb_model kind
+      ~rng:(Sim.Rng.create seed)
+  in
   let pattern =
     Workload.Pattern.uniform
       ~window:
@@ -72,7 +47,7 @@ let measure_kind ~registry kind ~seed =
       1e6
       *. float_of_int outcome.Workload.Aging.uncorrectable_reads
       /. float_of_int (Stdlib.max 1 outcome.Workload.Aging.reads);
-    reclaims = reclaims ();
+    reclaims = Ftl.Engine.read_reclaims engine;
   }
 
 let measure ?(seed = 9090) ?(ctx = Ctx.default) () =

@@ -12,7 +12,7 @@
     re-coded at the same ECC-margin thresholds, whatever their level. *)
 
 type row = {
-  kind : [ `Baseline | `Cvss | `Shrinks | `Regens ];
+  kind : Defaults.kind;
   host_writes : int;
   reads : int;
   read_errors : int;

@@ -1,195 +1,4 @@
-type config = { over_provisioning : float; min_capacity_fraction : float }
+(* CVSS, the shrinking SSD: [Conventional] under [Shrink] retirement. *)
+include Conventional
 
-let default_config = { over_provisioning = 0.07; min_capacity_fraction = 0.5 }
-
-type t = {
-  config : config;
-  ecc : Ecc_profile.t;
-  geometry : Flash.Geometry.t;
-  engine : Engine.t;
-  block_bad : bool array;
-  mutable retired_blocks : int;
-  mutable capacity : int;
-  initial_capacity : int;
-  mutable shrunk : int;
-  mutable dead : bool;
-}
-
-let create ?(config = default_config) ?ecc ?registry ~geometry ~model ~rng () =
-  let ecc =
-    match ecc with Some e -> e | None -> Ecc_profile.of_geometry geometry
-  in
-  let chip =
-    Flash.Chip.create ?registry ~rng:(Sim.Rng.split rng) ~geometry ~model ()
-  in
-  let block_bad = Array.make geometry.Flash.Geometry.blocks false in
-  let opages = geometry.Flash.Geometry.opages_per_fpage in
-  let policy =
-    {
-      Policy.data_slots =
-        (fun ~block ~page ->
-          ignore page;
-          if block_bad.(block) then 0 else opages);
-      read_fail_prob =
-        (fun ~rber ~block:_ ~page:_ ->
-          Ecc_profile.opage_read_fail_prob ecc ~rber);
-      should_reclaim =
-        (fun ~rber ~block:_ ~page:_ -> Ecc_profile.should_reclaim ecc ~rber);
-      on_block_erased = (fun ~block:_ -> ());
-    }
-  in
-  let initial_capacity =
-    int_of_float
-      (float_of_int (Flash.Geometry.total_opages geometry)
-      *. (1. -. config.over_provisioning))
-  in
-  let engine =
-    Engine.create ?registry ~chip ~rng:(Sim.Rng.split rng) ~policy
-      ~logical_capacity:initial_capacity ()
-  in
-  (* Health-monitor input: CVSS shrinks capacity but never changes the
-     code, so its correction ceiling is the level-0 tolerance. *)
-  (match registry with
-  | Some registry ->
-      Telemetry.Registry.Gauge.set
-        (Telemetry.Registry.gauge registry
-           ~help:"Highest RBER the device's strongest code corrects"
-           "device_tolerable_rber")
-        ecc.Ecc_profile.tolerable_rber
-  | None -> ());
-  let t =
-    {
-      config;
-      ecc;
-      geometry;
-      engine;
-      block_bad;
-      retired_blocks = 0;
-      capacity = initial_capacity;
-      initial_capacity;
-      shrunk = 0;
-      dead = false;
-    }
-  in
-  policy.Policy.on_block_erased <-
-    (fun ~block ->
-      if not t.block_bad.(block) then begin
-        let pages = geometry.Flash.Geometry.pages_per_block in
-        let tired = ref false in
-        for page = 0 to pages - 1 do
-          let rber = Flash.Chip.rber chip ~block ~page in
-          if Ecc_profile.page_is_tired ecc ~rber then tired := true
-        done;
-        if !tired then begin
-          t.block_bad.(block) <- true;
-          t.retired_blocks <- t.retired_blocks + 1;
-          (* Shrink: surrender a block's worth of LBAs from the top of the
-             address space.  The host file system absorbs the loss from
-             its free space; any data there is trimmed away here and the
-             host re-creates it elsewhere (counted in [shrunk]). *)
-          let block_opages = pages * opages in
-          let new_capacity = Stdlib.max 0 (t.capacity - block_opages) in
-          for lba = new_capacity to t.capacity - 1 do
-            Engine.discard t.engine ~logical:lba;
-            t.shrunk <- t.shrunk + 1
-          done;
-          t.capacity <- new_capacity;
-          if
-            float_of_int t.capacity
-            < t.config.min_capacity_fraction
-              *. float_of_int t.initial_capacity
-          then t.dead <- true
-        end
-      end);
-  t
-
-let ecc t = t.ecc
-let engine t = t.engine
-let retired_blocks t = t.retired_blocks
-let shrunk_opages t = t.shrunk
-let label _ = "cvss"
-
-let write t ~lba ~payload =
-  if t.dead then Error `Dead
-  else if lba < 0 || lba >= t.capacity then Error `Out_of_range
-  else
-    match Engine.write t.engine ~logical:lba ~payload with
-    | Ok () -> Ok ()
-    | Error `No_space ->
-        t.dead <- true;
-        Error `No_space
-
-(* Bulk segments between erases.  [t.capacity] is re-read at each
-   segment start, so a mid-stream shrink (the erase hook fires inside
-   the segment, which then ends with [Stream_erased]) tightens the limit
-   before any further write — draws into the surrendered range come back
-   as [Stream_resync], the per-op [`Out_of_range].  Budget before death,
-   as in the per-op loop's stop-then-alive order. *)
-let write_stream t ~rng ~window ~payload_base ~budget =
-  if not (Engine.stream_capable t.engine) then
-    { Device_intf.accepted = 0; status = Device_intf.Stream_unsupported }
-  else
-    let rec go accepted =
-      if accepted >= budget then
-        { Device_intf.accepted; status = Device_intf.Stream_filled }
-      else if t.dead then
-        { Device_intf.accepted; status = Device_intf.Stream_dead }
-      else
-        let n, stop =
-          Engine.write_stream t.engine ~rng ~window ~limit:t.capacity
-            ~translate:Fun.id ~payload_base:(payload_base + accepted)
-            ~budget:(budget - accepted)
-        in
-        let accepted = accepted + n in
-        match stop with
-        | Engine.Stream_budget ->
-            { Device_intf.accepted; status = Device_intf.Stream_filled }
-        | Engine.Stream_out_of_window ->
-            { Device_intf.accepted; status = Device_intf.Stream_resync }
-        | Engine.Stream_erased -> go accepted
-        | Engine.Stream_no_space _ ->
-            t.dead <- true;
-            { Device_intf.accepted; status = Device_intf.Stream_dead }
-    in
-    go 0
-
-let read t ~lba =
-  if lba < 0 || lba >= t.initial_capacity then Error `Out_of_range
-  else
-    (Engine.read t.engine ~logical:lba
-      :> (int, Device_intf.read_error) result)
-
-let trim t ~lba =
-  if lba >= 0 && lba < t.initial_capacity then
-    Engine.discard t.engine ~logical:lba
-
-let alive t = not t.dead
-let logical_capacity t = if t.dead then 0 else t.capacity
-let initial_capacity t = t.initial_capacity
-let host_writes t = Engine.host_writes t.engine
-let write_amplification t = Engine.write_amplification t.engine
-
-let bg_stats t =
-  {
-    Device_intf.gc_runs = Engine.gc_runs t.engine;
-    relocated_opages = Engine.relocated_opages t.engine;
-    read_retries = Engine.read_retries t.engine;
-    read_reclaims = Engine.read_reclaims t.engine;
-    live_repair_attempts = Engine.read_escalations t.engine;
-    live_repairs = Engine.escalation_successes t.engine;
-  }
-
-let wear_stats t =
-  let w = Flash.Chip.wear (Engine.chip t.engine) in
-  {
-    Device_intf.pec_max = w.Flash.Chip.wear_pec_max;
-    pec_min = w.Flash.Chip.wear_pec_min;
-    rber_worst = w.Flash.Chip.wear_rber_worst;
-    tolerable_rber = t.ecc.Ecc_profile.tolerable_rber;
-  }
-
-let set_recovery_hook t ?config hook =
-  (* flat LBAs map 1:1 onto engine logicals (reads above the shrunk
-     capacity still resolve, exactly like [read]) *)
-  Engine.set_recovery_hook t.engine ?config
-    (Option.map (fun f ~logical -> f ~lba:logical) hook)
+let create = create ~retirement:Shrink

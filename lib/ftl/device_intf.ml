@@ -94,6 +94,36 @@ module type S = sig
       reads whose retry ladder exhausted from replica redundancy. *)
 end
 
+(* The halves of [bg_stats] and [wear_stats] every device kind derives
+   from its FTL engine the same way. *)
+let engine_bg_stats engine =
+  {
+    gc_runs = Engine.gc_runs engine;
+    relocated_opages = Engine.relocated_opages engine;
+    read_retries = Engine.read_retries engine;
+    read_reclaims = Engine.read_reclaims engine;
+    live_repair_attempts = Engine.read_escalations engine;
+    live_repairs = Engine.escalation_successes engine;
+  }
+
+let engine_wear_stats ~tolerable_rber engine =
+  let w = Flash.Chip.wear (Engine.chip engine) in
+  {
+    pec_max = w.Flash.Chip.wear_pec_max;
+    pec_min = w.Flash.Chip.wear_pec_min;
+    rber_worst = w.Flash.Chip.wear_rber_worst;
+    tolerable_rber;
+  }
+
+(* Health-monitor input: the highest RBER the device's strongest code
+   corrects. *)
+let set_tolerable_rber registry rber =
+  Telemetry.Registry.Gauge.set
+    (Telemetry.Registry.gauge registry
+       ~help:"Highest RBER the device's strongest code corrects"
+       "device_tolerable_rber")
+    rber
+
 type packed = Packed : (module S with type t = 'a) * 'a -> packed
 (** Existential wrapper so fleets can mix device designs. *)
 

@@ -1,25 +1,4 @@
-(** Online statistics and histograms for experiment measurement. *)
-
-(** Single-pass mean/variance accumulator (Welford's algorithm). *)
-module Online : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  (** Mean of the observations; [nan] when empty. *)
-
-  val variance : t -> float
-  (** Unbiased sample variance; [nan] with fewer than two observations. *)
-
-  val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
-  val total : t -> float
-  val merge : t -> t -> t
-  (** Combine two accumulators as if all observations went to one. *)
-end
+(** Histograms for experiment measurement. *)
 
 (** Log-linear (HDR-style) histogram: the one bucketed distribution of
     the simulator — telemetry metrics, request latencies and fleet wear

@@ -18,7 +18,7 @@ module Defaults = Experiments.Defaults
 let geometry = Defaults.geometry
 let model = Defaults.model
 
-type kind = [ `Baseline | `Cvss | `Shrinks | `Regens ]
+type kind = Defaults.kind
 
 let kind_label = Defaults.kind_label
 
@@ -29,38 +29,8 @@ type twin = {
 }
 
 let make_twin ?registry (kind : kind) ~seed =
-  let rng = Sim.Rng.create seed in
-  match kind with
-  | `Baseline ->
-      let d = Ftl.Baseline_ssd.create ?registry ~geometry ~model ~rng () in
-      {
-        dev = Ftl.Device_intf.Packed ((module Ftl.Baseline_ssd), d);
-        chip = Ftl.Engine.chip (Ftl.Baseline_ssd.engine d);
-        engine = Ftl.Baseline_ssd.engine d;
-      }
-  | `Cvss ->
-      let d = Ftl.Cvss.create ?registry ~geometry ~model ~rng () in
-      {
-        dev = Ftl.Device_intf.Packed ((module Ftl.Cvss), d);
-        chip = Ftl.Engine.chip (Ftl.Cvss.engine d);
-        engine = Ftl.Cvss.engine d;
-      }
-  | (`Shrinks | `Regens) as k ->
-      let mode =
-        match k with
-        | `Shrinks -> Salamander.Device.Shrink_s
-        | `Regens -> Salamander.Device.Regen_s
-      in
-      let d =
-        Salamander.Device.create
-          ~config:(Defaults.salamander_config ~mode)
-          ?registry ~geometry ~model ~rng ()
-      in
-      {
-        dev = Salamander.Device.pack d;
-        chip = Ftl.Engine.chip (Salamander.Device.engine d);
-        engine = Salamander.Device.engine d;
-      }
+  let dev, engine = Defaults.device ?registry kind ~rng:(Sim.Rng.create seed) in
+  { dev; chip = Ftl.Engine.chip engine; engine }
 
 let make_pattern dev =
   Workload.Pattern.uniform

@@ -72,15 +72,13 @@ let test_rber_strength_distribution () =
     Flash.Rber_model.calibrate ~target_rber:3e-3 ~target_pec:3000 ()
   in
   let rng = Sim.Rng.create 5 in
-  let online = Sim.Stats.Online.create () in
-  for _ = 1 to 10_000 do
-    Sim.Stats.Online.add online
-      (log (Flash.Rber_model.sample_strength model rng))
-  done;
+  let mean, stddev =
+    Test_sim.mean_stddev 10_000 (fun () ->
+        log (Flash.Rber_model.sample_strength model rng))
+  in
   (* Lognormal with mu=0: log has mean 0, stddev = sigma. *)
-  checkf 0.02 "median 1" 0. (Sim.Stats.Online.mean online);
-  checkf 0.02 "sigma" Flash.Rber_model.default_strength_sigma
-    (Sim.Stats.Online.stddev online)
+  checkf 0.02 "median 1" 0. mean;
+  checkf 0.02 "sigma" Flash.Rber_model.default_strength_sigma stddev
 
 (* --- Chip --------------------------------------------------------------- *)
 

@@ -587,7 +587,9 @@ let test_baseline_ages_and_bricks () =
   checkb "died of wear" true (not (Ftl.Baseline_ssd.alive device));
   checkb "survived a meaningful life" true (writes > 1000);
   checkb "bad blocks at or beyond threshold" true
-    (Ftl.Baseline_ssd.bad_block_fraction device >= 0.025);
+    (float_of_int (Ftl.Baseline_ssd.retired_blocks device)
+     /. float_of_int geometry.Flash.Geometry.blocks
+    >= 0.025);
   (* Read-only after death: reads still work. *)
   let readable = ref false in
   for lba = 0 to Ftl.Baseline_ssd.initial_capacity device - 1 do
@@ -607,6 +609,38 @@ let test_baseline_capacity_constant_until_death () =
   ignore (age_device_until_death packed 0.9);
   checki "capacity drops to zero at death" 0
     (Ftl.Baseline_ssd.logical_capacity device)
+
+(* The one host-visible difference between the two retirement kinds
+   once a drive is dead: a bricked baseline ignores a trim and keeps
+   serving the data, a dead CVSS drive still discards it. *)
+let test_dead_trim_by_retirement () =
+  let trim_after_death (type a) (module D : Ftl.Device_intf.S with type t = a)
+      (device : a) =
+    let packed = Ftl.Device_intf.Packed ((module D), device) in
+    ignore (age_device_until_death packed 0.45);
+    checkb "dead" false (D.alive device);
+    let rec mapped lba =
+      if lba >= D.initial_capacity device then Alcotest.fail "no mapped LBA"
+      else
+        match D.read device ~lba with
+        | Ok payload -> (lba, payload)
+        | Error _ -> mapped (lba + 1)
+    in
+    let lba, payload = mapped 0 in
+    D.trim device ~lba;
+    (payload, D.read device ~lba)
+  in
+  let baseline =
+    Ftl.Baseline_ssd.create ~geometry ~model:fast_model
+      ~rng:(Sim.Rng.create 31) ()
+  in
+  let payload, after = trim_after_death (module Ftl.Baseline_ssd) baseline in
+  checkb "bricked baseline ignores the trim" true (after = Ok payload);
+  let cvss =
+    Ftl.Cvss.create ~geometry ~model:fast_model ~rng:(Sim.Rng.create 31) ()
+  in
+  let _, after = trim_after_death (module Ftl.Cvss) cvss in
+  checkb "dead cvss discards" true (after = Error `Unmapped)
 
 (* --- CVSS ------------------------------------------------------------------ *)
 
@@ -946,4 +980,5 @@ let suite =
      test_baseline_capacity_constant_until_death);
     ("cvss shrinks then dies", `Slow, test_cvss_shrinks_then_dies);
     ("cvss outlives baseline", `Slow, test_cvss_outlives_baseline);
+    ("dead drive trim by retirement", `Slow, test_dead_trim_by_retirement);
   ]

@@ -135,14 +135,22 @@ let test_dist_exponential_mean () =
   let mean = sample_mean 50_000 (fun () -> Sim.Dist.exponential rng ~rate:2.) in
   checkf 0.02 "mean 1/rate" 0.5 mean
 
+(* Sample mean and unbiased standard deviation of [n] draws. *)
+let mean_stddev n draw =
+  let xs = Array.init n (fun _ -> draw ()) in
+  let mean = Array.fold_left ( +. ) 0. xs /. float_of_int n in
+  let squares =
+    Array.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0. xs
+  in
+  (mean, sqrt (squares /. float_of_int (n - 1)))
+
 let test_dist_normal_moments () =
   let rng = Sim.Rng.create 22 in
-  let online = Sim.Stats.Online.create () in
-  for _ = 1 to 50_000 do
-    Sim.Stats.Online.add online (Sim.Dist.normal rng ~mean:3. ~stddev:2.)
-  done;
-  checkf 0.05 "mean" 3. (Sim.Stats.Online.mean online);
-  checkf 0.1 "stddev" 2. (Sim.Stats.Online.stddev online)
+  let mean, stddev =
+    mean_stddev 50_000 (fun () -> Sim.Dist.normal rng ~mean:3. ~stddev:2.)
+  in
+  checkf 0.05 "mean" 3. mean;
+  checkf 0.1 "stddev" 2. stddev
 
 let test_dist_lognormal_positive () =
   let rng = Sim.Rng.create 23 in
@@ -266,32 +274,6 @@ let test_solve_monotone () =
   checkf 1e-9 "sqrt 2" (sqrt 2.) root
 
 (* --- Stats ------------------------------------------------------------ *)
-
-let test_online_known_values () =
-  let online = Sim.Stats.Online.create () in
-  List.iter (Sim.Stats.Online.add online) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
-  checki "count" 8 (Sim.Stats.Online.count online);
-  checkf 1e-9 "mean" 5. (Sim.Stats.Online.mean online);
-  checkf 1e-9 "variance" (32. /. 7.) (Sim.Stats.Online.variance online);
-  checkf 1e-9 "min" 2. (Sim.Stats.Online.min online);
-  checkf 1e-9 "max" 9. (Sim.Stats.Online.max online);
-  checkf 1e-9 "total" 40. (Sim.Stats.Online.total online)
-
-let test_online_merge () =
-  let a = Sim.Stats.Online.create () and b = Sim.Stats.Online.create () in
-  let all = Sim.Stats.Online.create () in
-  let rng = Sim.Rng.create 31 in
-  for i = 1 to 1000 do
-    let x = Sim.Rng.unit_float rng *. 10. in
-    Sim.Stats.Online.add all x;
-    Sim.Stats.Online.add (if i mod 3 = 0 then a else b) x
-  done;
-  let merged = Sim.Stats.Online.merge a b in
-  checki "merged count" 1000 (Sim.Stats.Online.count merged);
-  checkf 1e-9 "merged mean" (Sim.Stats.Online.mean all)
-    (Sim.Stats.Online.mean merged);
-  checkf 1e-6 "merged variance" (Sim.Stats.Online.variance all)
-    (Sim.Stats.Online.variance merged)
 
 module H = Sim.Stats.Histogram
 
@@ -427,33 +409,6 @@ let prop_histogram_merge =
       && bits merged = bits whole
       && buckets merged = buckets whole)
 
-let prop_online_merge_matches_combined =
-  (* merge a b must behave exactly as if every observation had been fed
-     to a single accumulator, for any split of any sample list. *)
-  QCheck.Test.make ~count:200 ~name:"online merge = combined accumulator"
-    QCheck.(pair (list (float_bound_exclusive 1000.)) small_int)
-    (fun (xs, split_seed) ->
-      let a = Sim.Stats.Online.create ()
-      and b = Sim.Stats.Online.create ()
-      and all = Sim.Stats.Online.create () in
-      List.iteri
-        (fun i x ->
-          Sim.Stats.Online.add all x;
-          Sim.Stats.Online.add (if (i + split_seed) mod 2 = 0 then a else b) x)
-        xs;
-      let merged = Sim.Stats.Online.merge a b in
-      let feq x y =
-        (Float.is_nan x && Float.is_nan y)
-        || Float.abs (x -. y) <= 1e-6 *. Float.max 1. (Float.abs y)
-      in
-      Sim.Stats.Online.count merged = Sim.Stats.Online.count all
-      && feq (Sim.Stats.Online.mean merged) (Sim.Stats.Online.mean all)
-      && feq (Sim.Stats.Online.variance merged)
-           (Sim.Stats.Online.variance all)
-      && feq (Sim.Stats.Online.total merged) (Sim.Stats.Online.total all)
-      && Sim.Stats.Online.min merged = Sim.Stats.Online.min all
-      && Sim.Stats.Online.max merged = Sim.Stats.Online.max all)
-
 (* --- Event queue and engine ------------------------------------------- *)
 
 let test_event_queue_ordering () =
@@ -565,14 +520,11 @@ let suite =
     ("special binomial tail monotone", `Quick,
      test_binomial_tail_monotone_in_p);
     ("special solve_monotone", `Quick, test_solve_monotone);
-    ("stats online known values", `Quick, test_online_known_values);
-    ("stats online merge", `Quick, test_online_merge);
     ("stats histogram percentiles", `Quick, test_histogram_percentiles);
     ("stats histogram singleton", `Quick, test_histogram_singleton);
     ("stats histogram edge values", `Quick, test_histogram_edge_values);
     QCheck_alcotest.to_alcotest prop_histogram_accuracy;
     QCheck_alcotest.to_alcotest prop_histogram_merge;
-    QCheck_alcotest.to_alcotest prop_online_merge_matches_combined;
     ("event queue ordering", `Quick, test_event_queue_ordering);
     ("event queue fifo ties", `Quick, test_event_queue_fifo_ties);
     ("event queue random order", `Quick, test_event_queue_random_order);
