@@ -125,7 +125,7 @@ type t = {
   chip : Flash.Chip.t;
   engine : Ftl.Engine.t;
   limbo : Limbo.t;
-  registry : Minidisk.Registry.t;
+  registry : Minidisk.Registry.t; (* and the LBA translation all paths read *)
   events : Events.Queue.t;
   levels : int array; (* tiredness per fPage, indexed block*ppb + page *)
   pending_check : bool ref;
@@ -136,14 +136,6 @@ type t = {
   mutable dead : bool;
   mutable decommissions : int;
   mutable regenerations : int;
-  (* Bulk-aging stream cache: the active-minidisk array and its
-     slot-base table, valid while [stream_gen] matches the registry's
-     generation.  The per-op path deliberately does not use it — it is
-     the retained oracle and stays byte-for-byte the code it always
-     was. *)
-  mutable stream_gen : int;
-  mutable stream_mdisks : Minidisk.t array;
-  mutable stream_base : int array;
 }
 
 type write_error = [ `Dead | `Unknown_mdisk | `No_space ]
@@ -172,9 +164,6 @@ let create ?(config = default_config) ?registry ~geometry ~model ~rng () =
   let total_opages = Flash.Geometry.total_opages geometry in
   let slots = total_opages / config.mdisk_opages in
   if slots = 0 then invalid_arg "Device.create: minidisk larger than device";
-  let registry =
-    Minidisk.Registry.create ~opages_per_mdisk:config.mdisk_opages ~slots
-  in
   let pending_check = ref false in
   let tel = make_tel tel_registry profile config.mode in
   (* Health-monitor input: the deepest tiredness level's code sets the
@@ -249,9 +238,10 @@ let create ?(config = default_config) ?registry ~geometry ~model ~rng () =
          (float_of_int total_opages *. (1. -. config.over_provisioning))
       / config.mdisk_opages)
   in
-  for _ = 1 to initial do
-    ignore (Minidisk.Registry.create_mdisk registry ~birth_level:0)
-  done;
+  let registry =
+    Minidisk.Registry.create ~opages_per_mdisk:config.mdisk_opages ~slots
+      ~initial
+  in
   if Telemetry.Registry.Gauge.is_active tel.tel_active_mdisks then begin
     Telemetry.Registry.Gauge.set tel.tel_limbo.(0)
       (float_of_int (Limbo.count limbo ~level:0));
@@ -275,9 +265,6 @@ let create ?(config = default_config) ?registry ~geometry ~model ~rng () =
     dead = false;
     decommissions = 0;
     regenerations = 0;
-    stream_gen = -1;
-    stream_mdisks = [||];
-    stream_base = [||];
   }
 
 (* --- decommissioning and regeneration ---------------------------------- *)
@@ -540,39 +527,50 @@ let recover_no_space t ~mdisk ~logical ~payload =
   in
   recover ()
 
+(* The engine-side halves of [write] and [read], shared with the flat
+   adapter, which translates through the registry's view instead of
+   looking the minidisk up by id. *)
+let write_logical t ~mdisk ~logical ~payload =
+  match Ftl.Engine.write t.engine ~logical ~payload with
+  | Ok () ->
+      maintain t;
+      Ok ()
+  | Error `No_space -> recover_no_space t ~mdisk ~logical ~payload
+
+let read_logical t ~logical =
+  match Ftl.Engine.read t.engine ~logical with
+  | Error `Uncorrectable as e ->
+      (* Attribute the residual-UBER event to the failing page's
+         tiredness level (error path, so the lookup is free in
+         aggregate). *)
+      (match Ftl.Engine.locate t.engine ~logical with
+      | Some { Ftl.Location.block; page; _ } ->
+          Telemetry.Registry.Counter.incr
+            t.tel.tel_uncorrectable.(t.levels.(page_index t.geometry ~block
+                                                 ~page))
+      | None -> ());
+      e
+  | result -> result
+
 let write t ~mdisk ~lba ~payload =
   if t.dead then Error `Dead
   else
     match find_active t mdisk with
     | None -> Error `Unknown_mdisk
-    | Some m -> (
-        let logical = Minidisk.Registry.engine_logical t.registry m ~lba in
-        match Ftl.Engine.write t.engine ~logical ~payload with
-        | Ok () ->
-            maintain t;
-            Ok ()
-        | Error `No_space -> recover_no_space t ~mdisk ~logical ~payload)
+    | Some m ->
+        write_logical t ~mdisk
+          ~logical:(Minidisk.Registry.engine_logical t.registry m ~lba)
+          ~payload
 
 let read t ~mdisk ~lba =
   if t.dead then Error `Dead
   else
     match find_readable t mdisk with
     | None -> Error `Unknown_mdisk
-    | Some m -> (
-        let logical = Minidisk.Registry.engine_logical t.registry m ~lba in
-        match Ftl.Engine.read t.engine ~logical with
-        | Error `Uncorrectable as e ->
-            (* Attribute the residual-UBER event to the failing page's
-               tiredness level (error path, so the lookup is free in
-               aggregate). *)
-            (match Ftl.Engine.locate t.engine ~logical with
-            | Some { Ftl.Location.block; page; _ } ->
-                Telemetry.Registry.Counter.incr
-                  t.tel.tel_uncorrectable.(t.levels.(page_index t.geometry
-                                                       ~block ~page))
-            | None -> ());
-            (e :> (int, read_error) result)
-        | result -> (result :> (int, read_error) result))
+    | Some m ->
+        (read_logical t
+           ~logical:(Minidisk.Registry.engine_logical t.registry m ~lba)
+          :> (int, read_error) result)
 
 let trim t ~mdisk ~lba =
   if not t.dead then
@@ -582,25 +580,18 @@ let trim t ~mdisk ~lba =
         Ftl.Engine.discard t.engine
           ~logical:(Minidisk.Registry.engine_logical t.registry m ~lba)
 
-(* Engine logicals are slot-addressed; reverse-map one to the minidisk
-   occupying that slot.  Draining minidisks are still readable — their
-   reads can escalate into live repair like any other. *)
-let mdisk_of_logical t ~logical =
-  let slot = logical / t.config.mdisk_opages in
-  let matches m = m.Minidisk.slot = slot in
-  match List.find_opt matches (Minidisk.Registry.active t.registry) with
-  | Some _ as found -> found
-  | None -> List.find_opt matches (Minidisk.Registry.draining t.registry)
-
+(* Engine logicals are slot-addressed; the view's owner table maps one
+   back to the minidisk holding that slot.  Draining minidisks still own
+   their slot — their reads can escalate into live repair like any
+   other. *)
 let set_recovery_hook t ?config hook =
   Ftl.Engine.set_recovery_hook t.engine ?config
     (Option.map
        (fun f ~logical ->
-         match mdisk_of_logical t ~logical with
+         let per = t.config.mdisk_opages in
+         match (Minidisk.Registry.view t.registry).owner.(logical / per) with
          | None -> None
-         | Some m ->
-             f ~mdisk:m.Minidisk.id
-               ~lba:(logical mod t.config.mdisk_opages))
+         | Some m -> f ~mdisk:m.Minidisk.id ~lba:(logical mod per))
        hook)
 
 let acknowledge_decommission t ~mdisk =
@@ -664,50 +655,34 @@ module As_device = struct
   let label t =
     match t.config.mode with Shrink_s -> "shrinks" | Regen_s -> "regens"
 
-  let active_array t = Array.of_list (Minidisk.Registry.active t.registry)
-
-  let locate t ~lba =
-    if lba < 0 then None
-    else
-      let mdisks = active_array t in
-      let per = t.config.mdisk_opages in
-      let index = lba / per in
-      if index >= Array.length mdisks then None
-      else Some (mdisks.(index).Minidisk.id, lba mod per)
-
+  (* Flat LBA [lba] is position [lba / per] of the view's active array,
+     which holds the live minidisks in id order. *)
   let write t ~lba ~payload =
-    match locate t ~lba with
-    | None -> if t.dead then Error `Dead else Error `Out_of_range
-    | Some (mdisk, lba) -> (
-        match write t ~mdisk ~lba ~payload with
-        | Ok () -> Ok ()
-        | Error (`Dead | `No_space) as e ->
-            (e :> (unit, Ftl.Device_intf.write_error) result)
-        | Error `Unknown_mdisk -> Error `Out_of_range)
+    let v = Minidisk.Registry.view t.registry in
+    let per = t.config.mdisk_opages in
+    if t.dead then Error `Dead
+    else if lba < 0 || lba >= Array.length v.active * per then
+      Error `Out_of_range
+    else
+      let i = lba / per in
+      match
+        write_logical t ~mdisk:v.active.(i).Minidisk.id
+          ~logical:(v.base.(i) + (lba mod per))
+          ~payload
+      with
+      | Ok () -> Ok ()
+      | Error `No_space as e -> e
+      | Error `Unknown_mdisk -> Error `Out_of_range
 
-  (* Bulk segments between maintenance points.  The LBA -> engine-logical
-     translation (the active-minidisk array [locate] rebuilds per write)
-     only moves when maintenance decommissions or regenerates — and
-     maintenance only runs after erases — so one lookup table serves a
-     whole no-erase segment.  The table is cached on the device keyed by
-     the registry's generation counter: most segments end on a monitor
-     or telemetry boundary with the active set untouched, and reuse the
-     arrays as-is.  [Stream_erased] re-enters [maintain] at the same
-     point the per-op path would (right after the triggering write),
-     then re-derives the table if maintenance moved it.  A [`No_space]
-     replays the exact per-op recovery ([recover_no_space], including
-     its host-write re-count on retry) before resuming.  Budget before
-     death, matching the per-op loop's stop-then-alive order. *)
-  let refresh_stream_tables t =
-    let gen = Minidisk.Registry.generation t.registry in
-    if t.stream_gen <> gen then begin
-      let mdisks = active_array t in
-      let per = t.config.mdisk_opages in
-      t.stream_mdisks <- mdisks;
-      t.stream_base <- Array.map (fun m -> m.Minidisk.slot * per) mdisks;
-      t.stream_gen <- gen
-    end
-
+  (* Bulk segments between maintenance points.  The view only moves when
+     maintenance decommissions or regenerates, and maintenance only runs
+     after erases, so one view serves a whole no-erase segment.
+     [Stream_erased] re-enters [maintain] at the same point the per-op
+     path would (right after the triggering write), and the next segment
+     reads whatever view maintenance left.  A [`No_space] replays the
+     exact per-op recovery ([recover_no_space], including its host-write
+     re-count on retry) before resuming.  Budget before death, matching
+     the per-op loop's stop-then-alive order. *)
   let write_stream t ~rng ~window ~payload_base ~budget =
     if not (Ftl.Engine.stream_capable t.engine) then
       {
@@ -722,10 +697,9 @@ module As_device = struct
         else if t.dead then
           { Ftl.Device_intf.accepted; status = Ftl.Device_intf.Stream_dead }
         else begin
-          refresh_stream_tables t;
-          let mdisks = t.stream_mdisks in
-          let base = t.stream_base in
-          let limit = Array.length mdisks * per in
+          let v = Minidisk.Registry.view t.registry in
+          let base = v.base in
+          let limit = Array.length base * per in
           let translate lba = base.(lba / per) + (lba mod per) in
           let n, stop =
             Ftl.Engine.write_stream t.engine ~rng ~window ~limit ~translate
@@ -748,10 +722,9 @@ module As_device = struct
               maintain t;
               go accepted
           | Ftl.Engine.Stream_no_space lba -> (
-              let mdisk = mdisks.(lba / per).Minidisk.id in
-              let logical = base.(lba / per) + (lba mod per) in
               match
-                recover_no_space t ~mdisk ~logical
+                recover_no_space t ~mdisk:v.active.(lba / per).Minidisk.id
+                  ~logical:(translate lba)
                   ~payload:(payload_base + accepted)
               with
               | Ok () -> go (accepted + 1)
@@ -770,19 +743,20 @@ module As_device = struct
       go 0
 
   let read t ~lba =
-    match locate t ~lba with
-    | None -> if t.dead then Error `Dead else Error `Out_of_range
-    | Some (mdisk, lba) -> (
-        match read t ~mdisk ~lba with
-        | Ok payload -> Ok payload
-        | Error (`Dead | `Unmapped | `Uncorrectable) as e ->
-            (e :> (int, Ftl.Device_intf.read_error) result)
-        | Error `Unknown_mdisk -> Error `Out_of_range)
+    let v = Minidisk.Registry.view t.registry in
+    let per = t.config.mdisk_opages in
+    if t.dead then Error `Dead
+    else if lba < 0 || lba >= Array.length v.active * per then
+      Error `Out_of_range
+    else
+      (read_logical t ~logical:(v.base.(lba / per) + (lba mod per))
+        :> (int, Ftl.Device_intf.read_error) result)
 
   let trim t ~lba =
-    match locate t ~lba with
-    | None -> ()
-    | Some (mdisk, lba) -> trim t ~mdisk ~lba
+    let v = Minidisk.Registry.view t.registry in
+    let per = t.config.mdisk_opages in
+    if (not t.dead) && lba >= 0 && lba < Array.length v.active * per then
+      Ftl.Engine.discard t.engine ~logical:(v.base.(lba / per) + (lba mod per))
 
   let alive = alive
   let logical_capacity t = if t.dead then 0 else active_opages t
@@ -799,22 +773,16 @@ module As_device = struct
           .Tiredness.tolerable_rber
 
   let set_recovery_hook t ?config hook =
-    (* reverse of [locate]: engine logical -> slot -> position in the
+    (* reverse of [read]: engine logical -> slot -> position in the
        active array -> flat LBA (draining minidisks are not addressable
        through the flat adapter, so their escalations find no owner) *)
     Ftl.Engine.set_recovery_hook t.engine ?config
       (Option.map
          (fun f ~logical ->
            let per = t.config.mdisk_opages in
-           let slot = logical / per in
-           let mdisks = active_array t in
-           let rec scan i =
-             if i >= Array.length mdisks then None
-             else if mdisks.(i).Minidisk.slot = slot then
-               f ~lba:((i * per) + (logical mod per))
-             else scan (i + 1)
-           in
-           scan 0)
+           let v = Minidisk.Registry.view t.registry in
+           let i = v.position.(logical / per) in
+           if i < 0 then None else f ~lba:((i * per) + (logical mod per)))
          hook)
 end
 

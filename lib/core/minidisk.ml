@@ -11,40 +11,47 @@ type t = {
 module Registry = struct
   type mdisk = t
 
+  type view = {
+    active : mdisk array;
+    base : int array;
+    position : int array;
+    owner : mdisk option array;
+  }
+
   type t = {
     opages_per_mdisk : int;
-    slots : int;
     by_id : (int, mdisk) Hashtbl.t;
     mutable free_slots : int list;
     mutable next_id : int;
-    mutable active : int;
-    mutable created : int;
     mutable decommissioned : int;
-    mutable generation : int;
-        (* bumped on every membership/state mutation; lets callers cache
-           derived views of the active set (the bulk-aging stream's
-           LBA-translation table) and rebuild only when stale *)
+    mutable view : view;
   }
 
-  let create ~opages_per_mdisk ~slots =
-    if opages_per_mdisk <= 0 then
-      invalid_arg "Minidisk.Registry.create: opages_per_mdisk";
-    if slots <= 0 then invalid_arg "Minidisk.Registry.create: slots";
-    {
-      opages_per_mdisk;
-      slots;
-      by_id = Hashtbl.create 64;
-      free_slots = List.init slots Fun.id;
-      next_id = 0;
-      active = 0;
-      created = 0;
-      decommissioned = 0;
-      generation = 0;
-    }
+  (* Slot owners in [state], in increasing id order. *)
+  let owners_in owner state =
+    Array.fold_left
+      (fun acc m ->
+        match m with
+        | Some mdisk when mdisk.state = state -> mdisk :: acc
+        | _ -> acc)
+      [] owner
+    |> List.sort (fun a b -> compare a.id b.id)
 
-  let opages_per_mdisk t = t.opages_per_mdisk
+  (* Built only by the mutators and never written afterwards: a reader
+     holding a view across a mutation keeps a consistent (old) table. *)
+  let derive ~opages_per_mdisk owner =
+    let active = Array.of_list (owners_in owner Active) in
+    let position = Array.make (Array.length owner) (-1) in
+    Array.iteri (fun i mdisk -> position.(mdisk.slot) <- i) active;
+    let base = Array.map (fun mdisk -> mdisk.slot * opages_per_mdisk) active in
+    { active; base; position; owner }
 
-  let create_mdisk t ~birth_level =
+  let rebuild t owner =
+    t.view <- derive ~opages_per_mdisk:t.opages_per_mdisk owner
+
+  (* Give a fresh minidisk the next free slot, recording it in [owner];
+     the caller rebuilds the view once it is done. *)
+  let claim t owner ~birth_level =
     match t.free_slots with
     | [] -> None
     | slot :: rest ->
@@ -59,26 +66,54 @@ module Registry = struct
           }
         in
         t.next_id <- t.next_id + 1;
-        t.active <- t.active + 1;
-        t.created <- t.created + 1;
-        t.generation <- t.generation + 1;
         Hashtbl.add t.by_id mdisk.id mdisk;
+        owner.(slot) <- Some mdisk;
         Some mdisk
+
+  let create ~opages_per_mdisk ~slots ~initial =
+    if opages_per_mdisk <= 0 then
+      invalid_arg "Minidisk.Registry.create: opages_per_mdisk";
+    if slots <= 0 then invalid_arg "Minidisk.Registry.create: slots";
+    let owner = Array.make slots None in
+    let t =
+      {
+        opages_per_mdisk;
+        by_id = Hashtbl.create 64;
+        free_slots = List.init slots Fun.id;
+        next_id = 0;
+        decommissioned = 0;
+        view = derive ~opages_per_mdisk [||] (* replaced below *);
+      }
+    in
+    for _ = 1 to initial do
+      ignore (claim t owner ~birth_level:0)
+    done;
+    rebuild t owner;
+    t
+
+  let opages_per_mdisk t = t.opages_per_mdisk
+  let view t = t.view
+
+  let create_mdisk t ~birth_level =
+    let owner = Array.copy t.view.owner in
+    match claim t owner ~birth_level with
+    | None -> None
+    | Some _ as created ->
+        rebuild t owner;
+        created
 
   let decommission t id =
     match Hashtbl.find_opt t.by_id id with
     | None -> raise Not_found
     | Some mdisk ->
-        (match mdisk.state with
-        | Decommissioned ->
-            invalid_arg
-              "Minidisk.Registry.decommission: already decommissioned"
-        | Active -> t.active <- t.active - 1
-        | Draining -> ());
+        if mdisk.state = Decommissioned then
+          invalid_arg "Minidisk.Registry.decommission: already decommissioned";
         mdisk.state <- Decommissioned;
         t.free_slots <- mdisk.slot :: t.free_slots;
         t.decommissioned <- t.decommissioned + 1;
-        t.generation <- t.generation + 1;
+        let owner = Array.copy t.view.owner in
+        owner.(mdisk.slot) <- None;
+        rebuild t owner;
         mdisk
 
   let begin_drain t id =
@@ -88,28 +123,16 @@ module Registry = struct
         if mdisk.state <> Active then
           invalid_arg "Minidisk.Registry.begin_drain: not active";
         mdisk.state <- Draining;
-        t.active <- t.active - 1;
-        t.generation <- t.generation + 1;
+        rebuild t t.view.owner;
         mdisk
 
-  let draining t =
-    Hashtbl.fold
-      (fun _ mdisk acc -> if mdisk.state = Draining then mdisk :: acc else acc)
-      t.by_id []
-    |> List.sort (fun a b -> compare a.id b.id)
+  let draining t = owners_in t.view.owner Draining
 
   let find t id = Hashtbl.find_opt t.by_id id
-
-  let active t =
-    Hashtbl.fold
-      (fun _ mdisk acc -> if mdisk.state = Active then mdisk :: acc else acc)
-      t.by_id []
-    |> List.sort (fun a b -> compare a.id b.id)
-
-  let active_count t = t.active
-  let generation t = t.generation
-  let active_opages t = t.active * t.opages_per_mdisk
-  let created_total t = t.created
+  let active t = Array.to_list t.view.active
+  let active_count t = Array.length t.view.active
+  let active_opages t = active_count t * t.opages_per_mdisk
+  let created_total t = t.next_id
   let decommissioned_total t = t.decommissioned
 
   let engine_logical t mdisk ~lba =

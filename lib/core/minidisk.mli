@@ -27,9 +27,10 @@ module Registry : sig
   type mdisk = t
   type t
 
-  val create : opages_per_mdisk:int -> slots:int -> t
+  val create : opages_per_mdisk:int -> slots:int -> initial:int -> t
   (** [slots] bounds how many minidisks can be live at once (total engine
-      logical space / mSize). *)
+      logical space / mSize); the first [initial] of them (at most
+      [slots]) exist from the start, at birth level 0. *)
 
   val opages_per_mdisk : t -> int
 
@@ -51,6 +52,7 @@ module Registry : sig
       @raise Invalid_argument unless it is [Active]. *)
 
   val draining : t -> mdisk list
+  (** Minidisks in their grace period, in increasing id order. *)
 
   val find : t -> int -> mdisk option
   val active : t -> mdisk list
@@ -58,12 +60,19 @@ module Registry : sig
 
   val active_count : t -> int
 
-  val generation : t -> int
-  (** Monotone counter bumped by every membership/state mutation
-      ({!create_mdisk}, {!begin_drain}, {!decommission}).  Callers that
-      derive views of the active set — the bulk-aging stream caches its
-      LBA-translation arrays — compare generations instead of rebuilding
-      per use. *)
+  (** The LBA translation every I/O path reads: the flat adapter's
+      per-op I/O and bulk stream, and both recovery hooks.  Only the
+      mutators rebuild it, so readers never check for staleness.  Its
+      arrays are never written once built; callers must not write them. *)
+  type view = private {
+    active : mdisk array;  (** live minidisks, increasing id order *)
+    base : int array;  (** first engine-logical index of [active.(i)] *)
+    position : int array;
+        (** slot -> index in [active]; [-1] if free or draining *)
+    owner : mdisk option array;  (** slot -> its Active or Draining mdisk *)
+  }
+
+  val view : t -> view
 
   val active_opages : t -> int
   (** Total LBAs currently exported: |LBAs| in Eq. 2. *)

@@ -680,13 +680,42 @@ let escalate t ~logical =
             None
       end
 
+(* The two exits of [read]'s retry ladder (rung [k] decoded, or the
+   ladder is exhausted), top-level so a read allocates no closures. *)
+let read_succeed t ~block ~page ~slot k ~rber =
+  if k > 0 then begin
+    t.retry_success_count <- t.retry_success_count + 1;
+    Telemetry.Registry.Counter.incr t.tel.tel_retry_successes
+  end;
+  let result =
+    match Flash.Chip.read_slot t.chip ~block ~page ~slot with
+    | Some payload -> Ok payload
+    | None -> assert false
+  in
+  (* Read-reclaim: the read itself disturbed the page; if its error rate
+     has crept toward the code's limit, move the live data somewhere
+     younger before it becomes uncorrectable. *)
+  if t.policy.Policy.should_reclaim ~rber ~block ~page then begin
+    t.reclaims <- t.reclaims + 1;
+    Telemetry.Registry.Counter.incr t.tel.tel_reclaims;
+    relocate_page t ~block ~page
+  end;
+  result
+
+let read_uncorrectable t ~logical =
+  match escalate t ~logical with
+  | Some payload -> Ok payload
+  | None ->
+      Telemetry.Registry.Counter.incr t.tel.tel_uncorrectable;
+      Error `Uncorrectable
+
 let read t ~logical =
   if logical < 0 || logical >= t.logical_capacity then
     invalid_arg "Engine.read: logical index out of range";
   t.read_clock <- t.read_clock + 1;
   match Write_buffer.payload_of t.buffer logical with
   | Some payload -> Ok payload
-  | None -> (
+  | None ->
       (* Flat lookup + manual decode: the hot path boxes no
          [Location.t] / [option] per read. *)
       let flat = Mapping.find_flat t.mapping logical in
@@ -702,77 +731,45 @@ let read t ~logical =
         let rem = flat mod spb in
         let page = rem / opages in
         let slot = rem mod opages in
-          (* Read-retry ladder: each rung re-senses with escalating effort
-             (adjusted read thresholds, soft-decision decoding), modeled
-             as the effective RBER shrinking by [retry_rber_factor] per
-             attempt.  Attempt 0 sees any pending transient fault; the
-             re-read consumes it, so later rungs sense the page clean.
-             The ladder itself performs no chip reads, so the page's RBER
-             is constant across rungs: it is computed once per read (twice
-             when a transient was consumed) and each rung derives its
-             effective rate from it.  [`Uncorrectable] only after the
-             ladder is exhausted. *)
-          let succeed k ~rber =
-            if k > 0 then begin
-              t.retry_success_count <- t.retry_success_count + 1;
-              Telemetry.Registry.Counter.incr t.tel.tel_retry_successes
-            end;
-            let result =
-              match Flash.Chip.read_slot t.chip ~block ~page ~slot with
-              | Some payload -> Ok payload
-              | None -> assert false
-            in
-            (* Read-reclaim: the read itself disturbed the page; if its
-               error rate has crept toward the code's limit, move the live
-               data somewhere younger before it becomes uncorrectable. *)
-            if t.policy.Policy.should_reclaim ~rber ~block ~page then begin
-              t.reclaims <- t.reclaims + 1;
-              Telemetry.Registry.Counter.incr t.tel.tel_reclaims;
-              relocate_page t ~block ~page
-            end;
-            result
+        (* Read-retry ladder: each rung re-senses with escalating effort
+           (adjusted read thresholds, soft-decision decoding), modeled as
+           the effective RBER shrinking by [retry_rber_factor] per
+           attempt.  Attempt 0 sees any pending transient fault; the
+           re-read consumes it, so later rungs sense the page clean.  The
+           ladder itself performs no chip reads, so the page's RBER is
+           constant across rungs: it is computed once per read (twice
+           when a transient was consumed) and each rung derives its
+           effective rate from it.  [`Uncorrectable] only after the
+           ladder is exhausted. *)
+        let rber0 = Flash.Chip.rber t.chip ~block ~page in
+        let fail0 = t.policy.Policy.read_fail_prob ~rber:rber0 ~block ~page in
+        let failed0 = Sim.Rng.chance t.rng fail0 in
+        let taken = Flash.Chip.take_transient t.chip ~block ~page in
+        if not failed0 then read_succeed t ~block ~page ~slot 0 ~rber:rber0
+        else if t.config.read_retries = 0 then read_uncorrectable t ~logical
+        else begin
+          (* Consuming the transient changed the page's rate exactly
+             when [taken] is nonzero; otherwise rung 0's value is
+             already the clean rate. *)
+          let rber =
+            if taken = 0. then rber0 else Flash.Chip.rber t.chip ~block ~page
           in
-          let uncorrectable () =
-            match escalate t ~logical with
-            | Some payload -> Ok payload
-            | None ->
-                Telemetry.Registry.Counter.incr t.tel.tel_uncorrectable;
-                Error `Uncorrectable
-          in
-          let rber0 = Flash.Chip.rber t.chip ~block ~page in
-          let fail0 =
-            t.policy.Policy.read_fail_prob
-              ~rber:(rber0 *. (t.config.retry_rber_factor ** float_of_int 0))
-              ~block ~page
-          in
-          let failed0 = Sim.Rng.chance t.rng fail0 in
-          let taken = Flash.Chip.take_transient t.chip ~block ~page in
-          if not failed0 then succeed 0 ~rber:rber0
-          else if t.config.read_retries = 0 then uncorrectable ()
-          else begin
-            (* Consuming the transient changed the page's rate exactly
-               when [taken] is nonzero; otherwise rung 0's value is
-               already the clean rate. *)
-            let rber =
-              if taken = 0. then rber0
-              else Flash.Chip.rber t.chip ~block ~page
+          let rec attempt k =
+            t.read_retry_count <- t.read_retry_count + 1;
+            Telemetry.Registry.Counter.incr t.tel.tel_read_retries;
+            let effective =
+              rber *. (t.config.retry_rber_factor ** float_of_int k)
             in
-            let rec attempt k =
-              t.read_retry_count <- t.read_retry_count + 1;
-              Telemetry.Registry.Counter.incr t.tel.tel_read_retries;
-              let effective =
-                rber *. (t.config.retry_rber_factor ** float_of_int k)
-              in
-              let fail =
-                t.policy.Policy.read_fail_prob ~rber:effective ~block ~page
-              in
-              if Sim.Rng.chance t.rng fail then
-                if k < t.config.read_retries then attempt (k + 1)
-                else uncorrectable ()
-              else succeed k ~rber
+            let fail =
+              t.policy.Policy.read_fail_prob ~rber:effective ~block ~page
             in
-            attempt 1
-          end)
+            if Sim.Rng.chance t.rng fail then
+              if k < t.config.read_retries then attempt (k + 1)
+              else read_uncorrectable t ~logical
+            else read_succeed t ~block ~page ~slot k ~rber
+          in
+          attempt 1
+        end
 
 let discard t ~logical =
   if logical < 0 || logical >= t.logical_capacity then

@@ -289,12 +289,21 @@ let test_epoch_days_invalid () =
 (* --- allocation regression ----------------------------------------------- *)
 
 (* Steady-state hot paths must stay lean: the bulk write stream and the
-   engine read path are the two per-op costs multi-year fleet runs pay
-   billions of times.  Observed today: ~294 minor words/write on the
-   bulk path (mostly xoshiro Int64 boxing per draw plus amortized GC
-   relocation work) and ~43/read.  Bounds sit at ≈2x observed so they
-   only trip on a real regression — a per-op list, array or closure —
-   not on noise. *)
+   per-op read and write paths are the costs multi-year fleet runs and
+   traffic replays pay billions of times.  Observed today: ~294 minor
+   words/write on the bulk path (mostly xoshiro Int64 boxing per draw
+   plus amortized GC relocation work), ~29/read for every design, and
+   79-109/write on the per-op path (amortized GC relocation).  The
+   absolute bounds sit at about 2x the worst design (the read bound
+   predates the per-design check) so they only trip on a real
+   regression — a per-op list, array or closure — not on noise.  The
+   per-op paths are measured for every design, and a Salamander device
+   may cost at most [translation_words] more than the baseline device
+   on the same engine: its minidisk translation must stay an array
+   lookup. *)
+
+let kinds : kind list = [ `Baseline; `Cvss; `Shrinks; `Regens ]
+let translation_words = 16.
 
 let minor_words_per_op ~ops f =
   let before = Gc.minor_words () in
@@ -318,22 +327,48 @@ let test_bulk_write_allocation () =
     Alcotest.failf "bulk write path allocates %.1f minor words/write (> 600)"
       per_op
 
-let test_read_allocation () =
-  let t = make_twin `Baseline ~seed:2025 in
+(* Minor words per call of [op] on a device of each design, after a
+   prefill that reaches GC steady state. *)
+let per_op_words ~seed ~op kind =
+  let t = make_twin kind ~seed in
   let rng = Sim.Rng.create 12 in
   let pattern = make_pattern t.dev in
   ignore
     (Workload.Aging.run_epoch ~rng ~pattern ~device:t.dev ~quota:20_000 ());
   let span = Ftl.Device_intf.initial_capacity t.dev in
   let ops = 4 * span in
-  let per_op =
-    minor_words_per_op ~ops (fun () ->
-        for i = 0 to ops - 1 do
-          ignore (Ftl.Device_intf.read t.dev ~lba:(i mod span))
-        done)
+  minor_words_per_op ~ops (fun () ->
+      for i = 0 to ops - 1 do
+        op t.dev i (i mod span)
+      done)
+
+let check_per_op_allocation ~what ~bound ~seed ~op =
+  let words =
+    List.map (fun kind -> (kind, per_op_words ~seed ~op kind)) kinds
   in
-  if per_op > 90. then
-    Alcotest.failf "read path allocates %.1f minor words/read (> 90)" per_op
+  let baseline = List.assoc `Baseline words in
+  List.iter
+    (fun (kind, w) ->
+      if w > bound then
+        Alcotest.failf "%s: %s path allocates %.1f minor words/%s (> %.0f)"
+          (kind_label kind) what w what bound;
+      let salamander =
+        match kind with `Shrinks | `Regens -> true | `Baseline | `Cvss -> false
+      in
+      if salamander && w > baseline +. translation_words then
+        Alcotest.failf
+          "%s: %s path allocates %.1f minor words/%s, more than baseline \
+           %.1f + %.0f"
+          (kind_label kind) what w what baseline translation_words)
+    words
+
+let test_read_allocation () =
+  check_per_op_allocation ~what:"read" ~bound:90. ~seed:2025
+    ~op:(fun dev _ lba -> ignore (Ftl.Device_intf.read dev ~lba))
+
+let test_write_allocation () =
+  check_per_op_allocation ~what:"write" ~bound:220. ~seed:2026
+    ~op:(fun dev i lba -> ignore (Ftl.Device_intf.write dev ~lba ~payload:i))
 
 let suite =
   [
@@ -353,4 +388,5 @@ let suite =
     ("epoch_days validation", `Quick, test_epoch_days_invalid);
     ("allocation: bulk write path", `Slow, test_bulk_write_allocation);
     ("allocation: read path", `Slow, test_read_allocation);
+    ("allocation: per-op write path", `Slow, test_write_allocation);
   ]

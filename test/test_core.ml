@@ -150,7 +150,10 @@ let test_limbo_capacity_deficit () =
 (* --- Minidisk registry ----------------------------------------------------- *)
 
 let test_registry_lifecycle () =
-  let r = Salamander.Minidisk.Registry.create ~opages_per_mdisk:32 ~slots:4 in
+  let r =
+    Salamander.Minidisk.Registry.create ~opages_per_mdisk:32 ~slots:4
+      ~initial:0
+  in
   let m0 =
     Option.get (Salamander.Minidisk.Registry.create_mdisk r ~birth_level:0)
   in
@@ -172,14 +175,20 @@ let test_registry_lifecycle () =
   checki "reused slot" m0.Salamander.Minidisk.slot m2.Salamander.Minidisk.slot
 
 let test_registry_slot_exhaustion () =
-  let r = Salamander.Minidisk.Registry.create ~opages_per_mdisk:32 ~slots:2 in
+  let r =
+    Salamander.Minidisk.Registry.create ~opages_per_mdisk:32 ~slots:2
+      ~initial:0
+  in
   ignore (Salamander.Minidisk.Registry.create_mdisk r ~birth_level:0);
   ignore (Salamander.Minidisk.Registry.create_mdisk r ~birth_level:0);
   checkb "exhausted" true
     (Salamander.Minidisk.Registry.create_mdisk r ~birth_level:0 = None)
 
 let test_registry_double_decommission () =
-  let r = Salamander.Minidisk.Registry.create ~opages_per_mdisk:32 ~slots:2 in
+  let r =
+    Salamander.Minidisk.Registry.create ~opages_per_mdisk:32 ~slots:2
+      ~initial:0
+  in
   let m =
     Option.get (Salamander.Minidisk.Registry.create_mdisk r ~birth_level:0)
   in
@@ -195,6 +204,189 @@ let test_registry_double_decommission () =
 let make_device ?(config = test_config) ?(seed = 42) ?(model = fast_model) () =
   Salamander.Device.create ~config ~geometry ~model
     ~rng:(Sim.Rng.create seed) ()
+
+(* --- Translation view: differential against a fresh derivation ---------- *)
+
+(* The per-op adapter, the bulk stream and both recovery hooks read one
+   translation view the registry rebuilds on every mutation.  Random
+   create / drain / decommission sequences run on a live device's
+   registry; after each step the view must equal a derivation from
+   [Registry.find] alone, and the device's translations must agree with
+   it end to end.  One oPage per slot is written straight into the
+   engine and its page made unreadable, so every read of it escalates
+   into whichever recovery hook is installed and reports the address
+   the hook saw. *)
+
+type view_op = Create | Drain of int | Decommission of int
+
+let view_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return Create);
+        (2, map (fun i -> Drain i) (int_bound 63));
+        (3, map (fun i -> Decommission i) (int_bound 63));
+      ])
+
+let print_view_op = function
+  | Create -> "create"
+  | Drain i -> Printf.sprintf "drain %d" i
+  | Decommission i -> Printf.sprintf "decommission %d" i
+
+module Reg = Salamander.Minidisk.Registry
+
+let prop_translation_view =
+  QCheck.Test.make ~count:40 ~name:"translation view = fresh derivation"
+    QCheck.(
+      make
+        Gen.(list_size (int_range 1 30) view_op_gen)
+        ~print:(fun ops -> String.concat "; " (List.map print_view_op ops)))
+    (fun ops ->
+      let d = make_device () in
+      let r = Salamander.Device.registry d in
+      let engine = Salamander.Device.engine d in
+      let per = Reg.opages_per_mdisk r in
+      let slots = Array.length (Reg.view r).Reg.owner in
+      let offset slot = (slot * 7) mod per in
+      for slot = 0 to slots - 1 do
+        let logical = (slot * per) + offset slot in
+        match Ftl.Engine.write engine ~logical ~payload:logical with
+        | Ok () -> ()
+        | Error `No_space -> QCheck.Test.fail_report "prefill out of space"
+      done;
+      ignore (Ftl.Engine.flush engine);
+      for slot = 0 to slots - 1 do
+        let logical = (slot * per) + offset slot in
+        match Ftl.Engine.locate engine ~logical with
+        | Some { Ftl.Location.block; page; _ } ->
+            Flash.Chip.inject (Ftl.Engine.chip engine) ~block ~page
+              (Flash.Chip.Sticky_rber 1.0)
+        | None -> QCheck.Test.fail_report "prefill not mapped"
+      done;
+      (* One attempt, one-read backoff: every escalation reaches the hook. *)
+      let config =
+        { Ftl.Engine.recovery_attempts = 1; backoff_base = 1; backoff_cap = 1 }
+      in
+      let flat_seen = ref None and mdisk_seen = ref None in
+      let flat_hook ~lba =
+        flat_seen := Some lba;
+        Some lba
+      in
+      let mdisk_hook ~mdisk ~lba =
+        mdisk_seen := Some (mdisk, lba);
+        Some lba
+      in
+      let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
+      (* The oracle: every minidisk ever created, in id order, by state. *)
+      let with_state states =
+        List.filter
+          (fun m -> List.mem m.Salamander.Minidisk.state states)
+          (List.filter_map (Reg.find r)
+             (List.init (Reg.created_total r) Fun.id))
+      in
+      let check_step step =
+        let active = with_state [ Salamander.Minidisk.Active ] in
+        let draining = with_state [ Salamander.Minidisk.Draining ] in
+        let owner slot =
+          List.find_opt
+            (fun m -> m.Salamander.Minidisk.slot = slot)
+            (active @ draining)
+        in
+        let position slot =
+          let rec go i = function
+            | [] -> -1
+            | m :: rest ->
+                if m.Salamander.Minidisk.slot = slot then i else go (i + 1) rest
+          in
+          go 0 active
+        in
+        let v = Reg.view r in
+        if Array.to_list v.Reg.active <> active then
+          fail "step %d: view.active differs" step;
+        if Reg.active r <> active || Reg.draining r <> draining then
+          fail "step %d: active/draining lists differ" step;
+        Array.iteri
+          (fun i m ->
+            if v.Reg.base.(i) <> m.Salamander.Minidisk.slot * per then
+              fail "step %d: base.(%d)" step i)
+          v.Reg.active;
+        if Array.length v.Reg.base <> List.length active then
+          fail "step %d: base length" step;
+        for slot = 0 to slots - 1 do
+          if v.Reg.position.(slot) <> position slot then
+            fail "step %d: position.(%d)" step slot;
+          match (v.Reg.owner.(slot), owner slot) with
+          | None, None -> ()
+          | Some a, Some b when a == b -> ()
+          | _ -> fail "step %d: owner.(%d)" step slot
+        done;
+        (* Forward then reverse translation is the identity. *)
+        for lba = 0 to (List.length active * per) - 1 do
+          let logical = v.Reg.base.(lba / per) + (lba mod per) in
+          let back =
+            (v.Reg.position.(logical / per) * per) + (logical mod per)
+          in
+          if back <> lba then
+            fail "step %d: lba %d -> %d -> %d" step lba logical back
+        done;
+        (* Device level, one faulted oPage per slot. *)
+        for slot = 0 to slots - 1 do
+          let logical = (slot * per) + offset slot in
+          let read_engine () =
+            flat_seen := None;
+            mdisk_seen := None;
+            Ftl.Engine.read engine ~logical
+          in
+          Salamander.Device.As_device.set_recovery_hook d ~config
+            (Some flat_hook);
+          (match position slot with
+          | i when i >= 0 -> (
+              (* Flat read of the active LBA: forward through the view,
+                 escalate, reverse through the flat hook. *)
+              let lba = (i * per) + offset slot in
+              flat_seen := None;
+              match Salamander.Device.As_device.read d ~lba with
+              | Ok payload when payload = lba && !flat_seen = Some lba -> ()
+              | _ -> fail "step %d: flat round trip of lba %d" step lba)
+          | _ -> (
+              match read_engine () with
+              | Error `Uncorrectable when !flat_seen = None -> ()
+              | _ -> fail "step %d: flat hook answered slot %d" step slot));
+          Salamander.Device.set_recovery_hook d ~config (Some mdisk_hook);
+          match (owner slot, read_engine ()) with
+          | Some m, Ok _
+            when !mdisk_seen = Some (m.Salamander.Minidisk.id, offset slot) ->
+              ()
+          | None, Error `Uncorrectable when !mdisk_seen = None -> ()
+          | _ -> fail "step %d: per-mdisk hook at slot %d" step slot
+        done
+      in
+      let nth_of list i =
+        match list with
+        | [] -> None
+        | _ -> Some (List.nth list (i mod List.length list))
+      in
+      let step i op =
+        (match op with
+        | Create -> ignore (Reg.create_mdisk r ~birth_level:0)
+        | Drain k -> (
+            match nth_of (with_state [ Salamander.Minidisk.Active ]) k with
+            | Some m -> ignore (Reg.begin_drain r m.Salamander.Minidisk.id)
+            | None -> ())
+        | Decommission k -> (
+            match
+              nth_of
+                (with_state
+                   [ Salamander.Minidisk.Active; Salamander.Minidisk.Draining ])
+                k
+            with
+            | Some m -> ignore (Reg.decommission r m.Salamander.Minidisk.id)
+            | None -> ()));
+        check_step i
+      in
+      check_step (-1);
+      List.iteri step ops;
+      true)
 
 let test_device_initial_layout () =
   let d = make_device () in
@@ -672,4 +864,5 @@ let suite =
     ("events queue drain empties", `Quick, test_events_queue_drain_empties);
     ("events queue interleaved", `Quick, test_events_queue_interleaved);
     QCheck_alcotest.to_alcotest prop_device_invariants;
+    QCheck_alcotest.to_alcotest prop_translation_view;
   ]

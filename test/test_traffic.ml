@@ -330,6 +330,24 @@ let test_traffic_run_jobs_deterministic_and_chaos_degrades () =
   checkb "baseline tail measurably degraded under faults" true
     (p999 "baseline" true > 1.2 *. p999 "baseline" false)
 
+(* Golden digest of a small replay's latency table.  The jobs 1/4 diffs
+   compare a build against itself; this pins the output across builds,
+   so a speed-only change to the device adapter or the engine read path
+   that moves any replayed latency, error count or tail cause fails
+   here.  All six cells run, RegenS clean and chaos included. *)
+let golden_json_digest = "42b127cf2172956f7995beb58eb3da59"
+
+let test_traffic_run_golden_digest () =
+  let fmt = Format.formatter_of_buffer (Buffer.create 4096) in
+  let rows =
+    Experiments.Traffic_run.run ~tenants:8 ~ops:3_000 ~seed:1234 fmt
+  in
+  checkb "RegenS cells present" true
+    (List.exists (fun r -> r.Experiments.Traffic_run.label = "regens") rows);
+  Alcotest.(check string)
+    "rows_to_json digest" golden_json_digest
+    (Digest.to_hex (Digest.string (Experiments.Traffic_run.rows_to_json rows)))
+
 let suite =
   [
     ("lathist exact stats", `Quick, test_lathist_exact_stats);
@@ -348,4 +366,5 @@ let suite =
     ( "traffic experiment deterministic across jobs; chaos degrades tails",
       `Slow,
       test_traffic_run_jobs_deterministic_and_chaos_degrades );
+    ("traffic replay golden digest", `Quick, test_traffic_run_golden_digest);
   ]
