@@ -13,34 +13,10 @@ open Toolkit
 
 (* --- micro-benchmark subjects ------------------------------------------- *)
 
-let bch_subjects () =
-  (* FIG2's substrate: the live codec and the analytic tail. *)
-  let code = Ecc.Bch.create ~m:10 ~capability:8 () in
-  let rng = Sim.Rng.create 1 in
-  let data = Ecc.Bitarray.create 400 in
-  Ecc.Bitarray.randomize rng data;
-  let parity = Ecc.Bch.encode code data in
-  let corrupted () =
-    let d = Ecc.Bitarray.copy data and p = Ecc.Bitarray.copy parity in
-    List.iter (fun i -> Ecc.Bitarray.flip d (i * 37)) [ 1; 3; 5; 7 ];
-    (d, p)
-  in
+let ecc_subjects () =
+  (* FIG2's substrate: the analytic binomial tail every read consults. *)
   let params = Ecc.Code_params.for_sector ~data_bytes:2048 ~spare_bytes:256 in
   [
-    Test.make ~name:"fig2/bch_encode"
-      (Staged.stage (fun () -> ignore (Ecc.Bch.encode code data)));
-    Test.make ~name:"fig2/bch_decode_4err"
-      (Staged.stage (fun () ->
-           let d, p = corrupted () in
-           ignore (Ecc.Bch.decode code ~data:d ~parity:p)));
-    (* The retained naive paths, so BENCH_5.json carries before/after
-       numbers for the table-driven hot paths in one run. *)
-    Test.make ~name:"fig2/bch_encode_ref"
-      (Staged.stage (fun () -> ignore (Ecc.Bch.Reference.encode code data)));
-    Test.make ~name:"fig2/bch_decode_4err_ref"
-      (Staged.stage (fun () ->
-           let d, p = corrupted () in
-           ignore (Ecc.Bch.Reference.decode code ~data:d ~parity:p)));
     Test.make ~name:"fig2/binomial_tail"
       (Staged.stage (fun () ->
            ignore (Ecc.Reliability.codeword_fail_prob params ~rber:3e-3)));
@@ -684,7 +660,7 @@ let read_json_results path =
    the fig4/tco subjects). *)
 let subject_groups =
   [
-    ("bch", bch_subjects);
+    ("ecc", ecc_subjects);
     ("ftl", ftl_subjects);
     ("device", device_subjects);
     ("cluster", cluster_subjects);
@@ -762,14 +738,17 @@ let run_micro ?json_path ?only () =
         | None -> name
       in
       let fresh = List.map (fun (name, ns, _) -> (strip name, ns)) estimates in
-      (* Merge over what's already on disk: subjects measured in this
-         run override their old entries, subjects not selected (e.g. a
-         [--only parallel] re-run) keep theirs.  A partial re-run thus
-         refreshes the artifact instead of truncating it. *)
+      (* A full run writes exactly the subjects it measured, so subjects
+         the bench no longer defines drop out of the artifact.  An
+         [--only] re-run merges over what's already on disk: its subjects
+         override their old entries, unselected groups keep theirs. *)
       let kept =
-        List.filter
-          (fun (name, _) -> not (List.mem_assoc name fresh))
-          (read_json_results path)
+        match only with
+        | None -> []
+        | Some _ ->
+            List.filter
+              (fun (name, _) -> not (List.mem_assoc name fresh))
+              (read_json_results path)
       in
       let merged =
         List.sort (fun (a, _) (b, _) -> compare a b) (kept @ fresh)
@@ -812,8 +791,8 @@ let usage () =
   print_endline
     "  micro [--only GROUP[,GROUP..]] [--json [path]] (ns/run JSON, default";
   print_endline
-    "    BENCH_10.json; --json merges into an existing file, so an --only";
-  print_endline "    re-run refreshes just its groups)";
+    "    BENCH_10.json; a full run rewrites the file, an --only re-run";
+  print_endline "    merges into it and refreshes just its groups)";
   print_endline "  all (default: everything)"
 
 (* micro [--only GROUP[,GROUP..]] [--json [path]] *)

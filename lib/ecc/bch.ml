@@ -1,76 +1,13 @@
-(* Codec-level telemetry, bound once per code at creation time.  Labeled
-   by the code parameters so distinct code levels (different capabilities)
-   show up as separate series. *)
-type tel = {
-  tel_decodes : Telemetry.Registry.Counter.t;
-  tel_corrected : Telemetry.Registry.Counter.t;
-  tel_uncorrectable : Telemetry.Registry.Counter.t;
-}
-
-(* The immutable half of a codec: field tables, generator, and the
-   precomputed encode tables.  One core per (m, capability) is built and
-   then shared by every codec instance — including across
-   [Parallel.Pool] domains, since nothing here is ever mutated after
-   construction.  Telemetry handles stay per-instance (see {!t}). *)
-type core = {
+type t = {
   field : Galois.t;
   n : int;
   k : int;
   capability : int;
   generator : Gf_poly.t; (* over GF(2): coefficients 0/1 *)
   parity : int; (* deg g = n - k *)
-  (* Byte-at-a-time encode state.  The LFSR register is kept left-aligned
-     ("padded"): bit (j + pad) of the register holds the coefficient of
-     x^j, so the top 8 coefficients always sit in the last byte and one
-     table lookup consumes a whole input byte. *)
-  reg_bytes : int; (* ceil (parity / 8) *)
-  pad : int; (* reg_bytes * 8 - parity *)
-  g_pad : Bytes.t; (* (g(x) - x^parity) << pad *)
-  enc_table : Bytes.t array; (* 256 entries: (u(x) x^parity mod g) << pad *)
-  (* Byte-at-a-time syndrome state: for the odd syndrome i = 2kk + 1,
-     [syn_ltable.(kk).(v)] is log_alpha of (XOR over set bits j of byte v
-     of alpha^(i*j)), or -1 when that sum is zero.  A whole received byte
-     then contributes exp (table entry + i * byte_base) to S_i. *)
-  syn_ltable : int array array;
 }
 
-type t = { core : core; tel : tel }
-
-let make_tel reg ~m ~capability =
-  let labels = [ ("m", string_of_int m); ("t", string_of_int capability) ] in
-  {
-    tel_decodes =
-      Telemetry.Registry.counter reg ~labels
-        ~help:"BCH decode attempts (syndrome computations)" "bch_decodes_total";
-    tel_corrected =
-      Telemetry.Registry.counter reg ~labels
-        ~help:"Bit errors corrected by the BCH decoder (data and parity)"
-        "bch_corrected_bits_total";
-    tel_uncorrectable =
-      Telemetry.Registry.counter reg ~labels
-        ~help:"BCH decodes that detected an uncorrectable error pattern"
-        "bch_uncorrectable_total";
-  }
-
-(* --- encode-table construction ---------------------------------------- *)
-
-let bytes_xor_into dst src =
-  for i = 0 to Bytes.length dst - 1 do
-    Bytes.set dst i
-      (Char.chr (Char.code (Bytes.get dst i) lxor Char.code (Bytes.get src i)))
-  done
-
-let bytes_shift_left1 b =
-  for i = Bytes.length b - 1 downto 1 do
-    Bytes.set b i
-      (Char.chr
-         (((Char.code (Bytes.get b i) lsl 1)
-          lor (Char.code (Bytes.get b (i - 1)) lsr 7))
-         land 0xff))
-  done;
-  Bytes.set b 0 (Char.chr ((Char.code (Bytes.get b 0) lsl 1) land 0xff))
-
-let build_core ~m ~capability =
+let create ~m ~capability =
   if capability <= 0 then invalid_arg "Bch.create: capability must be > 0";
   let field = Galois.create m in
   let n = Galois.order field in
@@ -104,251 +41,59 @@ let build_core ~m ~capability =
   let parity = Gf_poly.degree generator in
   if parity >= n then
     invalid_arg "Bch.create: capability too large for this field (k <= 0)";
-  let reg_bytes = (parity + 7) / 8 in
-  let pad = (reg_bytes * 8) - parity in
-  let g_pad = Bytes.make reg_bytes '\000' in
-  for j = 0 to parity - 1 do
-    if Gf_poly.coefficient generator j = 1 then begin
-      let b = j + pad in
-      Bytes.set g_pad (b lsr 3)
-        (Char.chr (Char.code (Bytes.get g_pad (b lsr 3)) lor (1 lsl (b land 7))))
-    end
-  done;
-  (* enc_table.(u) = (u(x) * x^parity) mod g, pre-shifted by pad, via the
-     recurrence u(x) x^parity = ((u >> 1)(x) x^parity) * x + u_0 x^parity;
-     x^parity mod g is g minus its monic term, i.e. g_pad itself. *)
-  let enc_table = Array.init 256 (fun _ -> Bytes.make reg_bytes '\000') in
-  for u = 1 to 255 do
-    let e = enc_table.(u) in
-    Bytes.blit enc_table.(u lsr 1) 0 e 0 reg_bytes;
-    let top = Char.code (Bytes.get e (reg_bytes - 1)) land 0x80 <> 0 in
-    bytes_shift_left1 e;
-    if top then bytes_xor_into e g_pad;
-    if u land 1 = 1 then bytes_xor_into e g_pad
-  done;
-  let syn_ltable =
-    Array.init capability (fun kk ->
-        let i = (2 * kk) + 1 in
-        let alpha_ij = Array.init 8 (fun j -> Galois.alpha_pow field (i * j)) in
-        let tbl = Array.make 256 0 in
-        for v = 1 to 255 do
-          let j =
-            (* index of the lowest set bit of v *)
-            let rec go j = if v land (1 lsl j) <> 0 then j else go (j + 1) in
-            go 0
-          in
-          tbl.(v) <- tbl.(v land (v - 1)) lxor alpha_ij.(j)
-        done;
-        Array.map (fun x -> if x = 0 then -1 else Galois.log_alpha field x) tbl)
-  in
-  {
-    field;
-    n;
-    k = n - parity;
-    capability;
-    generator;
-    parity;
-    reg_bytes;
-    pad;
-    g_pad;
-    enc_table;
-    syn_ltable;
-  }
+  { field; n; k = n - parity; capability; generator; parity }
 
-(* Cores are pure functions of (m, capability), so one is built per key
-   and shared; the mutex only serializes cold builds.  Fleet experiments
-   create one codec per simulated device — the Galois tables and the
-   minimal-polynomial LCM are paid once, not per device. *)
-let cache : (int * int, core) Hashtbl.t = Hashtbl.create 8
-let cache_mutex = Mutex.create ()
-
-let core_for ~m ~capability =
-  Mutex.protect cache_mutex (fun () ->
-      match Hashtbl.find_opt cache (m, capability) with
-      | Some core -> core
-      | None ->
-          let core = build_core ~m ~capability in
-          Hashtbl.add cache (m, capability) core;
-          core)
-
-let create ?registry ~m ~capability () =
-  let registry =
-    match registry with Some r -> r | None -> Telemetry.Registry.null
-  in
-  { core = core_for ~m ~capability; tel = make_tel registry ~m ~capability }
-
-let m t = Galois.m t.core.field
-let n t = t.core.n
-let k t = t.core.k
-let capability t = t.core.capability
-let parity_bits t = t.core.parity
-
-let code_rate t ~data_bits =
-  float_of_int data_bits /. float_of_int (data_bits + parity_bits t)
-
-let generator t = t.core.generator
+let n t = t.n
+let k t = t.k
+let capability t = t.capability
+let parity_bits t = t.parity
 
 (* Systematic encoding: parity = d(x) x^{deg g} mod g(x).  Data bit i of
    the shortened message corresponds to codeword coefficient
-   x^{parity + i}; the division consumes the data highest-degree first, a
-   whole byte per step through [enc_table] (the top partial byte goes
-   through the classic bit-at-a-time LFSR step). *)
+   x^{parity + i}; the LFSR division consumes the data highest-degree
+   first, one bit per step. *)
 let encode t data =
-  let core = t.core in
   let data_bits = Bitarray.length data in
-  if data_bits > core.k then invalid_arg "Bch.encode: data longer than k";
-  let nb = core.reg_bytes in
-  let s = Bytes.make nb '\000' in
-  let full = data_bits lsr 3 in
-  for i = data_bits - 1 downto full lsl 3 do
-    let top = Char.code (Bytes.get s (nb - 1)) land 0x80 <> 0 in
-    let feedback = top <> Bitarray.get data i in
-    bytes_shift_left1 s;
-    if feedback then bytes_xor_into s core.g_pad
-  done;
-  for bi = full - 1 downto 0 do
-    let u = Char.code (Bytes.get s (nb - 1)) lxor Bitarray.byte data bi in
-    for j = nb - 1 downto 1 do
-      Bytes.set s j (Bytes.get s (j - 1))
+  if data_bits > t.k then invalid_arg "Bch.encode: data longer than k";
+  let parity = t.parity in
+  let register = Array.make parity false in
+  for i = data_bits - 1 downto 0 do
+    let feedback = Bitarray.get data i <> register.(parity - 1) in
+    (* Shift the register up one degree, folding in g(x) on feedback. *)
+    for j = parity - 1 downto 1 do
+      register.(j) <-
+        (if feedback && Gf_poly.coefficient t.generator j = 1 then
+           not register.(j - 1)
+         else register.(j - 1))
     done;
-    Bytes.set s 0 '\000';
-    bytes_xor_into s core.enc_table.(u)
+    register.(0) <- feedback && Gf_poly.coefficient t.generator 0 = 1
   done;
-  (* Un-pad: parity bit j is register bit (j + pad). *)
-  let out = Bitarray.create core.parity in
-  let pad = core.pad in
-  for i = 0 to Bitarray.byte_length out - 1 do
-    if pad = 0 then Bitarray.set_byte out i (Char.code (Bytes.get s i))
-    else
-      let lo = Char.code (Bytes.get s i) lsr pad in
-      let hi =
-        if i + 1 < nb then
-          (Char.code (Bytes.get s (i + 1)) lsl (8 - pad)) land 0xff
-        else 0
-      in
-      Bitarray.set_byte out i (lo lor hi)
-  done;
+  let out = Bitarray.create parity in
+  Array.iteri (fun i bit -> if bit then Bitarray.set out i true) register;
   out
 
 (* Syndrome S_i = r(alpha^i).  The received polynomial r(x) has parity bits
-   at degrees [0, parity) and data bits at degrees [parity, parity+len).
-   Three hot-path savings over the textbook loop: a whole received byte is
-   folded in per step (its 8 bits pre-mixed into [syn_ltable], so one
-   antilog read covers the byte), exponents walk by stride addition with a
-   conditional subtract (no division per term), and only odd syndromes are
-   accumulated — binary codes satisfy the Frobenius identity
-   S_{2i} = S_i^2, so the even half follows by squaring. *)
-let check_word_lengths core ~data ~parity =
-  if Bitarray.length parity <> core.parity then
+   at degrees [0, parity) and data bits at degrees [parity, parity+len). *)
+let syndromes t ~data ~parity =
+  if Bitarray.length parity <> t.parity then
     invalid_arg "Bch: parity length mismatch";
-  if Bitarray.length data > core.k then invalid_arg "Bch: data longer than k"
-
-let syndromes_of_core core ~data ~parity =
-  check_word_lengths core ~data ~parity;
-  let field = core.field in
-  let exp_t = Galois.exp_table field in
-  let order = core.n in
-  let count = 2 * core.capability in
-  let s = Array.make (count + 1) 0 in
-  let pbytes = Bitarray.byte_length parity in
-  let dbytes = Bitarray.byte_length data in
-  for kk = 0 to core.capability - 1 do
-    let i = (2 * kk) + 1 in
-    let tbl = core.syn_ltable.(kk) in
-    (* byte b of a word based at degree [base] contributes
-       alpha^(i * (base + 8b)) * mix(byte); both factors stay in the log
-       domain, the exponent of the first walking by stride addition. *)
-    let stride = 8 * i mod order in
-    let acc = ref 0 in
-    let e = ref 0 in
-    for b = 0 to pbytes - 1 do
-      let v = Bitarray.byte parity b in
-      (if v <> 0 then
-         let lv = tbl.(v) in
-         if lv >= 0 then acc := !acc lxor exp_t.(lv + !e));
-      let next = !e + stride in
-      e := if next >= order then next - order else next
-    done;
-    let e = ref (i * core.parity mod order) in
-    for b = 0 to dbytes - 1 do
-      let v = Bitarray.byte data b in
-      (if v <> 0 then
-         let lv = tbl.(v) in
-         if lv >= 0 then acc := !acc lxor exp_t.(lv + !e));
-      let next = !e + stride in
-      e := if next >= order then next - order else next
-    done;
-    s.(i) <- !acc
-  done;
-  for j = 1 to core.capability do
-    let v = s.(j) in
-    s.(2 * j) <-
-      (if v = 0 then 0 else Galois.exp field (2 * Galois.log_alpha field v))
-  done;
-  s
-
-let syndromes t ~data ~parity = syndromes_of_core t.core ~data ~parity
-
-(* All syndromes vanish iff the odd ones do (the evens are their
-   squares). *)
-let any_odd_nonzero s count =
-  let rec go i = i <= count && (s.(i) <> 0 || go (i + 2)) in
-  go 1
-
-(* The scrub path calls this on clean data almost always, so the clean
-   case costs one pass per odd syndrome; corrupt words exit on the first
-   nonzero syndrome — usually S_1, computed straight off the set-bit
-   positions. *)
-let syndromes_zero t ~data ~parity =
-  let core = t.core in
-  check_word_lengths core ~data ~parity;
-  let field = core.field in
-  let order = core.n in
-  let npos = Bitarray.popcount parity + Bitarray.popcount data in
-  npos = 0
-  || begin
-       let pos = Array.make npos 0 in
-       let fill = ref 0 in
-       Bitarray.iter_set parity (fun p ->
-           pos.(!fill) <- p;
-           incr fill);
-       Bitarray.iter_set data (fun i ->
-           pos.(!fill) <- core.parity + i;
-           incr fill);
-       let s1 = ref 0 in
-       Array.iter (fun p -> s1 := !s1 lxor Galois.exp field p) pos;
-       !s1 = 0
-       && begin
-            let count = 2 * core.capability in
-            let exps = Array.copy pos in
-            let strides =
-              Array.map
-                (fun p ->
-                  let twice = 2 * p in
-                  if twice >= order then twice - order else twice)
-                pos
-            in
-            let rec next i =
-              i > count
-              || begin
-                   let acc = ref 0 in
-                   for j = 0 to npos - 1 do
-                     let e = exps.(j) + strides.(j) in
-                     let e = if e >= order then e - order else e in
-                     exps.(j) <- e;
-                     acc := !acc lxor Galois.exp field e
-                   done;
-                   !acc = 0 && next (i + 2)
-                 end
-            in
-            next 3
-          end
-     end
+  if Bitarray.length data > t.k then invalid_arg "Bch: data longer than k";
+  let count = 2 * t.capability in
+  let syndromes = Array.make (count + 1) 0 in
+  let accumulate position =
+    for i = 1 to count do
+      syndromes.(i) <-
+        Galois.add t.field syndromes.(i) (Galois.alpha_pow t.field (i * position))
+    done
+  in
+  Bitarray.iter_set parity accumulate;
+  Bitarray.iter_set data (fun i -> accumulate (t.parity + i));
+  syndromes
 
 (* Berlekamp-Massey: returns the error locator polynomial sigma(x). *)
-let berlekamp_massey core syndromes =
-  let field = core.field in
-  let count = 2 * core.capability in
+let berlekamp_massey t syndromes =
+  let field = t.field in
+  let count = 2 * t.capability in
   let sigma = ref Gf_poly.one in
   let prev = ref Gf_poly.one in
   let length = ref 0 in
@@ -390,74 +135,31 @@ let berlekamp_massey core syndromes =
 type decode_result = Corrected of int list | Uncorrectable
 
 let decode t ~data ~parity =
-  Telemetry.Registry.Counter.incr t.tel.tel_decodes;
-  let core = t.core in
-  let syndromes = syndromes_of_core core ~data ~parity in
-  if not (any_odd_nonzero syndromes (2 * core.capability)) then Corrected []
+  let syndromes = syndromes t ~data ~parity in
+  if Array.for_all (fun x -> x = 0) syndromes then Corrected []
   else begin
-    let sigma = berlekamp_massey core syndromes in
+    let sigma = berlekamp_massey t syndromes in
     let errors = Gf_poly.degree sigma in
-    if errors > core.capability then begin
-      Telemetry.Registry.Counter.incr t.tel.tel_uncorrectable;
-      Uncorrectable
-    end
+    if errors > t.capability then Uncorrectable
     else begin
       (* Chien search: position p is in error iff sigma(alpha^{-p}) = 0.
-         One log-domain register per nonzero coefficient, stepped by
-         alpha^{-j} via stride addition; sigma has at most [errors] roots
-         in the whole field, so the scan stops as soon as that many are
-         found.  Only positions within the (possibly shortened) received
-         word are valid; a root elsewhere means the decoder strayed
-         outside the word, i.e. the error pattern was uncorrectable. *)
-      let field = core.field in
-      let order = core.n in
-      let parity_len = core.parity in
-      let data_len = Bitarray.length data in
-      let used = parity_len + data_len in
-      let nz = ref 0 in
-      for j = 1 to errors do
-        if Gf_poly.coefficient sigma j <> 0 then incr nz
-      done;
-      let nz = !nz in
-      let logs = Array.make nz 0 in
-      let strides = Array.make nz 0 in
-      let fill = ref 0 in
-      for j = 1 to errors do
-        let c = Gf_poly.coefficient sigma j in
-        if c <> 0 then begin
-          logs.(!fill) <- Galois.log_alpha field c;
-          strides.(!fill) <- order - j;
-          incr fill
-        end
-      done;
-      let sigma0 = Gf_poly.coefficient sigma 0 in
-      let exp_t = Galois.exp_table field in
+         Only positions within the (possibly shortened) received word are
+         valid; a root elsewhere means the decoder strayed outside the
+         word, i.e. the error pattern was uncorrectable. *)
+      let parity_len = t.parity in
+      let used = parity_len + Bitarray.length data in
       let positions = ref [] in
       let root_count = ref 0 in
-      let p = ref 0 in
-      while !root_count < errors && !p < order do
-        (* evaluate at the current registers and step them in one pass *)
-        let acc = ref sigma0 in
-        for j = 0 to nz - 1 do
-          let l = logs.(j) in
-          acc := !acc lxor exp_t.(l);
-          let e = l + strides.(j) in
-          logs.(j) <- (if e >= order then e - order else e)
-        done;
-        if !acc = 0 then begin
+      for p = 0 to t.n - 1 do
+        if Gf_poly.eval t.field sigma (Galois.alpha_pow t.field (-p)) = 0
+        then begin
           incr root_count;
-          positions := !p :: !positions
-        end;
-        incr p
+          positions := p :: !positions
+        end
       done;
       if !root_count <> errors || List.exists (fun p -> p >= used) !positions
-      then begin
-        Telemetry.Registry.Counter.incr t.tel.tel_uncorrectable;
-        Uncorrectable
-      end
+      then Uncorrectable
       else begin
-        Telemetry.Registry.Counter.incr t.tel.tel_corrected
-          ~by:(List.length !positions);
         let data_positions = ref [] in
         List.iter
           (fun p ->
@@ -471,91 +173,3 @@ let decode t ~data ~parity =
       end
     end
   end
-
-(* --- naive reference implementations ----------------------------------- *)
-
-(* The pre-optimization data path, retained verbatim as the oracle for the
-   differential test suite (and as the "before" subjects of the micro
-   bench).  Everything here is bit-at-a-time / full-field; results must be
-   exactly those of the table-driven paths above. *)
-module Reference = struct
-  let encode t data =
-    let core = t.core in
-    let data_bits = Bitarray.length data in
-    if data_bits > core.k then invalid_arg "Bch.encode: data longer than k";
-    let parity = core.parity in
-    let register = Array.make parity false in
-    let generator = core.generator in
-    for i = data_bits - 1 downto 0 do
-      let feedback = Bitarray.get data i <> register.(parity - 1) in
-      (* Shift the register up one degree, folding in g(x) on feedback. *)
-      for j = parity - 1 downto 1 do
-        register.(j) <-
-          (if feedback && Gf_poly.coefficient generator j = 1 then
-             not register.(j - 1)
-           else register.(j - 1))
-      done;
-      register.(0) <- feedback && Gf_poly.coefficient generator 0 = 1
-    done;
-    let out = Bitarray.create parity in
-    Array.iteri (fun i bit -> if bit then Bitarray.set out i true) register;
-    out
-
-  let syndromes t ~data ~parity =
-    let core = t.core in
-    check_word_lengths core ~data ~parity;
-    let count = 2 * core.capability in
-    let syndromes = Array.make (count + 1) 0 in
-    let accumulate position =
-      for i = 1 to count do
-        syndromes.(i) <-
-          Galois.add core.field syndromes.(i)
-            (Galois.alpha_pow core.field (i * position))
-      done
-    in
-    Bitarray.iter_set parity accumulate;
-    Bitarray.iter_set data (fun i -> accumulate (core.parity + i));
-    syndromes
-
-  (* No telemetry: the oracle must not perturb the counters of the codec
-     under test. *)
-  let decode t ~data ~parity =
-    let core = t.core in
-    let syndromes = syndromes t ~data ~parity in
-    if Array.for_all (fun x -> x = 0) syndromes then Corrected []
-    else begin
-      let sigma = berlekamp_massey core syndromes in
-      let errors = Gf_poly.degree sigma in
-      if errors > core.capability then Uncorrectable
-      else begin
-        let parity_len = core.parity in
-        let data_len = Bitarray.length data in
-        let used = parity_len + data_len in
-        let positions = ref [] in
-        let root_count = ref 0 in
-        for p = 0 to core.n - 1 do
-          if
-            Gf_poly.eval core.field sigma (Galois.alpha_pow core.field (-p))
-            = 0
-          then begin
-            incr root_count;
-            positions := p :: !positions
-          end
-        done;
-        if !root_count <> errors || List.exists (fun p -> p >= used) !positions
-        then Uncorrectable
-        else begin
-          let data_positions = ref [] in
-          List.iter
-            (fun p ->
-              if p < parity_len then Bitarray.flip parity p
-              else begin
-                Bitarray.flip data (p - parity_len);
-                data_positions := (p - parity_len) :: !data_positions
-              end)
-            !positions;
-          Corrected (List.sort compare !data_positions)
-        end
-      end
-    end
-end

@@ -1,4 +1,5 @@
-(** Binary BCH codes: the error-correction engine of a Salamander page.
+(** Binary BCH codes: the oracle the analytic reliability model is tested
+    against.
 
     A code is constructed for GF(2^m) and a target correction capability
     [t]: codeword length n = 2^m - 1 bits, of which [parity_bits] = deg g(x)
@@ -11,26 +12,19 @@
     (conceptually c(x) = d(x) x^{deg g} + (d(x) x^{deg g} mod g(x))).
     Decoding computes syndromes, runs Berlekamp-Massey to find the error
     locator, and Chien search to locate the flips; binary codes need no
-    error-value computation. *)
+    error-value computation.  Every step is the textbook one (bit-at-a-time
+    division, syndromes by direct evaluation, Chien search over the whole
+    field): the simulator's reads use {!Reliability}, and this codec only
+    has to be obviously right on the small codes the tests run. *)
 
 type t
 
-val create :
-  ?registry:Telemetry.Registry.t -> m:int -> capability:int -> unit -> t
+val create : m:int -> capability:int -> t
 (** [create ~m ~capability] builds a code over GF(2^m) correcting
-    [capability] bit errors per codeword.  Decode telemetry binds
-    against [registry] (default: {!Telemetry.Registry.null}, i.e. inert).
-
-    The immutable half of a codec — field tables, generator polynomial,
-    and the byte-at-a-time encode tables — is memoized per
-    [(m, capability)] and shared by every instance with those parameters,
-    including across [Parallel.Pool] domains.  Telemetry counters are
-    per-instance, so two codecs bound to different registries count
-    independently even though they share tables.
+    [capability] bit errors per codeword.
     @raise Invalid_argument if the requested capability leaves no data bits
     (parity would reach or exceed the codeword length). *)
 
-val m : t -> int
 val n : t -> int
 (** Codeword length in bits (2^m - 1). *)
 
@@ -43,12 +37,6 @@ val capability : t -> int
     distance may be larger). *)
 
 val parity_bits : t -> int
-val code_rate : t -> data_bits:int -> float
-(** Achieved rate [data / (data + parity)] for a shortened use with
-    [data_bits] of payload. *)
-
-val generator : t -> Gf_poly.t
-(** Generator polynomial (coefficients all 0/1). *)
 
 val encode : t -> Bitarray.t -> Bitarray.t
 (** [encode code data] returns the [parity_bits code] parity bits for
@@ -72,23 +60,3 @@ val decode : t -> data:Bitarray.t -> parity:Bitarray.t -> decode_result
     overload, but may occasionally miscorrect to a different valid
     codeword.  Callers needing end-to-end integrity layer a checksum above
     the code, exactly as SSD controllers do. *)
-
-val syndromes_zero : t -> data:Bitarray.t -> parity:Bitarray.t -> bool
-(** True when the received word is a valid codeword (all syndromes zero).
-    Exits on the first nonzero syndrome, so corrupt words are typically
-    rejected after a single pass over the set bits. *)
-
-val syndromes : t -> data:Bitarray.t -> parity:Bitarray.t -> int array
-(** The raw syndrome array [S_0 .. S_2t] (index 0 unused, kept 0) for the
-    received word.  Exposed for differential testing of the optimized
-    accumulation path. *)
-
-(** Naive bit-at-a-time implementations of the codec, retained as the
-    oracle for differential tests and as the "before" micro-benchmark
-    subjects.  Semantics are identical to the table-driven paths, except
-    that [Reference.decode] touches no telemetry. *)
-module Reference : sig
-  val encode : t -> Bitarray.t -> Bitarray.t
-  val syndromes : t -> data:Bitarray.t -> parity:Bitarray.t -> int array
-  val decode : t -> data:Bitarray.t -> parity:Bitarray.t -> decode_result
-end

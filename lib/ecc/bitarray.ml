@@ -23,26 +23,6 @@ let set t i value =
 let flip t i = set t i (not (get t i))
 let copy t = { bits = t.bits; data = Bytes.copy t.data }
 
-let byte_length t = Bytes.length t.data
-
-let byte t i =
-  if i < 0 || i >= Bytes.length t.data then
-    invalid_arg "Bitarray.byte: index out of bounds";
-  Char.code (Bytes.get t.data i)
-
-let set_byte t i v =
-  if i < 0 || i >= Bytes.length t.data then
-    invalid_arg "Bitarray.set_byte: index out of bounds";
-  (* Mask the final partial byte so padding bits past [t.bits] stay clear
-     (popcount/equal rely on that invariant). *)
-  let v = v land 0xff in
-  let v =
-    if i = Bytes.length t.data - 1 && t.bits land 7 <> 0 then
-      v land ((1 lsl (t.bits land 7)) - 1)
-    else v
-  in
-  Bytes.set t.data i (Char.chr v)
-
 let popcount_byte =
   let table = Array.make 256 0 in
   for b = 1 to 255 do
@@ -56,18 +36,6 @@ let popcount t =
   !acc
 
 let equal a b = a.bits = b.bits && Bytes.equal a.data b.data
-
-let xor_into ~dst src =
-  if dst.bits <> src.bits then invalid_arg "Bitarray.xor_into: length mismatch";
-  for i = 0 to Bytes.length dst.data - 1 do
-    let x = Char.code (Bytes.get dst.data i) lxor Char.code (Bytes.get src.data i) in
-    Bytes.set dst.data i (Char.chr x)
-  done
-
-let of_bytes bytes =
-  { bits = 8 * Bytes.length bytes; data = Bytes.copy bytes }
-
-let to_bytes t = Bytes.copy t.data
 
 let of_string s =
   let t = create (String.length s) in

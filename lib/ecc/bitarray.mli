@@ -16,29 +16,7 @@ val copy : t -> t
 val popcount : t -> int
 (** Number of set bits. *)
 
-val byte_length : t -> int
-(** Number of underlying bytes, [(length + 7) / 8]. *)
-
-val byte : t -> int -> int
-(** [byte t i] is bits [8i .. 8i+7] as an int (bit [8i] is the LSB); bits
-    past the length read as 0.  The byte-at-a-time BCH encoder consumes
-    codewords through this. *)
-
-val set_byte : t -> int -> int -> unit
-(** [set_byte t i v] stores the low 8 bits of [v] into bits [8i .. 8i+7];
-    bits past the length are dropped so the padding invariant holds. *)
-
 val equal : t -> t -> bool
-val xor_into : dst:t -> t -> unit
-(** [xor_into ~dst src] sets [dst] to [dst xor src].
-    @raise Invalid_argument on length mismatch. *)
-
-val of_bytes : bytes -> t
-(** Interpret each byte LSB-first: bit [8*i + j] is bit [j] of byte [i]. *)
-
-val to_bytes : t -> bytes
-(** Inverse of {!of_bytes}; the last byte is zero-padded when the length is
-    not a multiple of 8. *)
 
 val of_string : string -> t
 (** [of_string "10110"] builds a 5-bit array from ASCII ['0']/['1'].

@@ -28,11 +28,3 @@ let for_sector ~data_bytes ~spare_bytes =
     code_rate =
       float_of_int data_bytes /. float_of_int (data_bytes + spare_bytes);
   }
-
-let codec ?registry t =
-  Bch.create ?registry ~m:t.m ~capability:t.capability ()
-
-let pp fmt t =
-  Format.fprintf fmt
-    "BCH(m=%d, t=%d) over %dB data + %dB spare (rate %.3f)" t.m t.capability
-    t.data_bytes t.spare_bytes t.code_rate

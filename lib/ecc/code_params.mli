@@ -20,10 +20,3 @@ type t = private {
 val for_sector : data_bytes:int -> spare_bytes:int -> t
 (** @raise Invalid_argument if either size is non-positive or the spare
     cannot buy even a single correctable error. *)
-
-val codec : ?registry:Telemetry.Registry.t -> t -> Bch.t
-(** Instantiate the live {!Bch} codec matching these parameters (capability
-    clamped so the generator fits; only feasible up to m = 15, i.e. data
-    chunks below 4 KiB). *)
-
-val pp : Format.formatter -> t -> unit

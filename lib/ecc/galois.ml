@@ -1,8 +1,6 @@
 type t = {
-  m : int;
   order : int; (* 2^m - 1 *)
-  primitive_poly : int;
-  exp_table : int array; (* exp_table.(i) = alpha^i, doubled for easy reduction *)
+  antilog_table : int array; (* alpha^i at index i, doubled for easy reduction *)
   log_table : int array; (* log_table.(x) = i with alpha^i = x, x >= 1 *)
 }
 
@@ -23,61 +21,34 @@ let primitive_poly_for = function
   | 15 -> 0b1000000000000011
   | m -> invalid_arg (Printf.sprintf "Galois.create: unsupported m = %d" m)
 
-let build m =
+let create m =
   let primitive_poly = primitive_poly_for m in
   let order = (1 lsl m) - 1 in
-  let exp_table = Array.make (2 * order) 0 in
+  let antilog_table = Array.make (2 * order) 0 in
   let log_table = Array.make (order + 1) 0 in
   let x = ref 1 in
   for i = 0 to order - 1 do
-    exp_table.(i) <- !x;
-    exp_table.(i + order) <- !x;
+    antilog_table.(i) <- !x;
+    antilog_table.(i + order) <- !x;
     log_table.(!x) <- i;
     x := !x lsl 1;
     if !x land (1 lsl m) <> 0 then x := !x lxor primitive_poly
   done;
-  { m; order; primitive_poly; exp_table; log_table }
+  { order; antilog_table; log_table }
 
-(* A field is an immutable pair of tables once built, so one instance per
-   degree can be shared freely — including across [Parallel.Pool] domains.
-   The mutex only guards the cold first build of each degree. *)
-let cache : (int, t) Hashtbl.t = Hashtbl.create 8
-let cache_mutex = Mutex.create ()
-
-let create m =
-  Mutex.protect cache_mutex (fun () ->
-      match Hashtbl.find_opt cache m with
-      | Some field -> field
-      | None ->
-          let field = build m in
-          Hashtbl.add cache m field;
-          field)
-
-let m t = t.m
 let order t = t.order
-let primitive_poly t = t.primitive_poly
 let add _ a b = a lxor b
 
 let mul t a b =
   if a = 0 || b = 0 then 0
-  else t.exp_table.(t.log_table.(a) + t.log_table.(b))
+  else t.antilog_table.(t.log_table.(a) + t.log_table.(b))
 
 let inv t a =
   if a = 0 then raise Division_by_zero
-  else t.exp_table.(t.order - t.log_table.(a))
+  else t.antilog_table.(t.order - t.log_table.(a))
 
 let div t a b = mul t a (inv t b)
 
 let alpha_pow t i =
   let i = ((i mod t.order) + t.order) mod t.order in
-  t.exp_table.(i)
-
-let exp t i = t.exp_table.(i)
-let exp_table t = t.exp_table
-
-let log_alpha t a =
-  if a = 0 then raise Division_by_zero else t.log_table.(a)
-
-let pow t a e =
-  if a = 0 then (if e = 0 then 1 else 0)
-  else alpha_pow t (t.log_table.(a) * e)
+  t.antilog_table.(i)

@@ -8,17 +8,12 @@
 type t
 
 val create : int -> t
-(** [create m] builds GF(2^m).  Fields are immutable and memoized: repeated
-    calls with the same [m] return the same shared instance, which is safe
-    to use from any domain.  @raise Invalid_argument unless
+(** [create m] builds GF(2^m).  Fields are immutable once built, so one
+    value is safe to share across domains.  @raise Invalid_argument unless
     [3 <= m <= 15]. *)
 
-val m : t -> int
 val order : t -> int
 (** Number of nonzero elements, [2^m - 1] (the multiplicative order). *)
-
-val primitive_poly : t -> int
-(** The primitive polynomial as a bit mask including the x^m term. *)
 
 val add : t -> int -> int -> int
 val mul : t -> int -> int -> int
@@ -26,26 +21,7 @@ val inv : t -> int -> int
 (** @raise Division_by_zero on 0. *)
 
 val div : t -> int -> int -> int
-val pow : t -> int -> int -> int
-(** [pow f a e]: [a] to the power [e]; [e] may be negative for nonzero [a].
-    [pow f 0 0] is 1 by convention. *)
 
 val alpha_pow : t -> int -> int
 (** [alpha_pow f i] is the primitive element to the power [i] ([i] may be any
     int; reduced mod order). *)
-
-val exp : t -> int -> int
-(** [exp f i] is [alpha_pow f i] without the modular reduction, a raw read
-    of the doubled antilog table: valid only for [0 <= i < 2 * order f].
-    Hot loops that keep exponents reduced by stride addition (syndrome
-    accumulation, Chien stepping) use this to skip the two divisions
-    [alpha_pow] pays per call. *)
-
-val log_alpha : t -> int -> int
-(** Discrete log base alpha.  @raise Division_by_zero on 0. *)
-
-val exp_table : t -> int array
-(** The doubled antilog table backing {!exp}: [2 * order f] entries with
-    [(exp_table f).(i) = exp f i].  Exposed so the innermost decode loops
-    can hoist the array out of the per-term call; callers must treat it as
-    read-only — it is the live table shared by every user of the field. *)

@@ -10,13 +10,8 @@ let normalize coefficients =
   done;
   Array.sub coefficients 0 (!last + 1)
 
-let of_coefficients coefficients =
-  if Array.length coefficients = 0 then zero
-  else normalize (Array.copy coefficients)
-
 let degree p = if Array.length p = 1 && p.(0) = 0 then -1 else Array.length p - 1
 let is_zero p = degree p = -1
-let equal a b = normalize a = normalize b
 let coefficient p i = if i < Array.length p then p.(i) else 0
 
 let add field a b =
@@ -53,40 +48,12 @@ let shift p k =
     result
   end
 
-let divmod field a b =
-  if is_zero b then raise Division_by_zero;
-  let remainder = Array.copy a in
-  let db = degree b in
-  let lead_inv = Galois.inv field b.(db) in
-  let quotient = Array.make (Stdlib.max 1 (Array.length a)) 0 in
-  for i = Array.length remainder - 1 downto db do
-    if remainder.(i) <> 0 then begin
-      let factor = Galois.mul field remainder.(i) lead_inv in
-      quotient.(i - db) <- factor;
-      for j = 0 to db do
-        remainder.(i - db + j) <-
-          Galois.add field remainder.(i - db + j)
-            (Galois.mul field factor b.(j))
-      done
-    end
-  done;
-  (normalize quotient, normalize remainder)
-
 let eval field p x =
   let acc = ref 0 in
   for i = Array.length p - 1 downto 0 do
     acc := Galois.add field (Galois.mul field !acc x) p.(i)
   done;
   !acc
-
-let derivative _field p =
-  if degree p <= 0 then zero
-  else
-    normalize
-      (Array.init (Array.length p - 1) (fun i ->
-           (* d/dx of c x^(i+1) is (i+1) c x^i; in GF(2^m) the integer
-              multiplier reduces mod 2. *)
-           if (i + 1) mod 2 = 1 then p.(i + 1) else 0))
 
 let minimal_polynomial field e =
   let order = Galois.order field in
@@ -101,18 +68,3 @@ let minimal_polynomial field e =
       (* multiply by (x + alpha^j) *)
       mul field acc [| Galois.alpha_pow field j; 1 |])
     one conjugates
-
-let pp fmt p =
-  if is_zero p then Format.fprintf fmt "0"
-  else begin
-    let first = ref true in
-    for i = Array.length p - 1 downto 0 do
-      if p.(i) <> 0 then begin
-        if not !first then Format.fprintf fmt " + ";
-        first := false;
-        if i = 0 then Format.fprintf fmt "%d" p.(i)
-        else if p.(i) = 1 then Format.fprintf fmt "x^%d" i
-        else Format.fprintf fmt "%d.x^%d" p.(i) i
-      end
-    done
-  end

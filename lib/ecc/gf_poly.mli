@@ -7,14 +7,8 @@
 
 type t = int array
 
-val zero : t
 val one : t
-val of_coefficients : int array -> t
-(** Copy and strip leading zero coefficients. *)
-
 val degree : t -> int
-val is_zero : t -> bool
-val equal : t -> t -> bool
 val coefficient : t -> int -> int
 (** Coefficient of x^i (0 beyond the degree). *)
 
@@ -26,19 +20,10 @@ val scale : Galois.t -> int -> t -> t
 val shift : t -> int -> t
 (** [shift p k] is [p * x^k]. *)
 
-val divmod : Galois.t -> t -> t -> t * t
-(** [divmod f a b] = (quotient, remainder) of [a / b].
-    @raise Division_by_zero when [b] is zero. *)
-
 val eval : Galois.t -> t -> int -> int
 (** Evaluate at a field point (Horner). *)
-
-val derivative : Galois.t -> t -> t
-(** Formal derivative; in characteristic 2 even-power terms vanish. *)
 
 val minimal_polynomial : Galois.t -> int -> t
 (** [minimal_polynomial f e] is the minimal polynomial over GF(2) of the
     field element alpha^e: the product of (x - alpha^j) over the conjugacy
     class [{e, 2e, 4e, ...}].  All returned coefficients are 0 or 1. *)
-
-val pp : Format.formatter -> t -> unit

@@ -35,12 +35,6 @@ let test_bitarray_string_roundtrip () =
   let b = Ecc.Bitarray.of_string s in
   check Alcotest.string "roundtrip" s (Ecc.Bitarray.to_string b)
 
-let test_bitarray_xor () =
-  let a = Ecc.Bitarray.of_string "1100" in
-  let b = Ecc.Bitarray.of_string "1010" in
-  Ecc.Bitarray.xor_into ~dst:a b;
-  check Alcotest.string "xor" "0110" (Ecc.Bitarray.to_string a)
-
 let test_bitarray_iter_set () =
   let b = Ecc.Bitarray.of_string "0100100110" in
   let seen = ref [] in
@@ -106,29 +100,6 @@ let test_field_alpha_cycle () =
 
 (* --- GF polynomials --------------------------------------------------- *)
 
-let test_poly_divmod () =
-  let field = Ecc.Galois.create 4 in
-  let rng = Sim.Rng.create 3 in
-  for _ = 1 to 200 do
-    let random_poly degree =
-      Ecc.Gf_poly.of_coefficients
-        (Array.init (degree + 1) (fun _ -> Sim.Rng.int rng 16))
-    in
-    let a = random_poly (Sim.Rng.int_in rng 0 8) in
-    let b = random_poly (Sim.Rng.int_in rng 0 4) in
-    if not (Ecc.Gf_poly.is_zero b) then begin
-      let q, r = Ecc.Gf_poly.divmod field a b in
-      (* a = q*b + r and deg r < deg b *)
-      let recomposed =
-        Ecc.Gf_poly.add field (Ecc.Gf_poly.mul field q b) r
-      in
-      checkb "a = q*b + r" true (Ecc.Gf_poly.equal a recomposed);
-      checkb "deg r < deg b" true
-        (Ecc.Gf_poly.degree r < Stdlib.max 1 (Ecc.Gf_poly.degree b)
-        || Ecc.Gf_poly.is_zero r)
-    end
-  done
-
 let test_minimal_polynomial_has_root () =
   let field = Ecc.Galois.create 8 in
   for e = 1 to 20 do
@@ -159,14 +130,14 @@ let inject_errors rng word count =
   List.init count (fun _ -> pick ())
 
 let bch_roundtrip ~m ~capability ~data_bits ~errors ~seed () =
-  let code = Ecc.Bch.create ~m ~capability () in
+  let code = Ecc.Bch.create ~m ~capability in
   let rng = Sim.Rng.create seed in
   let data = Ecc.Bitarray.create data_bits in
   Ecc.Bitarray.randomize rng data;
   let original = Ecc.Bitarray.copy data in
   let parity = Ecc.Bch.encode code data in
   checkb "clean word passes" true
-    (Ecc.Bch.syndromes_zero code ~data ~parity);
+    (Ecc.Bch.decode code ~data ~parity = Ecc.Bch.Corrected []);
   (* Corrupt data and parity bits together. *)
   let total_positions = data_bits + Ecc.Bch.parity_bits code in
   let flips = Hashtbl.create errors in
@@ -205,7 +176,7 @@ let test_bch_detects_overload () =
      *different* valid codeword.  Either way the data differs from a
      clean decode only in detectable ways; we assert no false claim of
      success with restored data equality. *)
-  let code = Ecc.Bch.create ~m:8 ~capability:4 () in
+  let code = Ecc.Bch.create ~m:8 ~capability:4 in
   let rng = Sim.Rng.create 99 in
   let trials = 100 in
   let silent_failures = ref 0 in
@@ -226,7 +197,7 @@ let test_bch_detects_overload () =
   checki "never silently restores beyond capability" 0 !silent_failures
 
 let test_bch_k_matches_generator () =
-  let code = Ecc.Bch.create ~m:8 ~capability:8 () in
+  let code = Ecc.Bch.create ~m:8 ~capability:8 in
   checki "n" 255 (Ecc.Bch.n code);
   checki "n = k + parity" (Ecc.Bch.n code)
     (Ecc.Bch.k code + Ecc.Bch.parity_bits code);
@@ -234,18 +205,24 @@ let test_bch_k_matches_generator () =
   checkb "parity <= m*t" true (Ecc.Bch.parity_bits code <= 8 * 8)
 
 let test_bch_shortened_zero_data () =
-  let code = Ecc.Bch.create ~m:6 ~capability:3 () in
+  let code = Ecc.Bch.create ~m:6 ~capability:3 in
   let data = Ecc.Bitarray.create 0 in
   let parity = Ecc.Bch.encode code data in
   checki "zero data gives zero parity" 0 (Ecc.Bitarray.popcount parity)
 
-(* Property: random data, random error count within capability, always
-   repaired. *)
+(* Property: random code shape, random shortened data length, random
+   error count within capability, always repaired. *)
+let roundtrip_codes = [| (5, 3); (6, 2); (7, 4); (8, 5); (8, 8); (10, 8) |]
+
 let prop_bch_roundtrip =
-  QCheck.Test.make ~count:150 ~name:"bch corrects <= t random errors"
-    QCheck.(triple (int_range 0 5) (int_range 1 120) small_int)
-    (fun (errors, data_bits, seed) ->
-      let code = Ecc.Bch.create ~m:8 ~capability:5 () in
+  QCheck.Test.make ~count:200 ~name:"bch corrects <= t random errors"
+    QCheck.(
+      quad
+        (int_range 0 (Array.length roundtrip_codes - 1))
+        (int_range 0 250) small_nat small_int)
+    (fun (code_index, data_bits, raw_errors, seed) ->
+      let m, capability = roundtrip_codes.(code_index) in
+      let code = Ecc.Bch.create ~m ~capability in
       let data_bits = Stdlib.min data_bits (Ecc.Bch.k code) in
       let rng = Sim.Rng.create seed in
       let data = Ecc.Bitarray.create data_bits in
@@ -253,7 +230,7 @@ let prop_bch_roundtrip =
       let original = Ecc.Bitarray.copy data in
       let parity = Ecc.Bch.encode code data in
       let total = data_bits + Ecc.Bch.parity_bits code in
-      let errors = Stdlib.min errors total in
+      let errors = Stdlib.min (raw_errors mod (capability + 1)) total in
       let flipped = Hashtbl.create 8 in
       let injected = ref 0 in
       while !injected < errors do
@@ -269,114 +246,7 @@ let prop_bch_roundtrip =
       | Ecc.Bch.Uncorrectable -> false
       | Ecc.Bch.Corrected _ -> Ecc.Bitarray.equal data original)
 
-(* --- differential: table-driven hot paths vs naive reference ----------- *)
-
-(* The optimized encode/syndrome/Chien paths must be bit-identical to the
-   retained naive implementations, over random codes, random data lengths,
-   and error patterns both within and beyond capability. *)
-
-let differential_codes = [| (5, 3); (6, 2); (7, 4); (8, 5); (8, 8); (10, 8) |]
-
-let decode_results_equal a b =
-  match (a, b) with
-  | Ecc.Bch.Uncorrectable, Ecc.Bch.Uncorrectable -> true
-  | Ecc.Bch.Corrected xs, Ecc.Bch.Corrected ys -> xs = ys
-  | _ -> false
-
-let prop_bch_differential =
-  QCheck.Test.make ~count:200 ~name:"fast codec bit-identical to reference"
-    QCheck.(
-      quad
-        (int_range 0 (Array.length differential_codes - 1))
-        (int_range 0 250) (int_range 0 30) small_int)
-    (fun (code_index, data_bits, raw_errors, seed) ->
-      let m, capability = differential_codes.(code_index) in
-      let code = Ecc.Bch.create ~m ~capability () in
-      let data_bits = Stdlib.min data_bits (Ecc.Bch.k code) in
-      let rng = Sim.Rng.create (seed + 1) in
-      let data = Ecc.Bitarray.create data_bits in
-      Ecc.Bitarray.randomize rng data;
-      let parity = Ecc.Bch.encode code data in
-      let encode_agrees =
-        Ecc.Bitarray.equal parity (Ecc.Bch.Reference.encode code data)
-      in
-      (* Spread errors over the whole stored word; up to ~2t of them, so
-         the beyond-capability detection paths are exercised too. *)
-      let total = data_bits + Ecc.Bch.parity_bits code in
-      let errors = Stdlib.min raw_errors (Stdlib.min (2 * capability + 3) total) in
-      let flipped = Hashtbl.create 8 in
-      let injected = ref 0 in
-      while !injected < errors do
-        let p = Sim.Rng.int rng total in
-        if not (Hashtbl.mem flipped p) then begin
-          Hashtbl.add flipped p ();
-          if p < data_bits then Ecc.Bitarray.flip data p
-          else Ecc.Bitarray.flip parity (p - data_bits);
-          incr injected
-        end
-      done;
-      let syndromes_agree =
-        Ecc.Bch.syndromes code ~data ~parity
-        = Ecc.Bch.Reference.syndromes code ~data ~parity
-      in
-      let zero_agrees =
-        Ecc.Bch.syndromes_zero code ~data ~parity
-        = Array.for_all
-            (fun s -> s = 0)
-            (Ecc.Bch.Reference.syndromes code ~data ~parity)
-      in
-      (* Both decoders repair in place: run each on its own copy and
-         compare results and repaired words. *)
-      let d_fast = Ecc.Bitarray.copy data
-      and p_fast = Ecc.Bitarray.copy parity in
-      let d_ref = Ecc.Bitarray.copy data
-      and p_ref = Ecc.Bitarray.copy parity in
-      let r_fast = Ecc.Bch.decode code ~data:d_fast ~parity:p_fast in
-      let r_ref = Ecc.Bch.Reference.decode code ~data:d_ref ~parity:p_ref in
-      encode_agrees && syndromes_agree && zero_agrees
-      && decode_results_equal r_fast r_ref
-      && Ecc.Bitarray.equal d_fast d_ref
-      && Ecc.Bitarray.equal p_fast p_ref)
-
-(* --- codec cache ------------------------------------------------------- *)
-
-let counter_value registry name =
-  List.fold_left
-    (fun acc (s : Telemetry.Registry.sample) ->
-      match s.value with
-      | Telemetry.Registry.Counter v when s.name = name -> acc + v
-      | _ -> acc)
-    0
-    (Telemetry.Registry.snapshot registry)
-
-let test_bch_shared_core_independent_telemetry () =
-  let reg_a = Telemetry.Registry.create () in
-  let reg_b = Telemetry.Registry.create () in
-  let a = Ecc.Bch.create ~registry:reg_a ~m:8 ~capability:4 () in
-  let b = Ecc.Bch.create ~registry:reg_b ~m:8 ~capability:4 () in
-  (* The immutable tables are shared (one build per (m, capability))... *)
-  checkb "generator physically shared" true
-    (Ecc.Bch.generator a == Ecc.Bch.generator b);
-  (* ...but telemetry stays per-instance. *)
-  let decode_once code =
-    let rng = Sim.Rng.create 5 in
-    let data = Ecc.Bitarray.create 64 in
-    Ecc.Bitarray.randomize rng data;
-    let parity = Ecc.Bch.encode code data in
-    Ecc.Bitarray.flip data 3;
-    match Ecc.Bch.decode code ~data ~parity with
-    | Ecc.Bch.Corrected [ 3 ] -> ()
-    | _ -> Alcotest.fail "single injected error not corrected"
-  in
-  decode_once a;
-  decode_once a;
-  decode_once b;
-  checki "codec a counted its decodes" 2 (counter_value reg_a "bch_decodes_total");
-  checki "codec b counted its decodes" 1 (counter_value reg_b "bch_decodes_total")
-
-let test_galois_memoized () =
-  checkb "same field instance per m" true
-    (Ecc.Galois.create 9 == Ecc.Galois.create 9)
+(* --- Code params and reliability -------------------------------------- *)
 
 let test_tolerable_rber_memo_consistent () =
   let p = Ecc.Code_params.for_sector ~data_bytes:2048 ~spare_bytes:256 in
@@ -385,8 +255,6 @@ let test_tolerable_rber_memo_consistent () =
     (Ecc.Reliability.tolerable_rber p);
   checkb "distinct targets solve separately" true
     (Ecc.Reliability.tolerable_rber ~target:1e-6 p > first)
-
-(* --- Code params and reliability -------------------------------------- *)
 
 let test_code_params_flash_sector () =
   (* The paper's reference geometry: 2 KiB data chunks sharing a 2 KiB
@@ -443,50 +311,76 @@ let test_reliability_page_vs_codeword () =
   checkb "page fail above codeword fail" true (page >= cw);
   checkb "page fail below union bound" true (page <= (8. *. cw) +. 1e-12)
 
-(* Cross-check: analytic binomial tail against Monte Carlo with the real
-   codec for a small code where simulation is cheap. *)
+(* The codec is the oracle for the analytic tail: on small codes where
+   decoding is cheap, flip each stored bit independently with probability
+   [rber] and count the words the decoder fails to restore.  Bounded-
+   distance decoding fails exactly when more than t bits flip, so the count
+   must sit within 4 sigma of the binomial tail at the stored length (data
+   plus the generator's parity bits).  [Reliability] charges the whole
+   spare area, unused bits included, so it may only over-predict: the count
+   is at most 4 sigma above [codeword_fail_prob] itself. *)
 let test_reliability_matches_live_codec () =
-  let params = Ecc.Code_params.for_sector ~data_bytes:16 ~spare_bytes:8 in
-  let code = Ecc.Code_params.codec params in
-  let rber = 0.02 in
-  let rng = Sim.Rng.create 2024 in
   let trials = 3000 in
-  let failures = ref 0 in
-  let data_bits = 8 * params.Ecc.Code_params.data_bytes in
-  for _ = 1 to trials do
-    let data = Ecc.Bitarray.create data_bits in
-    Ecc.Bitarray.randomize rng data;
-    let original = Ecc.Bitarray.copy data in
-    let parity = Ecc.Bch.encode code data in
-    (* Flip each stored bit independently with probability rber. *)
-    for i = 0 to data_bits - 1 do
-      if Sim.Rng.chance rng rber then Ecc.Bitarray.flip data i
-    done;
-    for i = 0 to Ecc.Bitarray.length parity - 1 do
-      if Sim.Rng.chance rng rber then Ecc.Bitarray.flip parity i
-    done;
-    (match Ecc.Bch.decode code ~data ~parity with
-    | Ecc.Bch.Uncorrectable -> incr failures
-    | Ecc.Bch.Corrected _ ->
-        if not (Ecc.Bitarray.equal data original) then incr failures);
-    ()
-  done;
-  let observed = float_of_int !failures /. float_of_int trials in
-  (* The analytic model uses the stored length (shortened code) and the
-     designed capability; the real decoder may do slightly better because
-     the true minimum distance can exceed the design bound, so allow a
-     generous band. *)
-  let stored_bits =
-    data_bits + Ecc.Bch.parity_bits code
+  let z_score ~observed ~prob =
+    let mean = float_of_int trials *. prob in
+    (float_of_int observed -. mean) /. Float.sqrt (mean *. (1. -. prob))
   in
-  let predicted =
-    Sim.Special.binomial_tail stored_bits rber
-      (Ecc.Bch.capability code)
-  in
-  checkb
-    (Printf.sprintf "observed %.4f vs predicted %.4f" observed predicted)
-    true
-    (Float.abs (observed -. predicted) < 0.05 +. (0.5 *. predicted))
+  List.iteri
+    (fun point (data_bytes, spare_bytes, rber) ->
+      let params = Ecc.Code_params.for_sector ~data_bytes ~spare_bytes in
+      let code =
+        Ecc.Bch.create ~m:params.Ecc.Code_params.m
+          ~capability:params.Ecc.Code_params.capability
+      in
+      let rng = Sim.Rng.create (2024 + point) in
+      let data_bits = 8 * data_bytes in
+      let failures = ref 0 in
+      for _ = 1 to trials do
+        let data = Ecc.Bitarray.create data_bits in
+        Ecc.Bitarray.randomize rng data;
+        let original = Ecc.Bitarray.copy data in
+        let parity = Ecc.Bch.encode code data in
+        for i = 0 to data_bits - 1 do
+          if Sim.Rng.chance rng rber then Ecc.Bitarray.flip data i
+        done;
+        for i = 0 to Ecc.Bitarray.length parity - 1 do
+          if Sim.Rng.chance rng rber then Ecc.Bitarray.flip parity i
+        done;
+        match Ecc.Bch.decode code ~data ~parity with
+        | Ecc.Bch.Uncorrectable -> incr failures
+        | Ecc.Bch.Corrected _ ->
+            if not (Ecc.Bitarray.equal data original) then incr failures
+      done;
+      let stored_tail =
+        Sim.Special.binomial_tail
+          (data_bits + Ecc.Bch.parity_bits code)
+          rber (Ecc.Bch.capability code)
+      in
+      let model = Ecc.Reliability.codeword_fail_prob params ~rber in
+      let z_stored = z_score ~observed:!failures ~prob:stored_tail in
+      let z_model = z_score ~observed:!failures ~prob:model in
+      let label =
+        Printf.sprintf
+          "%d+%dB at rber %g: %d failures, stored tail %.1f (z %.2f), \
+           model %.1f (z %.2f)"
+          data_bytes spare_bytes rber !failures
+          (float_of_int trials *. stored_tail)
+          z_stored
+          (float_of_int trials *. model)
+          z_model
+      in
+      checkb (label ^ " | within 4 sigma of the stored-length tail") true
+        (Float.abs z_stored <= 4.);
+      checkb (label ^ " | at most 4 sigma above the model") true
+        (z_model <= 4.))
+    [
+      (16, 8, 0.02);
+      (16, 8, 0.04);
+      (32, 8, 0.01);
+      (32, 8, 0.025);
+      (8, 4, 0.02);
+      (8, 4, 0.05);
+    ]
 
 (* --- Reed-Solomon ------------------------------------------------------ *)
 
@@ -579,23 +473,17 @@ let suite =
     ("bitarray basic", `Quick, test_bitarray_basic);
     ("bitarray bounds", `Quick, test_bitarray_bounds);
     ("bitarray string roundtrip", `Quick, test_bitarray_string_roundtrip);
-    ("bitarray xor", `Quick, test_bitarray_xor);
     ("bitarray iter_set", `Quick, test_bitarray_iter_set);
     ("bitarray randomize clears padding", `Quick, test_bitarray_randomize_padding);
     ("galois field laws", `Quick, test_field_laws);
     ("galois inverses", `Quick, test_field_inverse);
     ("galois alpha cycle", `Quick, test_field_alpha_cycle);
-    ("gf_poly divmod", `Quick, test_poly_divmod);
     ("gf_poly minimal polynomial", `Quick, test_minimal_polynomial_has_root);
     ("bch roundtrips", `Slow, test_bch_roundtrips);
     ("bch detects overload", `Quick, test_bch_detects_overload);
     ("bch k matches generator", `Quick, test_bch_k_matches_generator);
     ("bch shortened zero data", `Quick, test_bch_shortened_zero_data);
     qc prop_bch_roundtrip;
-    qc prop_bch_differential;
-    ("bch shared core, independent telemetry", `Quick,
-     test_bch_shared_core_independent_telemetry);
-    ("galois memoized", `Quick, test_galois_memoized);
     ("reliability memo consistent", `Quick,
      test_tolerable_rber_memo_consistent);
     ("code params flash sector", `Quick, test_code_params_flash_sector);
