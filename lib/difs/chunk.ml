@@ -1,4 +1,4 @@
-type share = { index : int; target : Target.key; base : int }
+type share = { index : int; target : Target.t; base : int }
 
 type t = {
   id : int;
@@ -29,11 +29,11 @@ let payload_of_bytes b =
   done;
   !acc
 
-let share_on t key =
-  List.find_opt (fun s -> Target.key_equal s.target key) t.shares
+let on key s = Target.key_equal s.target.Target.key key
+let share_on t key = List.find_opt (on key) t.shares
 
 let drop_share t key =
-  t.shares <- List.filter (fun s -> not (Target.key_equal s.target key)) t.shares
+  t.shares <- List.filter (fun s -> not (on key s)) t.shares
 
 let add_share t share = t.shares <- share :: t.shares
 
@@ -42,7 +42,3 @@ let present_indices t = List.map (fun s -> s.index) t.shares
 let missing_indices t ~total =
   let present = present_indices t in
   List.filter (fun i -> not (List.mem i present)) (List.init total Fun.id)
-
-let pp fmt t =
-  Format.fprintf fmt "chunk %d v%d (%d shares)" t.id t.version
-    (List.length t.shares)

@@ -14,7 +14,7 @@
 
 type share = {
   index : int;  (** share number: replica ordinal, or RS share index *)
-  target : Target.key;
+  target : Target.t;  (** where the share lives, resolved at placement *)
   base : int;  (** first LBA of the share's range within the target *)
 }
 
@@ -41,8 +41,5 @@ val share_on : t -> Target.key -> share option
 val drop_share : t -> Target.key -> unit
 val add_share : t -> share -> unit
 
-val present_indices : t -> int list
 val missing_indices : t -> total:int -> int list
 (** Share indices not currently stored, given the redundancy's total. *)
-
-val pp : Format.formatter -> t -> unit

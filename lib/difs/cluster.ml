@@ -1,4 +1,4 @@
-type backend =
+type backend = Target.backend =
   | Monolithic of Ftl.Device_intf.packed
   | Salamander of Salamander.Device.t
 
@@ -24,118 +24,121 @@ let default_ec_config =
     placement = Spread_devices;
   }
 
-type device_entry = {
-  id : int;
-  node : int;
-  backend : backend;
-  mutable alive_seen : bool;
-  mutable capacity_seen : int;
-  mutable killed : bool;
-}
+(* One cluster event count: [n] is this cluster's own tally, which the
+   accessors read; every bump also lands on the registry counter, where
+   clusters sharing a registry aggregate (and the null registry drops
+   it). *)
+type count = { mutable n : int; counter : Telemetry.Registry.Counter.t }
 
-(* Telemetry handles bound at cluster creation (inert on the null
-   registry).  The degraded/lost gauges are refreshed after every event
-   sweep; [tel_degraded_chunk_rounds] integrates the degraded census
-   over event-processing rounds — the discrete-time analogue of
-   under-replicated chunk-seconds. *)
+let bump ?(by = 1) c =
+  c.n <- c.n + by;
+  Telemetry.Registry.Counter.incr ~by c.counter
+
+(* Event counts and telemetry handles bound at cluster creation.  The
+   degraded/live-target gauges are refreshed after every event sweep;
+   [degraded_chunk_rounds] integrates the degraded census over
+   event-processing rounds — the discrete-time analogue of
+   under-replicated chunk-seconds.  It and [scrub_repair_failures] are
+   registry-only: no accessor reads them. *)
 type tel = {
-  tel_registry : Telemetry.Registry.t;
-  tel_recovery_written : Telemetry.Registry.Counter.t;
-  tel_recovery_read : Telemetry.Registry.Counter.t;
-  tel_recovery_events : Telemetry.Registry.Counter.t;
-  tel_rebuilt_shares : Telemetry.Registry.Counter.t;
-  tel_lost_chunks : Telemetry.Registry.Counter.t;
-  tel_unrecoverable : Telemetry.Registry.Counter.t;
-  tel_degraded : Telemetry.Registry.Gauge.t;
-  tel_degraded_chunk_rounds : Telemetry.Registry.Counter.t;
-  tel_live_targets : Telemetry.Registry.Gauge.t;
-  tel_kill_ignored : Telemetry.Registry.Counter.t;
-  tel_rebuild_aborts : Telemetry.Registry.Counter.t;
-  tel_scrub_sweeps : Telemetry.Registry.Counter.t;
-  tel_scrub_mismatches : Telemetry.Registry.Counter.t;
-  tel_scrub_repairs : Telemetry.Registry.Counter.t;
-  tel_scrub_repair_failures : Telemetry.Registry.Counter.t;
-  tel_live_repair_attempts : Telemetry.Registry.Counter.t;
-  tel_live_repair_successes : Telemetry.Registry.Counter.t;
-  tel_live_repair_replica_reads : Telemetry.Registry.Counter.t;
-  tel_live_repair_rewritten : Telemetry.Registry.Counter.t;
-  tel_live_repair_failures : Telemetry.Registry.Counter.t;
-  tel_corrupt_served : Telemetry.Registry.Counter.t;
-  tel_corrupt_with_replica : Telemetry.Registry.Counter.t;
+  registry : Telemetry.Registry.t;
+  recovery_written : count;
+  recovery_read : count;
+  recovery_events : count;
+  rebuilt : count;
+  lost : count;
+  unrecoverable : count;
+  degraded : Telemetry.Registry.Gauge.t;
+  degraded_chunk_rounds : Telemetry.Registry.Counter.t;
+  live_targets : Telemetry.Registry.Gauge.t;
+  kill_ignored : count;
+  rebuild_aborts : count;
+  scrub_sweeps : count;
+  scrub_mismatches : count;
+  scrub_repairs : count;
+  scrub_repair_failures : Telemetry.Registry.Counter.t;
+  live_repair_attempts : count;
+  live_repair_successes : count;
+  live_repair_replica_reads : count;
+  live_repair_rewritten : count;
+  live_repair_failures : count;
+  corrupt_served : count;
+  corrupt_with_replica : count;
 }
 
 let make_tel registry =
   let counter name help = Telemetry.Registry.counter registry ~help name in
+  let count name help = { n = 0; counter = counter name help } in
   {
-    tel_registry = registry;
-    tel_recovery_written =
-      counter "difs_recovery_write_opages_total"
+    registry;
+    recovery_written =
+      count "difs_recovery_write_opages_total"
         "oPages written by failure recovery (re-replication volume)";
-    tel_recovery_read =
-      counter "difs_recovery_read_opages_total"
+    recovery_read =
+      count "difs_recovery_read_opages_total"
         "oPages read to feed recovery (EC repair amplification)";
-    tel_recovery_events =
-      counter "difs_recovery_events_total" "Target failures handled";
-    tel_rebuilt_shares =
-      counter "difs_rebuilt_shares_total"
+    recovery_events =
+      count "difs_recovery_events_total" "Target failures handled";
+    rebuilt =
+      count "difs_rebuilt_shares_total"
         "Shares re-materialized on a fresh target";
-    tel_lost_chunks =
-      counter "difs_lost_chunks_total" "Chunks that fell below the read quorum";
-    tel_unrecoverable =
-      counter "difs_unrecoverable_opages_total"
+    lost =
+      count "difs_lost_chunks_total" "Chunks that fell below the read quorum";
+    unrecoverable =
+      count "difs_unrecoverable_opages_total"
         "oPages recovery could not reconstruct";
-    tel_degraded =
+    degraded =
       Telemetry.Registry.gauge registry
         ~help:"Chunks currently below full redundancy but readable"
         "difs_degraded_chunks";
-    tel_degraded_chunk_rounds =
+    degraded_chunk_rounds =
       counter "difs_degraded_chunk_rounds_total"
         "Degraded-chunk census summed over event-processing rounds \
          (under-replication exposure)";
-    tel_live_targets =
+    live_targets =
       Telemetry.Registry.gauge registry ~help:"Active placement targets"
         "difs_live_targets";
-    tel_kill_ignored =
-      counter "difs_kill_ignored_total"
+    kill_ignored =
+      count "difs_kill_ignored_total"
         "kill_device calls ignored (double-kill, unknown device, or \
          kill during recovery)";
-    tel_rebuild_aborts =
-      counter "difs_rebuild_aborts_total"
+    rebuild_aborts =
+      count "difs_rebuild_aborts_total"
         "Share rebuilds abandoned because the destination died mid-copy";
-    tel_scrub_sweeps = counter "difs_scrub_sweeps_total" "Scrub sweeps run";
-    tel_scrub_mismatches =
-      counter "difs_scrub_mismatches_total"
+    scrub_sweeps = count "difs_scrub_sweeps_total" "Scrub sweeps run";
+    scrub_mismatches =
+      count "difs_scrub_mismatches_total"
         "oPages whose content failed scrub verification";
-    tel_scrub_repairs =
-      counter "difs_scrub_repairs_total"
+    scrub_repairs =
+      count "difs_scrub_repairs_total"
         "Scrub repairs (in-place rewrites + share rebuilds)";
-    tel_scrub_repair_failures =
+    scrub_repair_failures =
       counter "difs_scrub_repair_failures_total"
         "Unreadable shares the scrubber could not rebuild";
-    tel_live_repair_attempts =
-      counter "difs_live_repair_attempts_total"
+    live_repair_attempts =
+      count "difs_live_repair_attempts_total"
         "Foreground (read-path) repair attempts";
-    tel_live_repair_successes =
-      counter "difs_live_repair_successes_total"
+    live_repair_successes =
+      count "difs_live_repair_successes_total"
         "Foreground repairs that reconstructed the oPage from a healthy \
          replica or EC quorum";
-    tel_live_repair_replica_reads =
-      counter "difs_live_repair_replica_reads_total"
+    live_repair_replica_reads =
+      count "difs_live_repair_replica_reads_total"
         "Replica/share reads consumed by foreground repair";
-    tel_live_repair_rewritten =
-      counter "difs_live_repair_rewritten_opages_total"
+    live_repair_rewritten =
+      count "difs_live_repair_rewritten_opages_total"
         "oPages rewritten in place through the normal FTL write path by \
          foreground repair";
-    tel_live_repair_failures =
-      counter "difs_live_repair_failures_total"
+    live_repair_failures =
+      count "difs_live_repair_failures_total"
         "Foreground repairs that degraded to the unrecoverable outcome \
          (no healthy share, or no owning chunk)";
-    tel_corrupt_served =
-      counter "difs_corrupt_reads_served_total"
+    corrupt_served =
+      count "difs_corrupt_reads_served_total"
         "Corrupt oPages handed to a reader (degraded service: no healthy \
          replica existed)";
-    tel_corrupt_with_replica =
-      counter "difs_corrupt_reads_with_replica_total"
+    corrupt_with_replica =
+      count "difs_corrupt_reads_with_replica_total"
         "Corrupt oPages handed to a reader while a healthy replica \
          existed (the live-repair invariant: must stay 0)";
   }
@@ -143,34 +146,16 @@ let make_tel registry =
 type t = {
   config : config;
   coder : Ecc.Reed_solomon.t option; (* Some for erasure coding *)
-  devices : (int, device_entry) Hashtbl.t;
+  devices : (int, Target.device) Hashtbl.t;
   targets : (Target.key, Target.t) Hashtbl.t;
   chunks : (int, Chunk.t) Hashtbl.t;
   tel : tel;
   mutable next_device : int;
-  mutable recovery_written : int;
-  mutable recovery_read : int;
-  mutable recovery_events : int;
-  mutable lost : int;
-  mutable unrecoverable_opages : int;
-  mutable rebuilt : int;
-  mutable rebuild_aborts : int;
-  mutable kill_ignored : int;
   mutable in_recovery : bool;
   mutable in_live_repair : bool;
       (* reentrancy guard: replica reads issued by a live repair can
          themselves escalate; the nested escalation must degrade (so the
          outer repair just moves to the next share) instead of recursing *)
-  mutable live_repair_attempts : int;
-  mutable live_repair_successes : int;
-  mutable live_repair_replica_reads : int;
-  mutable live_repair_rewritten : int;
-  mutable live_repair_failures : int;
-  mutable corrupt_served : int;
-  mutable corrupt_with_replica : int;
-  mutable scrub_sweeps : int;
-  mutable scrub_mismatches : int;
-  mutable scrub_repairs : int;
   mutable scrub_cursor : int;
   scrub_backoff : (int, int * int) Hashtbl.t;
       (* chunk id -> (consecutive repair failures, first sweep eligible
@@ -202,26 +187,8 @@ let create ?(config = default_config) ?registry () =
     chunks = Hashtbl.create 256;
     tel = make_tel registry;
     next_device = 0;
-    recovery_written = 0;
-    recovery_read = 0;
-    recovery_events = 0;
-    lost = 0;
-    unrecoverable_opages = 0;
-    rebuilt = 0;
-    rebuild_aborts = 0;
-    kill_ignored = 0;
     in_recovery = false;
     in_live_repair = false;
-    live_repair_attempts = 0;
-    live_repair_successes = 0;
-    live_repair_replica_reads = 0;
-    live_repair_rewritten = 0;
-    live_repair_failures = 0;
-    corrupt_served = 0;
-    corrupt_with_replica = 0;
-    scrub_sweeps = 0;
-    scrub_mismatches = 0;
-    scrub_repairs = 0;
     scrub_cursor = -1;
     scrub_backoff = Hashtbl.create 16;
   }
@@ -285,99 +252,81 @@ let expected_payload t (chunk : Chunk.t) ~index ~offset =
         let parity = Ecc.Reed_solomon.encode coder data in
         Chunk.payload_of_bytes parity.(index - data_shares)
 
-let add_target t ~key ~node ~capacity =
-  Hashtbl.replace t.targets key
-    (Target.create ~key ~node ~capacity ~chunk_opages:(share_opages t))
+let add_target t device io ~capacity =
+  let target =
+    Target.create ~device io ~capacity ~chunk_opages:(share_opages t)
+  in
+  Hashtbl.replace t.targets target.Target.key target
 
 let add_device t ~node backend =
   let id = t.next_device in
   t.next_device <- t.next_device + 1;
-  let capacity_seen =
-    match backend with
-    | Monolithic d -> Ftl.Device_intf.logical_capacity d
-    | Salamander _ -> 0
-  in
-  Hashtbl.replace t.devices id
-    { id; node; backend; alive_seen = true; capacity_seen; killed = false };
+  let device = Target.device ~id ~node backend in
+  Hashtbl.replace t.devices id device;
   (match backend with
   | Monolithic d ->
-      add_target t ~key:{ Target.device = id; mdisk = None } ~node
+      add_target t device (Target.Whole d)
         ~capacity:(Ftl.Device_intf.logical_capacity d)
   | Salamander d ->
       List.iter
         (fun m ->
-          add_target t
-            ~key:{ Target.device = id; mdisk = Some m.Salamander.Minidisk.id }
-            ~node ~capacity:m.Salamander.Minidisk.opages)
+          add_target t device
+            (Target.Mdisk { device = d; mdisk = m.Salamander.Minidisk.id })
+            ~capacity:m.Salamander.Minidisk.opages)
         (Salamander.Device.active_mdisks d));
   id
 
-(* --- raw target I/O ------------------------------------------------------ *)
+(* --- share walks ---------------------------------------------------------- *)
 
-let target_write t (key : Target.key) ~lba ~payload =
-  let entry = Hashtbl.find t.devices key.Target.device in
-  if entry.killed then Error `Target_failed
-  else
-    match (entry.backend, key.Target.mdisk) with
-    | Monolithic d, None -> (
-        match Ftl.Device_intf.write d ~lba ~payload with
-        | Ok () -> Ok ()
-        | Error (`Dead | `No_space | `Out_of_range) -> Error `Target_failed)
-    | Salamander d, Some mdisk -> (
-        match Salamander.Device.write d ~mdisk ~lba ~payload with
-        | Ok () -> Ok ()
-        | Error (`Dead | `Unknown_mdisk | `No_space) -> Error `Target_failed)
-    | Monolithic _, Some _ | Salamander _, None ->
-        invalid_arg "Cluster: malformed target key"
+let share_key (share : Chunk.share) = share.Chunk.target.Target.key
 
-let target_read t (key : Target.key) ~lba =
-  let entry = Hashtbl.find t.devices key.Target.device in
-  if entry.killed then Error `Unreadable
-  else
-    match (entry.backend, key.Target.mdisk) with
-    | Monolithic d, None -> (
-        match Ftl.Device_intf.read d ~lba with
-        | Ok p -> Ok p
-        | Error (`Dead | `Unmapped | `Uncorrectable | `Out_of_range) ->
-            Error `Unreadable)
-    | Salamander d, Some mdisk -> (
-        match Salamander.Device.read d ~mdisk ~lba with
-        | Ok p -> Ok p
-        | Error (`Dead | `Unknown_mdisk | `Unmapped | `Uncorrectable) ->
-            Error `Unreadable)
-    | Monolithic _, Some _ | Salamander _, None ->
-        invalid_arg "Cluster: malformed target key"
+(* Visit a share's oPages in order while [step offset] succeeds; [true]
+   when every oPage passed.  The walk stops at its first failed I/O and
+   never touches the oPages past it. *)
+let walk_share t step =
+  let n = share_opages t in
+  let rec go offset = offset >= n || (step offset && go (offset + 1)) in
+  go 0
 
-let target_trim t (key : Target.key) ~lba =
-  let entry = Hashtbl.find t.devices key.Target.device in
-  if entry.killed then ()
-  else
-    match (entry.backend, key.Target.mdisk) with
-    | Monolithic d, None -> Ftl.Device_intf.trim d ~lba
-    | Salamander d, Some mdisk -> Salamander.Device.trim d ~mdisk ~lba
-    | Monolithic _, Some _ | Salamander _, None ->
-        invalid_arg "Cluster: malformed target key"
+(* Hand a share's range back to its target while the target is still
+   active, trimming the stale mapping first; a failed target's ranges
+   are gone with it. *)
+let release_share t (share : Chunk.share) =
+  let target = share.Chunk.target in
+  if Target.is_active target then begin
+    for offset = 0 to share_opages t - 1 do
+      Target.trim target ~lba:(share.Chunk.base + offset)
+    done;
+    Target.release target share.Chunk.base
+  end
+
+(* Drop the chunk's share on [key], counting the chunk lost if this
+   takes it below the read quorum. *)
+let drop_share t chunk key =
+  let quorum = read_quorum t in
+  let before = List.length chunk.Chunk.shares in
+  Chunk.drop_share chunk key;
+  if before >= quorum && List.length chunk.Chunk.shares < quorum then begin
+    bump t.tel.lost;
+    Telemetry.Trace.event ~registry:t.tel.registry ~level:Logs.Warning
+      "chunk_lost"
+      [ ("chunk", string_of_int chunk.Chunk.id) ]
+  end
 
 (* --- placement ------------------------------------------------------------ *)
 
-let share_devices chunk =
-  List.map (fun s -> s.Chunk.target.Target.device) chunk.Chunk.shares
-
-let share_keys chunk = List.map (fun s -> s.Chunk.target) chunk.Chunk.shares
-
 (* Least-loaded active target compatible with the placement policy. *)
 let choose_target t chunk =
-  let excluded_devices = share_devices chunk in
-  let excluded_keys = share_keys chunk in
+  let conflicts (target : Target.t) share =
+    let key = share_key share in
+    match t.config.placement with
+    | Spread_devices -> key.Target.device = target.Target.key.Target.device
+    | Spread_targets -> Target.key_equal key target.Target.key
+  in
   let allowed target =
     Target.is_active target
     && Target.free_count target > 0
-    &&
-    match t.config.placement with
-    | Spread_devices ->
-        not (List.mem target.Target.key.Target.device excluded_devices)
-    | Spread_targets ->
-        not (List.exists (Target.key_equal target.Target.key) excluded_keys)
+    && not (List.exists (conflicts target) chunk.Chunk.shares)
   in
   Hashtbl.fold
     (fun _ target best ->
@@ -396,19 +345,14 @@ let choose_target t chunk =
    decoder.  Every successful read is metered as recovery-read traffic
    when [metered]. *)
 let recover_payload ?(metered = true) t chunk ~index ~offset =
-  let meter () =
-    if metered then begin
-      t.recovery_read <- t.recovery_read + 1;
-      Telemetry.Registry.Counter.incr t.tel.tel_recovery_read
-    end
-  in
+  let meter () = if metered then bump t.tel.recovery_read in
   match t.config.redundancy with
   | Replication _ ->
       let rec go = function
         | [] -> None
         | share :: rest -> (
             match
-              target_read t share.Chunk.target ~lba:(share.Chunk.base + offset)
+              Target.read share.Chunk.target ~lba:(share.Chunk.base + offset)
             with
             | Ok payload ->
                 meter ();
@@ -427,7 +371,7 @@ let recover_payload ?(metered = true) t chunk ~index ~offset =
       in
       let read_share share =
         match
-          target_read t share.Chunk.target ~lba:(share.Chunk.base + offset)
+          Target.read share.Chunk.target ~lba:(share.Chunk.base + offset)
         with
         | Ok payload ->
             meter ();
@@ -476,7 +420,7 @@ let live_source ?exclude t chunk ~index ~offset =
   let expected = expected_payload t chunk ~index ~offset in
   let excluded (share : Chunk.share) =
     match exclude with
-    | Some key -> Target.key_equal share.Chunk.target key
+    | Some key -> Target.key_equal (share_key share) key
     | None -> false
   in
   let shares =
@@ -485,10 +429,9 @@ let live_source ?exclude t chunk ~index ~offset =
       (List.filter (fun s -> not (excluded s)) chunk.Chunk.shares)
   in
   let read_verified (share : Chunk.share) =
-    match target_read t share.Chunk.target ~lba:(share.Chunk.base + offset) with
+    match Target.read share.Chunk.target ~lba:(share.Chunk.base + offset) with
     | Ok payload ->
-        t.live_repair_replica_reads <- t.live_repair_replica_reads + 1;
-        Telemetry.Registry.Counter.incr t.tel.tel_live_repair_replica_reads;
+        bump t.tel.live_repair_replica_reads;
         payload = expected_payload t chunk ~index:share.Chunk.index ~offset
     | Error `Unreadable -> false
   in
@@ -500,50 +443,36 @@ let live_source ?exclude t chunk ~index ~offset =
         List.exists read_verified
           (List.filter (fun s -> s.Chunk.index = index) shares)
       in
-      if direct_ok then Some expected
-      else begin
-        let quorum = read_quorum t in
-        let verified = ref 0 in
-        let seen = Hashtbl.create 8 in
-        (try
-           List.iter
-             (fun (share : Chunk.share) ->
-               if
-                 share.Chunk.index <> index
-                 && not (Hashtbl.mem seen share.Chunk.index)
-                 && read_verified share
-               then begin
-                 Hashtbl.replace seen share.Chunk.index ();
-                 incr verified;
-                 if !verified >= quorum then raise Exit
-               end)
-             shares
-         with Exit -> ());
-        if !verified >= quorum then Some expected else None
-      end
+      (* Otherwise verify a quorum of distinct other indices, reading no
+         share past the one that completes it. *)
+      let quorum = read_quorum t in
+      let rec gather seen = function
+        | [] -> false
+        | (share : Chunk.share) :: rest ->
+            let i = share.Chunk.index in
+            if i <> index && (not (List.mem i seen)) && read_verified share
+            then List.length seen + 1 >= quorum || gather (i :: seen) rest
+            else gather seen rest
+      in
+      if direct_ok || gather [] shares then Some expected else None
 
 (* Repair one oPage in the foreground: find a healthy source, rewrite the
    damaged copy through the normal FTL write path (so wear accounting and
    GC see the traffic), and return the repaired payload.  [None] means no
    healthy source existed — the caller degrades to serving what it has. *)
 let repair_opage ?exclude ?rewrite t chunk ~index ~offset =
-  t.live_repair_attempts <- t.live_repair_attempts + 1;
-  Telemetry.Registry.Counter.incr t.tel.tel_live_repair_attempts;
+  bump t.tel.live_repair_attempts;
   match live_source ?exclude t chunk ~index ~offset with
   | None ->
-      t.live_repair_failures <- t.live_repair_failures + 1;
-      Telemetry.Registry.Counter.incr t.tel.tel_live_repair_failures;
+      bump t.tel.live_repair_failures;
       None
   | Some payload ->
-      t.live_repair_successes <- t.live_repair_successes + 1;
-      Telemetry.Registry.Counter.incr t.tel.tel_live_repair_successes;
+      bump t.tel.live_repair_successes;
       (match rewrite with
       | None -> ()
-      | Some (key, lba) -> (
-          match target_write t key ~lba ~payload with
-          | Ok () ->
-              t.live_repair_rewritten <- t.live_repair_rewritten + 1;
-              Telemetry.Registry.Counter.incr t.tel.tel_live_repair_rewritten
+      | Some (target, lba) -> (
+          match Target.write target ~lba ~payload with
+          | Ok () -> bump t.tel.live_repair_rewritten
           | Error `Target_failed ->
               (* The data is already rescued; the dead rewrite target is
                  the event loop's problem. *)
@@ -555,12 +484,8 @@ let repair_opage ?exclude ?rewrite t chunk ~index ~offset =
    attempts repair first, so the with-replica counter moving means the
    live-repair invariant broke. *)
 let serve_corrupt t ~healthy =
-  t.corrupt_served <- t.corrupt_served + 1;
-  Telemetry.Registry.Counter.incr t.tel.tel_corrupt_served;
-  if healthy then begin
-    t.corrupt_with_replica <- t.corrupt_with_replica + 1;
-    Telemetry.Registry.Counter.incr t.tel.tel_corrupt_with_replica
-  end
+  bump t.tel.corrupt_served;
+  if healthy then bump t.tel.corrupt_with_replica
 
 (* Escalation entry point, invoked from a device's recovery hook when a
    read's retry ladder exhausts: locate the chunk owning the failing
@@ -589,7 +514,7 @@ let recover_opage ?mdisk t ~device ~lba =
                     (fun share -> (chunk, share))
                     (List.find_opt
                        (fun (s : Chunk.share) ->
-                         Target.key_equal s.Chunk.target key
+                         Target.key_equal (share_key s) key
                          && s.Chunk.base <= lba
                          && lba < s.Chunk.base + per_share)
                        chunk.Chunk.shares))
@@ -599,14 +524,12 @@ let recover_opage ?mdisk t ~device ~lba =
         | None ->
             (* Not cluster data (or the share was already dropped):
                nothing to repair from. *)
-            t.live_repair_attempts <- t.live_repair_attempts + 1;
-            Telemetry.Registry.Counter.incr t.tel.tel_live_repair_attempts;
-            t.live_repair_failures <- t.live_repair_failures + 1;
-            Telemetry.Registry.Counter.incr t.tel.tel_live_repair_failures;
+            bump t.tel.live_repair_attempts;
+            bump t.tel.live_repair_failures;
             None
         | Some (chunk, share) ->
-            repair_opage ~exclude:key ~rewrite:(key, lba) t chunk
-              ~index:share.Chunk.index
+            repair_opage ~exclude:key ~rewrite:(share.Chunk.target, lba) t
+              chunk ~index:share.Chunk.index
               ~offset:(lba - share.Chunk.base))
   end
 
@@ -616,8 +539,8 @@ let recover_opage ?mdisk t ~device ~lba =
    [`Uncorrectable]. *)
 let enable_live_repair ?config t =
   Hashtbl.iter
-    (fun id entry ->
-      match entry.backend with
+    (fun id (device : Target.device) ->
+      match device.Target.backend with
       | Monolithic d ->
           Ftl.Device_intf.set_recovery_hook d ?config
             (Some (fun ~lba -> recover_opage t ~device:id ~lba))
@@ -636,39 +559,32 @@ let rec rebuild_share t chunk ~index =
       match Target.allocate target with
       | None -> false
       | Some base ->
-          let key = target.Target.key in
-          let per_share = share_opages t in
           let written = ref 0 in
-          let failed = ref false in
-          (try
-             for offset = 0 to per_share - 1 do
-               match recover_payload t chunk ~index ~offset with
-               | None ->
-                   t.unrecoverable_opages <- t.unrecoverable_opages + 1;
-                   Telemetry.Registry.Counter.incr t.tel.tel_unrecoverable
-               | Some payload -> (
-                   match target_write t key ~lba:(base + offset) ~payload with
-                   | Ok () -> incr written
-                   | Error `Target_failed ->
-                       failed := true;
-                       raise Exit)
-             done
-           with Exit -> ());
-          t.recovery_written <- t.recovery_written + !written;
-          Telemetry.Registry.Counter.incr t.tel.tel_recovery_written
-            ~by:!written;
-          if !failed then begin
-            (* The destination died mid-copy; its own failure event will
-               be picked up by the processing loop.  Try elsewhere. *)
-            t.rebuild_aborts <- t.rebuild_aborts + 1;
-            Telemetry.Registry.Counter.incr t.tel.tel_rebuild_aborts;
-            rebuild_share t chunk ~index
+          let copied =
+            walk_share t (fun offset ->
+                match recover_payload t chunk ~index ~offset with
+                | None ->
+                    bump t.tel.unrecoverable;
+                    true
+                | Some payload -> (
+                    let lba = base + offset in
+                    match Target.write target ~lba ~payload with
+                    | Ok () ->
+                        incr written;
+                        true
+                    | Error `Target_failed -> false))
+          in
+          bump t.tel.recovery_written ~by:!written;
+          if copied then begin
+            Chunk.add_share chunk { Chunk.index; target; base };
+            bump t.tel.rebuilt;
+            true
           end
           else begin
-            Chunk.add_share chunk { Chunk.index; target = key; base };
-            t.rebuilt <- t.rebuilt + 1;
-            Telemetry.Registry.Counter.incr t.tel.tel_rebuilt_shares;
-            true
+            (* The destination died mid-copy; its own failure event will
+               be picked up by the processing loop.  Try elsewhere. *)
+            bump t.tel.rebuild_aborts;
+            rebuild_share t chunk ~index
           end)
 
 (* Bring one chunk back toward its full share count. *)
@@ -684,36 +600,28 @@ let ensure_redundancy t chunk =
       in
       go ())
 
-let note_share_losses t chunk ~before =
-  let quorum = read_quorum t in
-  if before >= quorum && List.length chunk.Chunk.shares < quorum then begin
-    t.lost <- t.lost + 1;
-    Telemetry.Registry.Counter.incr t.tel.tel_lost_chunks;
-    Telemetry.Trace.event ~registry:t.tel.tel_registry ~level:Logs.Warning
-      "chunk_lost"
-      [ ("chunk", string_of_int chunk.Chunk.id) ]
-  end
-
-let fail_target t key =
+(* Fail the active target [key] as a recovery event and run [recover];
+   unknown and already-failed targets are left alone. *)
+let with_failed_target t key recover =
   match Hashtbl.find_opt t.targets key with
-  | None -> ()
-  | Some target when not (Target.is_active target) -> ()
-  | Some target ->
+  | Some target when Target.is_active target ->
       with_recovery t @@ fun () ->
       Target.fail target;
-      t.recovery_events <- t.recovery_events + 1;
-      Telemetry.Registry.Counter.incr t.tel.tel_recovery_events;
-      let affected = ref [] in
-      Hashtbl.iter
-        (fun _ chunk ->
-          if Option.is_some (Chunk.share_on chunk key) then begin
-            let before = List.length chunk.Chunk.shares in
-            Chunk.drop_share chunk key;
-            note_share_losses t chunk ~before;
-            affected := chunk :: !affected
-          end)
-        t.chunks;
-      List.iter (fun chunk -> ignore (ensure_redundancy t chunk)) !affected
+      bump t.tel.recovery_events;
+      recover ()
+  | _ -> ()
+
+let fail_target t key =
+  with_failed_target t key @@ fun () ->
+  let affected = ref [] in
+  Hashtbl.iter
+    (fun _ chunk ->
+      if Option.is_some (Chunk.share_on chunk key) then begin
+        drop_share t chunk key;
+        affected := chunk :: !affected
+      end)
+    t.chunks;
+  List.iter (fun chunk -> ignore (ensure_redundancy t chunk)) !affected
 
 (* Grace-period retirement (§4.3): the target is leaving but its data is
    still readable, so rebuild every affected share *before* dropping the
@@ -721,34 +629,25 @@ let fail_target t key =
    With enough cluster capacity no chunk ever dips below full
    redundancy. *)
 let drain_target t key ~ack =
-  (match Hashtbl.find_opt t.targets key with
-  | None -> ()
-  | Some target when not (Target.is_active target) -> ()
-  | Some target ->
-      with_recovery t @@ fun () ->
-      Target.fail target;
-      t.recovery_events <- t.recovery_events + 1;
-      Telemetry.Registry.Counter.incr t.tel.tel_recovery_events;
-      Hashtbl.iter
-        (fun _ chunk ->
-          match Chunk.share_on chunk key with
-          | None -> ()
-          | Some retiring ->
-              (* Rebuild the replacement while the retiring share is still
-                 listed: recovery may read from it, and its device stays
-                 excluded from placement.  The duplicate index resolves
-                 when the retiring copy is dropped below. *)
-              ignore (rebuild_share t chunk ~index:retiring.Chunk.index);
-              let before = List.length chunk.Chunk.shares in
-              Chunk.drop_share chunk key;
-              note_share_losses t chunk ~before)
-        t.chunks);
+  (with_failed_target t key @@ fun () ->
+   Hashtbl.iter
+     (fun _ chunk ->
+       match Chunk.share_on chunk key with
+       | None -> ()
+       | Some retiring ->
+           (* Rebuild the replacement while the retiring share is still
+              listed: recovery may read from it, and its device stays
+              excluded from placement.  The duplicate index resolves when
+              the retiring copy is dropped below. *)
+           ignore (rebuild_share t chunk ~index:retiring.Chunk.index);
+           drop_share t chunk key)
+     t.chunks);
   ack ()
 
 let fail_device_targets t device_id =
   let keys =
     Hashtbl.fold
-      (fun key target acc ->
+      (fun (key : Target.key) target acc ->
         if key.Target.device = device_id && Target.is_active target then
           key :: acc
         else acc)
@@ -756,65 +655,61 @@ let fail_device_targets t device_id =
   in
   List.iter (fail_target t) keys
 
-let handle_truncation t entry capacity =
-  match
-    Hashtbl.find_opt t.targets { Target.device = entry.id; mdisk = None }
-  with
+let handle_truncation t (device : Target.device) capacity =
+  let key = { Target.device = device.Target.id; mdisk = None } in
+  match Hashtbl.find_opt t.targets key with
   | None -> ()
   | Some target ->
       with_recovery t @@ fun () ->
       let lost_ranges = Target.truncate target ~capacity in
       if lost_ranges <> [] then begin
-        t.recovery_events <- t.recovery_events + 1;
-      Telemetry.Registry.Counter.incr t.tel.tel_recovery_events;
+        bump t.tel.recovery_events;
         Hashtbl.iter
           (fun _ chunk ->
-            match Chunk.share_on chunk target.Target.key with
+            match Chunk.share_on chunk key with
             | Some share when List.mem share.Chunk.base lost_ranges ->
-                let before = List.length chunk.Chunk.shares in
-                Chunk.drop_share chunk target.Target.key;
-                note_share_losses t chunk ~before;
+                drop_share t chunk key;
                 ignore (ensure_redundancy t chunk)
             | _ -> ())
           t.chunks
       end
 
-let process_device_events t entry =
+let process_device_events t (device : Target.device) =
   let progress = ref false in
-  (if entry.killed then ()
+  let mdisk_key id = { Target.device = device.Target.id; mdisk = Some id } in
+  (if device.Target.killed then ()
    else
-     match entry.backend with
+     match device.Target.backend with
      | Salamander d ->
          List.iter
            (fun event ->
              progress := true;
              match event with
              | Salamander.Events.Mdisk_retiring { id; _ } ->
-                 drain_target t
-                   { Target.device = entry.id; mdisk = Some id }
-                   ~ack:(fun () ->
+                 drain_target t (mdisk_key id) ~ack:(fun () ->
                      Salamander.Device.acknowledge_decommission d ~mdisk:id)
              | Salamander.Events.Mdisk_decommissioned { id; _ } ->
-                 fail_target t { Target.device = entry.id; mdisk = Some id }
+                 fail_target t (mdisk_key id)
              | Salamander.Events.Mdisk_created { id; opages; _ } ->
-                 add_target t
-                   ~key:{ Target.device = entry.id; mdisk = Some id }
-                   ~node:entry.node ~capacity:opages
+                 add_target t device
+                   (Target.Mdisk { device = d; mdisk = id })
+                   ~capacity:opages
              | Salamander.Events.Device_failed ->
-                 fail_device_targets t entry.id)
+                 fail_device_targets t device.Target.id)
            (Salamander.Device.poll_events d)
      | Monolithic d ->
-         if entry.alive_seen && not (Ftl.Device_intf.alive d) then begin
-           entry.alive_seen <- false;
+         if device.Target.alive_seen && not (Ftl.Device_intf.alive d)
+         then begin
+           device.Target.alive_seen <- false;
            progress := true;
-           fail_device_targets t entry.id
+           fail_device_targets t device.Target.id
          end
-         else if entry.alive_seen then begin
+         else if device.Target.alive_seen then begin
            let capacity = Ftl.Device_intf.logical_capacity d in
-           if capacity < entry.capacity_seen then begin
+           if capacity < device.Target.capacity_seen then begin
              progress := true;
-             handle_truncation t entry capacity;
-             entry.capacity_seen <- capacity
+             handle_truncation t device capacity;
+             device.Target.capacity_seen <- capacity
            end
          end);
   !progress
@@ -824,24 +719,19 @@ let process_device_events t entry =
    left to silently diverge (double-kills used to re-fail targets,
    kills under recovery could interleave with share bookkeeping). *)
 let kill_device t id =
-  let ignored () =
-    t.kill_ignored <- t.kill_ignored + 1;
-    Telemetry.Registry.Counter.incr t.tel.tel_kill_ignored
-  in
   match Hashtbl.find_opt t.devices id with
-  | None -> ignored ()
-  | Some entry ->
-      if entry.killed || t.in_recovery then ignored ()
-      else begin
-        entry.killed <- true;
-        fail_device_targets t id
-      end
+  | Some device when not (device.Target.killed || t.in_recovery) ->
+      device.Target.killed <- true;
+      fail_device_targets t id
+  | _ -> bump t.tel.kill_ignored
 
 let is_device_killed t id =
   match Hashtbl.find_opt t.devices id with
   | None -> false
-  | Some entry -> entry.killed
+  | Some device -> device.Target.killed
 
+(* Poll every device for failures and new minidisks and run recovery to
+   a fixed point: handling one failure can wear flash into the next. *)
 let process_events t =
   let progress = ref true in
   let rounds = ref 0 in
@@ -850,13 +740,14 @@ let process_events t =
     incr rounds;
     progress := false;
     Hashtbl.iter
-      (fun _ entry -> if process_device_events t entry then progress := true)
+      (fun _ device ->
+        if process_device_events t device then progress := true)
       t.devices;
     if !progress then any_progress := true
   done;
   (* Refresh the redundancy census only when this sweep actually handled
      events, so idle polls stay O(1) even with telemetry enabled. *)
-  if !any_progress && Telemetry.Registry.Gauge.is_active t.tel.tel_degraded
+  if !any_progress && Telemetry.Registry.Gauge.is_active t.tel.degraded
   then begin
     let degraded = ref 0 in
     Hashtbl.iter
@@ -864,14 +755,14 @@ let process_events t =
         let n = List.length chunk.Chunk.shares in
         if n < total_shares t && n >= read_quorum t then incr degraded)
       t.chunks;
-    Telemetry.Registry.Gauge.set t.tel.tel_degraded (float_of_int !degraded);
-    Telemetry.Registry.Counter.incr t.tel.tel_degraded_chunk_rounds
+    Telemetry.Registry.Gauge.set t.tel.degraded (float_of_int !degraded);
+    Telemetry.Registry.Counter.incr t.tel.degraded_chunk_rounds
       ~by:!degraded;
     let live = ref 0 in
     Hashtbl.iter
       (fun _ target -> if Target.is_active target then incr live)
       t.targets;
-    Telemetry.Registry.Gauge.set t.tel.tel_live_targets (float_of_int !live)
+    Telemetry.Registry.Gauge.set t.tel.live_targets (float_of_int !live)
   end
 
 (* --- client operations ------------------------------------------------------ *)
@@ -879,24 +770,13 @@ let process_events t =
 type io_error = [ `No_capacity | `Unknown_chunk | `Insufficient_shares ]
 
 let write_share t chunk (share : Chunk.share) =
-  let ok = ref true in
-  (try
-     for offset = 0 to share_opages t - 1 do
-       let payload =
-         expected_payload t chunk ~index:share.Chunk.index ~offset
-       in
-       match
-         target_write t share.Chunk.target
-           ~lba:(share.Chunk.base + offset)
-           ~payload
-       with
-       | Ok () -> ()
-       | Error `Target_failed ->
-           ok := false;
-           raise Exit
-     done
-   with Exit -> ());
-  !ok
+  walk_share t (fun offset ->
+      let payload =
+        expected_payload t chunk ~index:share.Chunk.index ~offset
+      in
+      Result.is_ok
+        (Target.write share.Chunk.target ~lba:(share.Chunk.base + offset)
+           ~payload))
 
 let write_chunk t id =
   let chunk =
@@ -919,8 +799,7 @@ let write_chunk t id =
             match Target.allocate target with
             | None -> ()
             | Some base ->
-                Chunk.add_share chunk
-                  { Chunk.index; target = target.Target.key; base };
+                Chunk.add_share chunk { Chunk.index; target; base };
                 place ()))
   in
   place ();
@@ -947,43 +826,35 @@ let read_chunk t id =
       | Replication _ ->
           let rec try_shares = function
             | [] -> Error `Insufficient_shares
-            | share :: rest ->
+            | (share : Chunk.share) :: rest ->
                 let matches = ref 0 in
-                let readable = ref true in
-                (try
-                   for offset = 0 to t.config.chunk_opages - 1 do
-                     match
-                       target_read t share.Chunk.target
-                         ~lba:(share.Chunk.base + offset)
-                     with
-                     | Ok payload ->
-                         if
-                           payload
-                           = expected_payload t chunk
-                               ~index:share.Chunk.index ~offset
-                         then incr matches
-                         else begin
-                           (* Silent corruption caught on the read path:
-                              repair from a healthy replica and serve the
-                              verified content (Tai et al.'s live
-                              recovery) — corrupt data reaches the reader
-                              only when no healthy copy exists. *)
-                           match
-                             repair_opage ~exclude:share.Chunk.target
-                               ~rewrite:
-                                 ( share.Chunk.target,
-                                   share.Chunk.base + offset )
-                               t chunk ~index:share.Chunk.index ~offset
-                           with
-                           | Some _ -> incr matches
-                           | None -> serve_corrupt t ~healthy:false
-                         end
-                     | Error `Unreadable ->
-                         readable := false;
-                         raise Exit
-                   done
-                 with Exit -> ());
-                if !readable then Ok !matches else try_shares rest
+                let readable =
+                  walk_share t (fun offset ->
+                      let lba = share.Chunk.base + offset in
+                      match Target.read share.Chunk.target ~lba with
+                      | Error `Unreadable -> false
+                      | Ok payload ->
+                          (if
+                             payload
+                             = expected_payload t chunk
+                                 ~index:share.Chunk.index ~offset
+                           then incr matches
+                           else
+                             (* Silent corruption caught on the read path:
+                                repair from a healthy replica and serve the
+                                verified content (Tai et al.'s live
+                                recovery) — corrupt data reaches the reader
+                                only when no healthy copy exists. *)
+                             match
+                               repair_opage ~exclude:(share_key share)
+                                 ~rewrite:(share.Chunk.target, lba) t chunk
+                                 ~index:share.Chunk.index ~offset
+                             with
+                             | Some _ -> incr matches
+                             | None -> serve_corrupt t ~healthy:false);
+                          true)
+                in
+                if readable then Ok !matches else try_shares rest
           in
           try_shares chunk.Chunk.shares
       | Erasure { data_shares; _ } ->
@@ -1025,18 +896,11 @@ let delete_chunk t id =
   match Hashtbl.find_opt t.chunks id with
   | None -> ()
   | Some chunk ->
-      List.iter
-        (fun share ->
-          match Hashtbl.find_opt t.targets share.Chunk.target with
-          | Some target when Target.is_active target ->
-              for offset = 0 to share_opages t - 1 do
-                target_trim t share.Chunk.target
-                  ~lba:(share.Chunk.base + offset)
-              done;
-              Target.release target share.Chunk.base
-          | _ -> ())
-        chunk.Chunk.shares;
-      Hashtbl.remove t.chunks id
+      List.iter (release_share t) chunk.Chunk.shares;
+      Hashtbl.remove t.chunks id;
+      (* A chunk re-created under this id starts with no repair
+         history. *)
+      Hashtbl.remove t.scrub_backoff id
 
 let repair t =
   with_recovery t @@ fun () ->
@@ -1067,22 +931,6 @@ let empty_scrub_report =
     skipped_backoff = 0;
   }
 
-let pp_scrub_report fmt r =
-  Format.fprintf fmt
-    "scanned %d chunk%s (%d oPages): %d mismatch%s, %d unreadable share%s, %d \
-     repair%s, %d failure%s, %d backed off"
-    r.chunks_scanned
-    (if r.chunks_scanned = 1 then "" else "s")
-    r.opages_verified r.mismatches
-    (if r.mismatches = 1 then "" else "es")
-    r.unreadable_shares
-    (if r.unreadable_shares = 1 then "" else "s")
-    r.repairs
-    (if r.repairs = 1 then "" else "s")
-    r.repair_failures
-    (if r.repair_failures = 1 then "" else "s")
-    r.skipped_backoff
-
 (* One backoff step never exceeds this many sweeps. *)
 let scrub_backoff_cap = 64
 
@@ -1095,85 +943,57 @@ let scrub_backoff_cap = 64
 let scrub_chunk t chunk =
   let verified = ref 0
   and mismatches = ref 0
-  and unreadable = ref 0
   and repairs = ref 0
   and failures = ref 0 in
-  let dead = ref [] in
-  let shares =
-    List.sort
-      (fun a b -> compare a.Chunk.index b.Chunk.index)
-      chunk.Chunk.shares
+  let repaired () =
+    incr repairs;
+    bump t.tel.scrub_repairs
+  in
+  let scrub_share (share : Chunk.share) =
+    walk_share t (fun offset ->
+        let expected =
+          expected_payload t chunk ~index:share.Chunk.index ~offset
+        in
+        let lba = share.Chunk.base + offset in
+        match Target.read share.Chunk.target ~lba with
+        | Error `Unreadable -> false
+        | Ok payload when payload = expected ->
+            incr verified;
+            true
+        | Ok _ -> (
+            incr verified;
+            incr mismatches;
+            bump t.tel.scrub_mismatches;
+            match Target.write share.Chunk.target ~lba ~payload:expected with
+            | Ok () ->
+                repaired ();
+                true
+            | Error `Target_failed -> false))
+  in
+  let dead =
+    List.filter
+      (fun share -> not (scrub_share share))
+      (List.sort
+         (fun a b -> compare a.Chunk.index b.Chunk.index)
+         chunk.Chunk.shares)
   in
   List.iter
     (fun (share : Chunk.share) ->
-      let share_ok = ref true in
-      (try
-         for offset = 0 to share_opages t - 1 do
-           let expected =
-             expected_payload t chunk ~index:share.Chunk.index ~offset
-           in
-           match
-             target_read t share.Chunk.target ~lba:(share.Chunk.base + offset)
-           with
-           | Ok payload ->
-               incr verified;
-               if payload <> expected then begin
-                 incr mismatches;
-                 t.scrub_mismatches <- t.scrub_mismatches + 1;
-                 Telemetry.Registry.Counter.incr t.tel.tel_scrub_mismatches;
-                 match
-                   target_write t share.Chunk.target
-                     ~lba:(share.Chunk.base + offset)
-                     ~payload:expected
-                 with
-                 | Ok () ->
-                     incr repairs;
-                     t.scrub_repairs <- t.scrub_repairs + 1;
-                     Telemetry.Registry.Counter.incr t.tel.tel_scrub_repairs
-                 | Error `Target_failed ->
-                     share_ok := false;
-                     raise Exit
-               end
-           | Error `Unreadable ->
-               share_ok := false;
-               raise Exit
-         done
-       with Exit -> ());
-      if not !share_ok then begin
-        incr unreadable;
-        dead := share :: !dead
-      end)
-    shares;
-  List.iter
-    (fun (share : Chunk.share) ->
       (* Unlike the target-failure paths, the share's target is still
-         alive here — hand its range back (trimming the stale mapping,
-         as delete_chunk does) or the allocation leaks. *)
-      (match Hashtbl.find_opt t.targets share.Chunk.target with
-      | Some target when Target.is_active target ->
-          for offset = 0 to share_opages t - 1 do
-            target_trim t share.Chunk.target ~lba:(share.Chunk.base + offset)
-          done;
-          Target.release target share.Chunk.base
-      | _ -> ());
-      let before = List.length chunk.Chunk.shares in
-      Chunk.drop_share chunk share.Chunk.target;
-      note_share_losses t chunk ~before;
-      if rebuild_share t chunk ~index:share.Chunk.index then begin
-        incr repairs;
-        t.scrub_repairs <- t.scrub_repairs + 1;
-        Telemetry.Registry.Counter.incr t.tel.tel_scrub_repairs
-      end
+         alive here — hand its range back or the allocation leaks. *)
+      release_share t share;
+      drop_share t chunk (share_key share);
+      if rebuild_share t chunk ~index:share.Chunk.index then repaired ()
       else begin
         incr failures;
-        Telemetry.Registry.Counter.incr t.tel.tel_scrub_repair_failures
+        Telemetry.Registry.Counter.incr t.tel.scrub_repair_failures
       end)
-    (List.rev !dead);
+    dead;
   ( {
       chunks_scanned = 1;
       opages_verified = !verified;
       mismatches = !mismatches;
-      unreadable_shares = !unreadable;
+      unreadable_shares = List.length dead;
       repairs = !repairs;
       repair_failures = !failures;
       skipped_backoff = 0;
@@ -1196,9 +1016,8 @@ let scrub ?limit t =
   (* Settle pending failure events first so the sweep verifies the
      post-recovery state, not a target mid-death. *)
   process_events t;
-  t.scrub_sweeps <- t.scrub_sweeps + 1;
-  Telemetry.Registry.Counter.incr t.tel.tel_scrub_sweeps;
-  let sweep = t.scrub_sweeps in
+  bump t.tel.scrub_sweeps;
+  let sweep = t.tel.scrub_sweeps.n in
   let ids =
     List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.chunks [])
   in
@@ -1275,27 +1094,28 @@ let audit t =
       List.iter
         (fun (share : Chunk.share) ->
           indices := share.Chunk.index :: !indices;
-          (match Hashtbl.find_opt t.targets share.Chunk.target with
+          let key = share_key share in
+          (match Hashtbl.find_opt t.targets key with
           | None ->
               add "chunk %d share %d placed on unknown target %a" id
-                share.Chunk.index Target.pp_key share.Chunk.target
+                share.Chunk.index Target.pp_key key
           | Some target ->
               if not (Target.is_active target) then
                 add "chunk %d share %d placed on failed target %a" id
-                  share.Chunk.index Target.pp_key share.Chunk.target
+                  share.Chunk.index Target.pp_key key
               else
-                Hashtbl.replace placed share.Chunk.target
+                Hashtbl.replace placed key
                   (1
                   +
-                  match Hashtbl.find_opt placed share.Chunk.target with
+                  match Hashtbl.find_opt placed key with
                   | None -> 0
                   | Some n -> n));
-          let slot = (share.Chunk.target, share.Chunk.base) in
+          let slot = (key, share.Chunk.base) in
           (match Hashtbl.find_opt seen_slot slot with
           | Some other ->
               add "chunks %d and %d collide on target %a base %d"
                 (Stdlib.min id other) (Stdlib.max id other) Target.pp_key
-                share.Chunk.target share.Chunk.base
+                key share.Chunk.base
           | None -> Hashtbl.replace seen_slot slot id))
         chunk.Chunk.shares;
       let sorted = List.sort_uniq compare !indices in
@@ -1343,7 +1163,7 @@ let verify_chunk t id =
              let ok = ref true in
              for offset = 0 to share_opages t - 1 do
                match
-                 target_read t share.Chunk.target
+                 Target.read share.Chunk.target
                    ~lba:(share.Chunk.base + offset)
                with
                | Ok payload ->
@@ -1372,32 +1192,32 @@ let live_targets t =
 let total_free_ranges t =
   Hashtbl.fold (fun _ target acc -> acc + Target.free_count target) t.targets 0
 
-let recovery_opages (t : t) = t.recovery_written
-let recovery_read_opages (t : t) = t.recovery_read
-let recovery_events (t : t) = t.recovery_events
-let lost_chunks (t : t) = t.lost
-let unrecoverable_opages (t : t) = t.unrecoverable_opages
-let rebuilt_shares (t : t) = t.rebuilt
-let rebuild_aborts (t : t) = t.rebuild_aborts
-let kill_ignored (t : t) = t.kill_ignored
-let scrub_sweeps (t : t) = t.scrub_sweeps
-let scrub_mismatches (t : t) = t.scrub_mismatches
-let scrub_repairs (t : t) = t.scrub_repairs
-let live_repair_attempts (t : t) = t.live_repair_attempts
-let live_repair_successes (t : t) = t.live_repair_successes
-let live_repair_replica_reads (t : t) = t.live_repair_replica_reads
-let live_repair_rewritten_opages (t : t) = t.live_repair_rewritten
-let live_repair_failures (t : t) = t.live_repair_failures
-let corrupt_reads_served (t : t) = t.corrupt_served
-let corrupt_reads_with_replica (t : t) = t.corrupt_with_replica
+let recovery_opages t = t.tel.recovery_written.n
+let recovery_read_opages t = t.tel.recovery_read.n
+let recovery_events t = t.tel.recovery_events.n
+let lost_chunks t = t.tel.lost.n
+let unrecoverable_opages t = t.tel.unrecoverable.n
+let rebuilt_shares t = t.tel.rebuilt.n
+let rebuild_aborts t = t.tel.rebuild_aborts.n
+let kill_ignored t = t.tel.kill_ignored.n
+let scrub_sweeps t = t.tel.scrub_sweeps.n
+let scrub_mismatches t = t.tel.scrub_mismatches.n
+let scrub_repairs t = t.tel.scrub_repairs.n
+let live_repair_attempts t = t.tel.live_repair_attempts.n
+let live_repair_successes t = t.tel.live_repair_successes.n
+let live_repair_replica_reads t = t.tel.live_repair_replica_reads.n
+let live_repair_rewritten_opages t = t.tel.live_repair_rewritten.n
+let live_repair_failures t = t.tel.live_repair_failures.n
+let corrupt_reads_served t = t.tel.corrupt_served.n
+let corrupt_reads_with_replica t = t.tel.corrupt_with_replica.n
 
 let devices_alive t =
   Hashtbl.fold
-    (fun _ entry acc ->
+    (fun _ (device : Target.device) acc ->
       let alive =
-        (not entry.killed)
+        (not device.Target.killed)
         &&
-        match entry.backend with
+        match device.Target.backend with
         | Monolithic d -> Ftl.Device_intf.alive d
         | Salamander d -> Salamander.Device.alive d
       in

@@ -8,13 +8,14 @@
     target failure by rebuilding the affected shares from survivors,
     while metering how much data the recovery read and wrote.
 
-    Failures reach the cluster through {!process_events}: Salamander
+    Failures reach the cluster as device events, polled after every
+    chunk write and around every {!repair} and {!scrub}: Salamander
     devices announce decommissioned and regenerated minidisks, monolithic
     devices brick (baseline) or shrink (CVSS).  Handling a failure can
     itself wear flash and trigger further failures; the processing loop
     runs to a fixed point. *)
 
-type backend =
+type backend = Target.backend =
   | Monolithic of Ftl.Device_intf.packed
       (** baseline or CVSS drive: a single failure domain *)
   | Salamander of Salamander.Device.t
@@ -89,11 +90,8 @@ val read_chunk : t -> int -> (int, io_error) result
     through the Reed-Solomon decoder. *)
 
 val delete_chunk : t -> int -> unit
-
-val process_events : t -> unit
-(** Poll every device for failures/new minidisks and run recovery to a
-    fixed point.  Called implicitly by {!write_chunk}; exposed for aging
-    loops that wear devices directly. *)
+(** Trim and free the chunk's shares and forget it, scrub backoff
+    included: a chunk later written under the same id starts afresh. *)
 
 val kill_device : t -> int -> unit
 (** Failure injection: declare a device dead regardless of its media state
@@ -199,8 +197,6 @@ val scrub : ?limit:int -> t -> scrub_report
     Pending device events are processed before and after the sweep.
     Progress is exported through [difs_scrub_sweeps_total],
     [difs_scrub_mismatches_total] and [difs_scrub_repairs_total]. *)
-
-val pp_scrub_report : Format.formatter -> scrub_report -> unit
 
 val scrub_sweeps : t -> int
 val scrub_mismatches : t -> int

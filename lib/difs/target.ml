@@ -7,28 +7,87 @@ let pp_key fmt k =
   | None -> Format.fprintf fmt "dev%d" k.device
   | Some m -> Format.fprintf fmt "dev%d/md%d" k.device m
 
+type backend =
+  | Monolithic of Ftl.Device_intf.packed
+  | Salamander of Salamander.Device.t
+
+type device = {
+  id : int;
+  node : int;
+  backend : backend;
+  mutable killed : bool;
+  mutable alive_seen : bool;
+  mutable capacity_seen : int;
+}
+
+let device ~id ~node backend =
+  let capacity_seen =
+    match backend with
+    | Monolithic d -> Ftl.Device_intf.logical_capacity d
+    | Salamander _ -> 0
+  in
+  { id; node; backend; killed = false; alive_seen = true; capacity_seen }
+
+type io =
+  | Whole of Ftl.Device_intf.packed
+  | Mdisk of { device : Salamander.Device.t; mdisk : int }
+
 type state = Active | Failed
 
 type t = {
   key : key;
-  node : int;
+  device : device;
+  io : io;
   capacity : int;
   chunk_opages : int;
   mutable state : state;
   mutable free_ranges : int list;
 }
 
-let create ~key ~node ~capacity ~chunk_opages =
+let create ~device io ~capacity ~chunk_opages =
   if chunk_opages <= 0 then invalid_arg "Target.create: chunk_opages";
+  let mdisk =
+    match io with Whole _ -> None | Mdisk { mdisk; _ } -> Some mdisk
+  in
   let ranges = capacity / chunk_opages in
   {
-    key;
-    node;
+    key = { device = device.id; mdisk };
+    device;
+    io;
     capacity;
     chunk_opages;
     state = Active;
     free_ranges = List.init ranges (fun i -> i * chunk_opages);
   }
+
+(* --- I/O ------------------------------------------------------------------ *)
+
+let failed r = Result.map_error (fun _ -> `Target_failed) r
+let unreadable r = Result.map_error (fun _ -> `Unreadable) r
+
+let write t ~lba ~payload =
+  if t.device.killed then Error `Target_failed
+  else
+    match t.io with
+    | Whole d -> failed (Ftl.Device_intf.write d ~lba ~payload)
+    | Mdisk { device; mdisk } ->
+        failed (Salamander.Device.write device ~mdisk ~lba ~payload)
+
+let read t ~lba =
+  if t.device.killed then Error `Unreadable
+  else
+    match t.io with
+    | Whole d -> unreadable (Ftl.Device_intf.read d ~lba)
+    | Mdisk { device; mdisk } ->
+        unreadable (Salamander.Device.read device ~mdisk ~lba)
+
+let trim t ~lba =
+  if not t.device.killed then
+    match t.io with
+    | Whole d -> Ftl.Device_intf.trim d ~lba
+    | Mdisk { device; mdisk } -> Salamander.Device.trim device ~mdisk ~lba
+
+(* --- range allocator ------------------------------------------------------ *)
 
 let allocate t =
   match t.state with

@@ -5,8 +5,10 @@
     contributes one target per live minidisk, so wear-driven failures
     arrive in mSize units and recovery touches only that sliver.
 
-    Each target owns a trivial allocator handing out chunk-sized LBA
-    ranges. *)
+    A target is resolved once, when the cluster creates it: it holds its
+    device and the I/O handle for its own LBA space, so share I/O never
+    looks a device up.  Each target also owns a trivial allocator
+    handing out chunk-sized LBA ranges. *)
 
 type key = {
   device : int;  (** cluster-wide device id *)
@@ -16,18 +18,62 @@ type key = {
 val key_equal : key -> key -> bool
 val pp_key : Format.formatter -> key -> unit
 
+type backend =
+  | Monolithic of Ftl.Device_intf.packed
+      (** baseline or CVSS drive: a single failure domain *)
+  | Salamander of Salamander.Device.t
+      (** one failure domain per live minidisk *)
+
+(** A cluster member and the state the cluster's event loop keeps on
+    it. *)
+type device = {
+  id : int;  (** cluster-wide device id *)
+  node : int;
+  backend : backend;
+  mutable killed : bool;
+      (** failure-injected: every target on it refuses I/O *)
+  mutable alive_seen : bool;  (** monolithic liveness last polled *)
+  mutable capacity_seen : int;  (** monolithic capacity last polled *)
+}
+
+val device : id:int -> node:int -> backend -> device
+(** A live, unkilled device; a monolithic one starts at its current
+    logical capacity. *)
+
+(** Where a target's LBAs live. *)
+type io =
+  | Whole of Ftl.Device_intf.packed  (** a monolithic device's flat space *)
+  | Mdisk of { device : Salamander.Device.t; mdisk : int }
+      (** one minidisk, through Salamander's native per-mDisk I/O *)
+
 type state = Active | Failed
 
 type t = private {
-  key : key;
-  node : int;
+  key : key;  (** derived from the device id and [io] *)
+  device : device;
+  io : io;
   capacity : int;  (** oPages *)
   chunk_opages : int;
   mutable state : state;
   mutable free_ranges : int list;  (** base LBAs of unallocated ranges *)
 }
 
-val create : key:key -> node:int -> capacity:int -> chunk_opages:int -> t
+val create : device:device -> io -> capacity:int -> chunk_opages:int -> t
+
+(** {2 I/O}
+
+    Every device error, and any I/O on a killed device, folds into one
+    outcome: the cluster only needs to know that the target did not
+    answer.  A minidisk target goes through Salamander's native
+    per-mDisk calls, so it answers exactly when the device would. *)
+
+val write : t -> lba:int -> payload:int -> (unit, [ `Target_failed ]) result
+val read : t -> lba:int -> (int, [ `Unreadable ]) result
+
+val trim : t -> lba:int -> unit
+(** No-op on a killed device. *)
+
+(** {2 Range allocator} *)
 
 val allocate : t -> int option
 (** Take a free chunk-sized range; [None] when full or failed. *)

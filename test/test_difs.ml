@@ -16,12 +16,21 @@ let gentle_model =
 
 (* --- Target -------------------------------------------------------------- *)
 
-let test_target_allocator () =
-  let target =
-    Difs.Target.create
-      ~key:{ Difs.Target.device = 0; mdisk = None }
-      ~node:0 ~capacity:64 ~chunk_opages:16
+(* A 64-oPage target over a whole baseline drive, for the allocator
+   tests. *)
+let whole_target () =
+  let d =
+    Ftl.Device_intf.Packed
+      ( (module Ftl.Baseline_ssd),
+        Ftl.Baseline_ssd.create ~geometry ~model:gentle_model
+          ~rng:(Sim.Rng.create 0) () )
   in
+  Difs.Target.create
+    ~device:(Difs.Target.device ~id:0 ~node:0 (Difs.Target.Monolithic d))
+    (Difs.Target.Whole d) ~capacity:64 ~chunk_opages:16
+
+let test_target_allocator () =
+  let target = whole_target () in
   checki "four ranges" 4 (Difs.Target.free_count target);
   let a = Option.get (Difs.Target.allocate target) in
   let b = Option.get (Difs.Target.allocate target) in
@@ -32,22 +41,14 @@ let test_target_allocator () =
   checki "released" 3 (Difs.Target.free_count target)
 
 let test_target_fail () =
-  let target =
-    Difs.Target.create
-      ~key:{ Difs.Target.device = 0; mdisk = None }
-      ~node:0 ~capacity:64 ~chunk_opages:16
-  in
+  let target = whole_target () in
   Difs.Target.fail target;
   checkb "no allocation after failure" true
     (Difs.Target.allocate target = None);
   checkb "inactive" true (not (Difs.Target.is_active target))
 
 let test_target_truncate () =
-  let target =
-    Difs.Target.create
-      ~key:{ Difs.Target.device = 0; mdisk = None }
-      ~node:0 ~capacity:64 ~chunk_opages:16
-  in
+  let target = whole_target () in
   (* allocate ranges 0 and 16 (LIFO pops 0 first after List.init order) *)
   let a = Option.get (Difs.Target.allocate target) in
   let b = Option.get (Difs.Target.allocate target) in
@@ -474,6 +475,77 @@ let test_cluster_scrub_limit_round_robin () =
       (Difs.Cluster.verify_chunk cluster id)
   done
 
+(* A baseline SSD whose reads and writes can be switched to fail while
+   it keeps reporting itself alive: the cluster sees I/O errors but no
+   device event, so a scrub rebuild onto it fails. *)
+module Flaky_ssd = struct
+  module B = Ftl.Baseline_ssd
+
+  type t = { inner : B.t; mutable failing : bool }
+
+  let label t = B.label t.inner
+
+  let write t ~lba ~payload =
+    if t.failing then Error `No_space else B.write t.inner ~lba ~payload
+
+  let write_stream t = B.write_stream t.inner
+  let read t ~lba = if t.failing then Error `Uncorrectable else B.read t.inner ~lba
+  let trim t = B.trim t.inner
+  let alive t = B.alive t.inner
+  let logical_capacity t = B.logical_capacity t.inner
+  let initial_capacity t = B.initial_capacity t.inner
+  let host_writes t = B.host_writes t.inner
+  let write_amplification t = B.write_amplification t.inner
+  let bg_stats t = B.bg_stats t.inner
+  let wear_stats t = B.wear_stats t.inner
+  let set_recovery_hook t = B.set_recovery_hook t.inner
+end
+
+let test_cluster_scrub_backoff () =
+  (* Three devices, three replicas: every chunk has a share on the flaky
+     device, and once it fails the only destination for a rebuild is
+     the flaky device itself, so every scrub rebuild fails. *)
+  let cluster = Difs.Cluster.create () in
+  let flaky =
+    {
+      Flaky_ssd.inner =
+        Ftl.Baseline_ssd.create ~geometry ~model:gentle_model
+          ~rng:(Sim.Rng.create 1) ();
+      failing = false;
+    }
+  in
+  ignore
+    (Difs.Cluster.add_device cluster ~node:0
+       (Difs.Cluster.Monolithic
+          (Ftl.Device_intf.Packed ((module Flaky_ssd), flaky))));
+  for i = 1 to 2 do
+    ignore
+      (Difs.Cluster.add_device cluster ~node:i
+         (Difs.Cluster.Monolithic
+            (Ftl.Device_intf.Packed
+               ( (module Ftl.Baseline_ssd),
+                 Ftl.Baseline_ssd.create ~geometry ~model:gentle_model
+                   ~rng:(Sim.Rng.create (1 + i)) () ))))
+  done;
+  write_ok cluster 0;
+  write_ok cluster 1;
+  flaky.Flaky_ssd.failing <- true;
+  let first = Difs.Cluster.scrub cluster in
+  checki "both chunks scanned" 2 first.Difs.Cluster.chunks_scanned;
+  checki "flaky shares dropped" 2 first.Difs.Cluster.unreadable_shares;
+  checki "both rebuilds failed" 2 first.Difs.Cluster.repair_failures;
+  (* Chunk 1 is deleted and written afresh inside its skip window: the
+     new chunk has no repair history, so the next sweep scans it. *)
+  Difs.Cluster.delete_chunk cluster 1;
+  write_ok cluster 1;
+  let second = Difs.Cluster.scrub cluster in
+  checki "rewritten chunk scanned at once" 1
+    second.Difs.Cluster.chunks_scanned;
+  checki "failed chunk skipped" 1 second.Difs.Cluster.skipped_backoff;
+  let third = Difs.Cluster.scrub cluster in
+  checki "retried after the window" 2 third.Difs.Cluster.chunks_scanned;
+  checki "nothing skipped" 0 third.Difs.Cluster.skipped_backoff
+
 (* --- Live repair -------------------------------------------------------------- *)
 
 (* Pin every flash-resident page of [chip] at an RBER no retry rung can
@@ -787,6 +859,7 @@ let suite =
      test_cluster_scrub_repairs_silent_corruption);
     ("cluster scrub limit round robin", `Quick,
      test_cluster_scrub_limit_round_robin);
+    ("cluster scrub backoff", `Quick, test_cluster_scrub_backoff);
     ("live repair recover_opage basic", `Quick,
      test_live_repair_recover_opage_basic);
     ("live repair degrades without source", `Quick,

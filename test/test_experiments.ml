@@ -152,6 +152,51 @@ let test_fig4_runs_with_measured_factors () =
   Experiments.Tco_table.run null_fmt;
   Experiments.Terms.run null_fmt
 
+(* --- cluster golden digest ------------------------------------------------------------- *)
+
+(* Golden digest of the diFS outputs: the chaos report at seed 7 under
+   the default plan and the live-recovery preset, the shrink-vs-repair
+   comparison, and TAB-RECOV (monolithic backends and (4,2) erasure
+   coding).  Every device read draws from its device's RNG, so a
+   refactor of [Difs.Cluster] that reads or writes one oPage more or
+   less, reorders placement, or miscounts a cluster event moves this
+   digest.  The jobs 1/4 diffs compare a build against itself; this pins
+   the output across builds. *)
+let golden_cluster_digest = "fe08232c37f5730aa811379880cdcce1"
+
+let test_cluster_golden_digest () =
+  let buffer = Buffer.create 16384 in
+  let fmt = Format.formatter_of_buffer buffer in
+  let live_recovery = List.assoc "live-recovery" Faults.Plan.presets in
+  let default_passed = Experiments.Chaos.run ~seed:7 ~steps:200 fmt in
+  let live_passed =
+    Experiments.Chaos.run ~plan:live_recovery ~seed:7 ~steps:200 fmt
+  in
+  let shrink_passed =
+    Experiments.Chaos.run_shrink_vs_repair ~seed:7 ~steps:200 fmt
+  in
+  List.iter
+    (fun (r : Experiments.Recovery_table.row) ->
+      Format.fprintf fmt "%s: host=%d recovery=%d events=%d lost=%d@."
+        (Experiments.Defaults.kind_label r.kind)
+        r.host_writes r.recovery_opages r.recovery_events r.lost_chunks)
+    (Experiments.Recovery_table.measure ~devices:4 ());
+  List.iter
+    (fun (label, cluster, host_writes) ->
+      Format.fprintf fmt "%s: host=%d written=%d read=%d lost=%d@." label
+        host_writes
+        (Difs.Cluster.recovery_opages cluster)
+        (Difs.Cluster.recovery_read_opages cluster)
+        (Difs.Cluster.lost_chunks cluster))
+    (Experiments.Recovery_table.measure_redundancy ~devices:6 ());
+  Format.pp_print_flush fmt ();
+  checkb "default plan verdicts pass" true default_passed;
+  checkb "live-recovery verdicts pass" true live_passed;
+  checkb "shrink-vs-repair verdicts pass" true shrink_passed;
+  Alcotest.(check string)
+    "cluster outputs digest" golden_cluster_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buffer)))
+
 let suite =
   [
     ("report table alignment", `Quick, test_report_table_alignment);
@@ -166,4 +211,5 @@ let suite =
     ("lifetime ordering", `Slow, test_lifetime_ordering);
     ("uber reliability holds", `Slow, test_uber_reliability_holds);
     ("fig4/tco/terms run", `Quick, test_fig4_runs_with_measured_factors);
+    ("cluster golden digest", `Quick, test_cluster_golden_digest);
   ]
