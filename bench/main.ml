@@ -151,11 +151,12 @@ let disturb_subjects () =
     Flash.Chip.create ~rng:(Sim.Rng.create 23)
       ~geometry:Experiments.Defaults.geometry ~model ()
   in
-  Flash.Chip.program chip ~block:0 ~page:0 [| Some 1; Some 2; Some 3; Some 4 |];
+  Flash.Chip.program_ints chip ~block:0 ~page:0 ~payloads:[| 1; 2; 3; 4 |]
+    ~count:4;
   [
     Test.make ~name:"uber/chip_read_with_disturb"
       (Staged.stage (fun () ->
-           ignore (Flash.Chip.read_slot chip ~block:0 ~page:0 ~slot:0);
+           ignore (Flash.Chip.read_slot_int chip ~block:0 ~page:0 ~slot:0);
            ignore (Flash.Chip.rber chip ~block:0 ~page:0)));
   ]
 

@@ -25,16 +25,18 @@ let default_config =
 
 let shrink_config = { default_config with mode = Shrink_s }
 
-(* Telemetry handles, bound at device creation.  Per-level metrics are
+(* Telemetry handles, bound at device creation.  [decommissions] and
+   [regenerations] are counts whose [n] is this device's own tally (the
+   accessors read it).  Per-level metrics are
    arrays indexed by tiredness level (0 .. dead_level) with a
    [level="Lj"] label; [tel_rng] is a private fixed-seed stream used
    only to sample observational quantities (raw bit-error counts), so
    enabling telemetry never perturbs the simulation's own RNG streams. *)
 type tel = {
   tel_registry : Telemetry.Registry.t;
-  tel_decommissions : Telemetry.Registry.Counter.t;
+  decommissions : Telemetry.Registry.count;
   tel_urgent_decommissions : Telemetry.Registry.Counter.t;
-  tel_regenerations : Telemetry.Registry.Counter.t;
+  regenerations : Telemetry.Registry.count;
   tel_transitions : Telemetry.Registry.Counter.t array; (* by to_level *)
   tel_limbo : Telemetry.Registry.Gauge.t array; (* fPages per level *)
   tel_decode_attempts : Telemetry.Registry.Counter.t array;
@@ -61,16 +63,16 @@ let make_tel registry profile mode =
   in
   {
     tel_registry = registry;
-    tel_decommissions =
-      Telemetry.Registry.counter registry ~labels:mode_label
+    decommissions =
+      Telemetry.Registry.count registry ~labels:mode_label
         ~help:"Minidisks decommissioned (ShrinkS)"
         "salamander_decommissions_total";
     tel_urgent_decommissions =
       Telemetry.Registry.counter registry ~labels:mode_label
         ~help:"Decommissions forced by an out-of-space emergency"
         "salamander_urgent_decommissions_total";
-    tel_regenerations =
-      Telemetry.Registry.counter registry ~labels:mode_label
+    regenerations =
+      Telemetry.Registry.count registry ~labels:mode_label
         ~help:"Minidisks regenerated from tired capacity (RegenS)"
         "salamander_regenerations_total";
     tel_transitions =
@@ -134,8 +136,6 @@ type t = {
   initial_mdisks : int;
   tel : tel;
   mutable dead : bool;
-  mutable decommissions : int;
-  mutable regenerations : int;
 }
 
 type write_error = [ `Dead | `Unknown_mdisk | `No_space ]
@@ -263,8 +263,6 @@ let create ?(config = default_config) ?registry ~geometry ~model ~rng () =
     initial_mdisks = initial;
     tel;
     dead = false;
-    decommissions = 0;
-    regenerations = 0;
   }
 
 (* --- decommissioning and regeneration ---------------------------------- *)
@@ -388,8 +386,7 @@ let decommission_one ?(urgent = false) t =
   | Some (victim, live) ->
       if t.config.scrub_on_decommission then
         retire_worn_pages t ~budget:t.config.mdisk_opages;
-      t.decommissions <- t.decommissions + 1;
-      Telemetry.Registry.Counter.incr t.tel.tel_decommissions;
+      Telemetry.Registry.bump t.tel.decommissions;
       if urgent then
         Telemetry.Registry.Counter.incr t.tel.tel_urgent_decommissions;
       Telemetry.Trace.event ~registry:t.tel.tel_registry ~level:Logs.Info
@@ -460,8 +457,7 @@ let check_capacity t =
       with
       | None -> continue := false
       | Some mdisk ->
-          t.regenerations <- t.regenerations + 1;
-          Telemetry.Registry.Counter.incr t.tel.tel_regenerations;
+          Telemetry.Registry.bump t.tel.regenerations;
           Telemetry.Trace.event ~registry:t.tel.tel_registry ~level:Logs.Info
             "mdisk_regenerated"
             [
@@ -642,8 +638,8 @@ let force_page_level t ~block ~page ~level =
   t.pending_check := true;
   maintain t
 
-let decommissions t = t.decommissions
-let regenerations t = t.regenerations
+let decommissions t = t.tel.decommissions.n
+let regenerations t = t.tel.regenerations.n
 let host_writes t = Ftl.Engine.host_writes t.engine
 let write_amplification t = Ftl.Engine.write_amplification t.engine
 

@@ -24,15 +24,9 @@ let default_ec_config =
     placement = Spread_devices;
   }
 
-(* One cluster event count: [n] is this cluster's own tally, which the
-   accessors read; every bump also lands on the registry counter, where
-   clusters sharing a registry aggregate (and the null registry drops
-   it). *)
-type count = { mutable n : int; counter : Telemetry.Registry.Counter.t }
+type count = Telemetry.Registry.count
 
-let bump ?(by = 1) c =
-  c.n <- c.n + by;
-  Telemetry.Registry.Counter.incr ~by c.counter
+let bump = Telemetry.Registry.bump
 
 (* Event counts and telemetry handles bound at cluster creation.  The
    degraded/live-target gauges are refreshed after every event sweep;
@@ -68,7 +62,7 @@ type tel = {
 
 let make_tel registry =
   let counter name help = Telemetry.Registry.counter registry ~help name in
-  let count name help = { n = 0; counter = counter name help } in
+  let count name help = Telemetry.Registry.count registry ~help name in
   {
     registry;
     recovery_written =

@@ -1,7 +1,5 @@
 type payload = int
 
-type page_state = Free | Programmed of payload option array
-
 type fault =
   | Transient_rber of float
   | Sticky_rber of float
@@ -18,23 +16,25 @@ type fault_cell = {
   mutable corrupt : int;
 }
 
-(* Telemetry handles, bound to the registry passed to [create] (the
-   null registry when omitted); inert (single-branch
-   no-ops) against the null registry.  Latency histograms record the
+(* Event counts and telemetry handles, bound to the registry passed to
+   [create] (the null registry when omitted).  A count's [n] is this
+   chip's own tally, which the accessors read; everything on the
+   registry side is an inert single-branch no-op against the null
+   registry.  Latency histograms record the
    *modeled* time of each operation under {!Latency.default} — the chip
    executes in zero simulated time, but the distribution of modeled op
    costs is exactly the "flash op latency" signal the experiments
    reason about. *)
 type tel = {
-  tel_programs : Telemetry.Registry.Counter.t;
-  tel_reads : Telemetry.Registry.Counter.t;
-  tel_erases : Telemetry.Registry.Counter.t;
+  programs : Telemetry.Registry.count;
+  reads : Telemetry.Registry.count;
+  erases : Telemetry.Registry.count;
   tel_read_us : Telemetry.Registry.Histogram.t;
   tel_program_us : Telemetry.Registry.Histogram.t;
   tel_erase_us : Telemetry.Registry.Histogram.t;
-  tel_faults_transient : Telemetry.Registry.Counter.t;
-  tel_faults_sticky : Telemetry.Registry.Counter.t;
-  tel_faults_silent : Telemetry.Registry.Counter.t;
+  faults_transient : Telemetry.Registry.count;
+  faults_sticky : Telemetry.Registry.count;
+  faults_silent : Telemetry.Registry.count;
   (* Wear/health gauges, refreshed on erase (the only operation that
      moves them): the longitudinal signals the health monitor grades
      devices by.  All three are monotone over a chip's life — P/E
@@ -50,27 +50,27 @@ let make_tel registry =
     Telemetry.Registry.histogram registry ~labels:[ ("op", op) ]
       ~help:"Modeled flash operation latency" "flash_op_latency_us"
   in
-  let fault_counter cls =
-    Telemetry.Registry.counter registry
+  let fault_count cls =
+    Telemetry.Registry.count registry
       ~labels:[ ("class", cls) ]
       ~help:"Faults injected into the medium" "flash_faults_injected_total"
   in
   {
-    tel_programs =
-      Telemetry.Registry.counter registry ~help:"fPage programs"
+    programs =
+      Telemetry.Registry.count registry ~help:"fPage programs"
         "flash_programs_total";
-    tel_reads =
-      Telemetry.Registry.counter registry ~help:"fPage/slot reads"
+    reads =
+      Telemetry.Registry.count registry ~help:"fPage/slot reads"
         "flash_reads_total";
-    tel_erases =
-      Telemetry.Registry.counter registry ~help:"Block erases"
+    erases =
+      Telemetry.Registry.count registry ~help:"Block erases"
         "flash_erases_total";
     tel_read_us = latency "read";
     tel_program_us = latency "program";
     tel_erase_us = latency "erase";
-    tel_faults_transient = fault_counter "transient";
-    tel_faults_sticky = fault_counter "sticky";
-    tel_faults_silent = fault_counter "silent";
+    faults_transient = fault_count "transient";
+    faults_sticky = fault_count "sticky";
+    faults_silent = fault_count "silent";
     tel_pec_max =
       Telemetry.Registry.gauge registry
         ~help:"Highest per-block P/E cycle count" "flash_pec_max";
@@ -83,32 +83,25 @@ let make_tel registry =
         "flash_rber_worst";
   }
 
-(* Payload slot value reserved to encode [None] (an ECC-reserved slot)
-   in the flat payload array. *)
+(* Payload slot value that marks an ECC-reserved slot in the flat
+   payload array; {!program_ints} rejects it as data. *)
 let slot_none = min_int
 
-(* Packed page store.  The old representation paid one [page] record,
-   one [page_state] box and one [payload option array] (plus a [Some]
-   box per slot) per page — ~14 words of header/box overhead per fPage
-   before any payload.  Here a device is four flat arrays: one int per
-   block (PEC), one word per fPage ([reads_since_erase * 2 + programmed
-   bit] — a program never outlives an erase, so one clearable word
-   covers both), one unboxed float per fPage (strength), and one int
-   per oPage slot (payload, [slot_none] = reserved).  Injected faults
-   sit in the sparse side table. *)
+(* Packed page store: four flat arrays and no per-page records or
+   boxes — one int per block (PEC), one word per fPage
+   ([reads_since_erase * 2 + programmed bit] — a program never outlives
+   an erase, so one clearable word covers both), one unboxed float per
+   fPage (strength), and one int per oPage slot (payload, [slot_none] =
+   reserved).  Injected faults sit in the sparse side table. *)
 type t = {
   geometry : Geometry.t;
   model : Rber_model.t;
   pecs : int array; (* per block: P/E cycle count *)
   words : int array; (* per fPage: reads_since_erase*2 lor programmed *)
   strengths : floatarray; (* per fPage: wear-independent multiplier *)
-  payloads : int array; (* per oPage slot; [slot_none] = None *)
+  payloads : int array; (* per oPage slot; [slot_none] = reserved *)
   faults : (int, fault_cell) Hashtbl.t; (* fPage index -> faults *)
   tel : tel;
-  mutable programs : int;
-  mutable reads : int;
-  mutable erases : int;
-  mutable faults_injected : int;
   (* Fleet minimum P/E count, maintained incrementally so erase never
      scans the block array: [pec_min] is min over blocks of pec and
      [at_min] counts the blocks sitting at it.  When the last block
@@ -154,10 +147,6 @@ let create ?registry ~rng ~geometry ~model () =
     payloads = Array.make (fpages * opages) slot_none;
     faults = Hashtbl.create 8;
     tel = make_tel registry;
-    programs = 0;
-    reads = 0;
-    erases = 0;
-    faults_injected = 0;
     pec_min = 0;
     at_min = blocks;
   }
@@ -183,13 +172,13 @@ let corrupt_mask t fp =
   if Hashtbl.length t.faults = 0 then 0
   else match Hashtbl.find_opt t.faults fp with Some c -> c.corrupt | None -> 0
 
-(* Modeled sense + transfer + decode time of reading [data_bytes] off one
+(* Modeled sense + transfer + decode time of reading one oPage off an
    fPage at its current error rate; only evaluated when the latency
-   histogram is live — the hot read path passes an int so the inactive
-   case costs one branch, no float boxing. *)
-let observe_read_latency t ~block ~fp ~data_bytes =
+   histogram is live, so the inactive case costs one branch, no float
+   boxing. *)
+let observe_read_latency t ~block ~fp =
   if Telemetry.Registry.Histogram.is_active t.tel.tel_read_us then begin
-    let data_kib = float_of_int data_bytes /. 1024. in
+    let data_kib = float_of_int t.geometry.Geometry.opage_bytes /. 1024. in
     let rber =
       Rber_model.rber ~reads:(page_reads t fp) t.model ~pec:t.pecs.(block)
         ~strength:(Float.Array.get t.strengths fp)
@@ -201,37 +190,9 @@ let observe_read_latency t ~block ~fp ~data_bytes =
       (Latency.fpage_read_us Latency.default ~data_kib ~raw_errors ~retries:0)
   end
 
-let program t ~block ~page slots =
-  let fp = check_page t block page in
-  let opages = t.geometry.Geometry.opages_per_fpage in
-  if Array.length slots <> opages then
-    invalid_arg "Chip.program: slot array length mismatch";
-  if is_programmed t fp then
-    invalid_arg "Chip.program: page already programmed (erase first)";
-  let base = fp * opages in
-  for i = 0 to opages - 1 do
-    t.payloads.(base + i) <-
-      (match slots.(i) with
-      | None -> slot_none
-      | Some p ->
-          if p = slot_none then
-            invalid_arg "Chip.program: payload min_int is reserved";
-          p)
-  done;
-  t.words.(fp) <- t.words.(fp) lor 1;
-  t.programs <- t.programs + 1;
-  Telemetry.Registry.Counter.incr t.tel.tel_programs;
-  if Telemetry.Registry.Histogram.is_active t.tel.tel_program_us then
-    Telemetry.Registry.Histogram.observe t.tel.tel_program_us
-      (Latency.fpage_program_us Latency.default
-         ~data_kib:
-           (float_of_int (Geometry.fpage_data_bytes t.geometry) /. 1024.))
-
-(* Same media semantics as {!program}, fed from a flat scratch array
-   instead of a [payload option array]: slots [0 .. count-1] carry data,
-   the rest are ECC-reserved.  The bulk-aging write stream uses this to
-   program without boxing a fresh option array per fPage; counters,
-   validation and the latency histogram behave identically. *)
+(* Slots [0 .. count-1] take the scratch array's data, the rest are
+   ECC-reserved: the FTL programs from reusable arrays, so a program
+   allocates nothing. *)
 let program_ints t ~block ~page ~payloads ~count =
   let fp = check_page t block page in
   let opages = t.geometry.Geometry.opages_per_fpage in
@@ -250,52 +211,20 @@ let program_ints t ~block ~page ~payloads ~count =
     t.payloads.(base + i) <- slot_none
   done;
   t.words.(fp) <- t.words.(fp) lor 1;
-  t.programs <- t.programs + 1;
-  Telemetry.Registry.Counter.incr t.tel.tel_programs;
+  Telemetry.Registry.bump t.tel.programs;
   if Telemetry.Registry.Histogram.is_active t.tel.tel_program_us then
     Telemetry.Registry.Histogram.observe t.tel.tel_program_us
       (Latency.fpage_program_us Latency.default
          ~data_kib:
            (float_of_int (Geometry.fpage_data_bytes t.geometry) /. 1024.))
 
-let read t ~block ~page =
-  let fp = check_page t block page in
-  t.reads <- t.reads + 1;
-  t.words.(fp) <- t.words.(fp) + 2;
-  Telemetry.Registry.Counter.incr t.tel.tel_reads;
-  observe_read_latency t ~block ~fp
-    ~data_bytes:(Geometry.fpage_data_bytes t.geometry);
-  if not (is_programmed t fp) then Free
-  else begin
-    let opages = t.geometry.Geometry.opages_per_fpage in
-    let base = fp * opages in
-    let mask = corrupt_mask t fp in
-    Programmed
-      (Array.init opages (fun i ->
-           let v = t.payloads.(base + i) in
-           if v = slot_none then None else Some (v lxor mask)))
-  end
-
-let read_slot t ~block ~page ~slot =
-  let fp = check_page t block page in
-  if slot < 0 || slot >= t.geometry.Geometry.opages_per_fpage then
-    invalid_arg "Chip.read_slot: slot out of range";
-  t.reads <- t.reads + 1;
-  t.words.(fp) <- t.words.(fp) + 2;
-  Telemetry.Registry.Counter.incr t.tel.tel_reads;
-  observe_read_latency t ~block ~fp ~data_bytes:t.geometry.Geometry.opage_bytes;
-  if not (is_programmed t fp) then invalid_arg "Chip.read_slot: page is erased";
-  let v = t.payloads.((fp * t.geometry.Geometry.opages_per_fpage) + slot) in
-  if v = slot_none then None else Some (v lxor corrupt_mask t fp)
-
 let read_slot_int t ~block ~page ~slot =
   let fp = check_page t block page in
   if slot < 0 || slot >= t.geometry.Geometry.opages_per_fpage then
     invalid_arg "Chip.read_slot_int: slot out of range";
-  t.reads <- t.reads + 1;
+  Telemetry.Registry.bump t.tel.reads;
   t.words.(fp) <- t.words.(fp) + 2;
-  Telemetry.Registry.Counter.incr t.tel.tel_reads;
-  observe_read_latency t ~block ~fp ~data_bytes:t.geometry.Geometry.opage_bytes;
+  observe_read_latency t ~block ~fp;
   if not (is_programmed t fp) then
     invalid_arg "Chip.read_slot_int: page is erased";
   let v = t.payloads.((fp * t.geometry.Geometry.opages_per_fpage) + slot) in
@@ -328,8 +257,7 @@ let erase t ~block =
     for fp = base to base + ppb - 1 do
       Hashtbl.remove t.faults fp
     done;
-  t.erases <- t.erases + 1;
-  Telemetry.Registry.Counter.incr t.tel.tel_erases;
+  Telemetry.Registry.bump t.tel.erases;
   if Telemetry.Registry.Histogram.is_active t.tel.tel_erase_us then
     Telemetry.Registry.Histogram.observe t.tel.tel_erase_us
       (Latency.erase_us Latency.default);
@@ -415,9 +343,9 @@ let is_free t ~block ~page =
   let fp = check_page t block page in
   not (is_programmed t fp)
 
-let programs t = t.programs
-let reads t = t.reads
-let erases t = t.erases
+let programs t = t.tel.programs.n
+let reads t = t.tel.reads.n
+let erases t = t.tel.erases.n
 
 let fault_cell t fp =
   match Hashtbl.find_opt t.faults fp with
@@ -441,20 +369,19 @@ let inject t ~block ~page fault =
       let c = fault_cell t fp in
       c.transient <- c.transient +. extra;
       drop_if_clear t fp c;
-      Telemetry.Registry.Counter.incr t.tel.tel_faults_transient
+      Telemetry.Registry.bump t.tel.faults_transient
   | Sticky_rber extra ->
       if extra < 0. then invalid_arg "Chip.inject: negative sticky rber";
       let c = fault_cell t fp in
       c.sticky <- c.sticky +. extra;
       drop_if_clear t fp c;
-      Telemetry.Registry.Counter.incr t.tel.tel_faults_sticky
+      Telemetry.Registry.bump t.tel.faults_sticky
   | Silent_corruption mask ->
       if mask = 0 then invalid_arg "Chip.inject: zero corruption mask";
       let c = fault_cell t fp in
       c.corrupt <- c.corrupt lxor mask;
       drop_if_clear t fp c;
-      Telemetry.Registry.Counter.incr t.tel.tel_faults_silent);
-  t.faults_injected <- t.faults_injected + 1
+      Telemetry.Registry.bump t.tel.faults_silent)
 
 let take_transient t ~block ~page =
   let fp = check_page t block page in
@@ -476,4 +403,5 @@ let sticky_rber t ~block ~page =
     | Some c -> c.sticky
     | None -> 0.
 
-let faults_injected t = t.faults_injected
+let faults_injected t =
+  t.tel.faults_transient.n + t.tel.faults_sticky.n + t.tel.faults_silent.n

@@ -1,8 +1,9 @@
 (** Simulated NAND flash chip: the raw medium beneath every FTL.
 
-    The chip stores one opaque payload per oPage slot (the FTL uses these
-    as fingerprints of logical content; the byte-level data path is
-    exercised by the ECC library directly).  Each fPage can be programmed
+    The chip stores one opaque int payload per oPage slot (the FTL uses
+    these as fingerprints of logical content; the byte-level data path is
+    exercised by the ECC library directly), programmed from and read into
+    plain ints: [min_int] marks an ECC-reserved slot.  Each fPage can be programmed
     once between erases, erases are whole-block and increment the block's
     P/E cycle count, and every page carries a wear-independent strength
     multiplier so pages within one block age at different rates — the
@@ -25,13 +26,7 @@ type t
 type payload = int
 (** Opaque per-oPage content fingerprint chosen by the FTL.
     [min_int] is reserved (it encodes an ECC-reserved slot in the
-    packed payload array); {!program} rejects it. *)
-
-type page_state =
-  | Free  (** erased, programmable *)
-  | Programmed of payload option array
-      (** one entry per oPage slot; [None] marks slots the owner reserved
-          for extra ECC rather than data *)
+    packed payload array); {!program_ints} rejects it. *)
 
 val create :
   ?registry:Telemetry.Registry.t ->
@@ -52,36 +47,24 @@ val create :
 val geometry : t -> Geometry.t
 val model : t -> Rber_model.t
 
-val program : t -> block:int -> page:int -> payload option array -> unit
-(** Program a free fPage with one entry per oPage slot.
-    @raise Invalid_argument if out of range, if the slot-array length is
-    not [opages_per_fpage], or if the page is not [Free] (program-once). *)
-
 val program_ints :
   t -> block:int -> page:int -> payloads:int array -> count:int -> unit
-(** {!program} fed from a flat scratch array: slots [0 .. count-1] take
-    [payloads.(i)], the remaining slots are ECC-reserved.  Bit-exact with
-    [program] on the equivalent option array (same counters, same latency
-    observation) but allocation-free — the bulk-aging write stream's
-    program path.
-    @raise Invalid_argument under [program]'s conditions, or if [count]
-    is negative, exceeds [opages_per_fpage] or [payloads]'s length. *)
-
-val read : t -> block:int -> page:int -> page_state
-(** Current state; for a programmed page the array is a copy. *)
-
-val read_slot : t -> block:int -> page:int -> slot:int -> payload option
-(** Single-slot read; [None] for ECC-reserved slots.
-    @raise Invalid_argument on a [Free] page or bad indices. *)
+(** Program a free fPage from a flat scratch array: slots
+    [0 .. count-1] take [payloads.(i)], the remaining slots are
+    ECC-reserved.  Allocation-free — the FTL's one program path.
+    @raise Invalid_argument if out of range, if [count] is negative or
+    exceeds [opages_per_fpage] or [payloads]'s length, if a payload is
+    [min_int], or if the page is already programmed (program-once). *)
 
 val read_slot_int : t -> block:int -> page:int -> slot:int -> int
-(** {!read_slot} without the option box: the payload, or [min_int] for
-    an ECC-reserved slot ([min_int] is never a valid payload).  Same
-    counters, disturb accounting and latency modeling — the GC
-    relocation hot path. *)
+(** Read one oPage slot: the payload (XORed with any injected
+    {!Silent_corruption} mask), or [min_int] for an ECC-reserved slot.
+    Counts one read, adds one to the page's read-disturb count and
+    observes the modeled oPage read latency.
+    @raise Invalid_argument on an erased page or bad indices. *)
 
 val erase : t -> block:int -> unit
-(** Erase a block: all its pages become [Free]; its PEC increments. *)
+(** Erase a block: all its pages become free; its PEC increments. *)
 
 val pec : t -> block:int -> int
 

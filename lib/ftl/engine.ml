@@ -36,59 +36,63 @@ let default_recovery =
 
 type block_class = Free | Open | Closed | Retired
 
-(* Telemetry handles bound at engine creation; inert on the null
-   registry.  The write-amplification gauge is refreshed on every fPage
-   program so exporters always see the current ratio. *)
+(* Event counts and telemetry handles bound at engine creation.  A
+   [count]'s [n] is this engine's own tally (the accessors read it); the
+   registry side is inert on the null registry.  Unmapped reads,
+   uncorrectable reads and wear-level sweeps are registry-only: no
+   accessor reads them.  The write-amplification gauge is refreshed on
+   every fPage program so exporters always see the current ratio. *)
 type tel = {
-  tel_host_writes : Telemetry.Registry.Counter.t;
-  tel_gc_runs : Telemetry.Registry.Counter.t;
+  host_writes : Telemetry.Registry.count;
+  gc_runs : Telemetry.Registry.count;
   tel_wear_level_sweeps : Telemetry.Registry.Counter.t;
-  tel_relocated : Telemetry.Registry.Counter.t;
-  tel_padded : Telemetry.Registry.Counter.t;
-  tel_reclaims : Telemetry.Registry.Counter.t;
+  relocated : Telemetry.Registry.count;
+  padded : Telemetry.Registry.count;
+  reclaims : Telemetry.Registry.count;
   tel_unmapped : Telemetry.Registry.Counter.t;
   tel_uncorrectable : Telemetry.Registry.Counter.t;
-  tel_read_retries : Telemetry.Registry.Counter.t;
-  tel_retry_successes : Telemetry.Registry.Counter.t;
-  tel_escalations : Telemetry.Registry.Counter.t;
-  tel_escalation_successes : Telemetry.Registry.Counter.t;
-  tel_escalations_suppressed : Telemetry.Registry.Counter.t;
+  read_retries : Telemetry.Registry.count;
+  retry_successes : Telemetry.Registry.count;
+  escalations : Telemetry.Registry.count;
+  escalation_successes : Telemetry.Registry.count;
+  escalations_suppressed : Telemetry.Registry.count;
   tel_waf : Telemetry.Registry.Gauge.t;
 }
 
 let make_tel registry =
   let counter name help = Telemetry.Registry.counter registry ~help name in
+  let count name help = Telemetry.Registry.count registry ~help name in
   {
-    tel_host_writes = counter "ftl_host_writes_total" "oPages accepted from the host";
-    tel_gc_runs = counter "ftl_gc_runs_total" "Garbage-collection passes";
+    host_writes = count "ftl_host_writes_total" "oPages accepted from the host";
+    gc_runs = count "ftl_gc_runs_total" "Garbage-collection passes";
     tel_wear_level_sweeps =
       counter "ftl_wear_level_sweeps_total"
         "GC passes that targeted the coldest block for wear leveling";
-    tel_relocated =
-      counter "ftl_relocated_opages_total"
+    relocated =
+      count "ftl_relocated_opages_total"
         "oPages rewritten internally (GC + explicit relocation)";
-    tel_padded =
-      counter "ftl_padded_slots_total" "Data slots wasted by forced flushes";
-    tel_reclaims =
-      counter "ftl_read_reclaims_total" "Pages scrubbed by read-reclaim";
+    padded =
+      count "ftl_padded_slots_total" "Data slots wasted by forced flushes";
+    reclaims =
+      count "ftl_read_reclaims_total" "Pages scrubbed by read-reclaim";
     tel_unmapped = counter "ftl_unmapped_reads_total" "Reads of unmapped LBAs";
     tel_uncorrectable =
       counter "ftl_uncorrectable_reads_total"
         "Reads ECC could not correct (residual UBER)";
-    tel_read_retries =
-      counter "ftl_read_retries_total"
+    read_retries =
+      count "ftl_read_retries_total"
         "Re-read attempts made by the read-retry ladder";
-    tel_retry_successes =
-      counter "ftl_retry_successes_total"
+    retry_successes =
+      count "ftl_retry_successes_total"
         "Reads rescued by the retry ladder after a failed first attempt";
-    tel_escalations =
-      counter "ftl_read_escalations_total"
+    escalations =
+      count "ftl_read_escalations_total"
         "Exhausted reads escalated to the recovery hook";
-    tel_escalation_successes =
-      counter "ftl_escalation_successes_total"
+    escalation_successes =
+      count "ftl_escalation_successes_total"
         "Escalated reads the recovery hook rescued";
-    tel_escalations_suppressed =
-      counter "ftl_escalations_suppressed_total"
+    escalations_suppressed =
+      count "ftl_escalations_suppressed_total"
         "Escalations skipped while the backoff budget was spent";
     tel_waf =
       Telemetry.Registry.gauge registry
@@ -119,22 +123,12 @@ type t = {
   mutable next_page : int;
   mutable free_count : int;
   mutable retired_count : int;
-  mutable host_writes : int;
-  mutable relocated : int;
-  mutable gc_runs : int;
-  mutable padded : int;
-  mutable reclaims : int;
   mutable in_gc : bool;
-  mutable read_retry_count : int;
-  mutable retry_success_count : int;
   mutable crash_hook : (crash_site -> unit) option;
   mutable recovery_hook : (logical:int -> int option) option;
   mutable recovery_config : recovery_config;
   mutable read_clock : int;
       (* monotone host-read counter; the unit of the escalation backoff *)
-  mutable escalation_count : int;
-  mutable escalation_success_count : int;
-  mutable escalation_suppressed_count : int;
   mutable escalation_fail_streak : int;
   mutable escalation_retry_at : int;
       (* read-clock value before which escalations are suppressed *)
@@ -152,9 +146,9 @@ type t = {
   mutable total_capacity : int;
   closed : Blockset.t;
   free_heap : Intheap.t;
-  (* Flush scratch for the bulk write stream: one [(logical, payload)]
-     pair per oPage slot of an fPage, reused across every program so a
-     flush allocates nothing.  Only [write_stream] touches them. *)
+  (* Program scratch: one [(logical, payload)] pair per oPage slot of an
+     fPage, reused across every program so a program allocates
+     nothing.  Only [program_fpage] touches them. *)
   scratch_logicals : int array;
   scratch_payloads : int array;
   tel : tel;
@@ -209,21 +203,11 @@ let create ?(config = default_config) ?registry ~chip ~rng ~policy
     next_page = 0;
     free_count = geometry.Flash.Geometry.blocks;
     retired_count = 0;
-    host_writes = 0;
-    relocated = 0;
-    gc_runs = 0;
-    padded = 0;
-    reclaims = 0;
     in_gc = false;
-    read_retry_count = 0;
-    retry_success_count = 0;
     crash_hook = None;
     recovery_hook = None;
     recovery_config = default_recovery;
     read_clock = 0;
-    escalation_count = 0;
-    escalation_success_count = 0;
-    escalation_suppressed_count = 0;
     escalation_fail_streak = 0;
     escalation_retry_at = 0;
     cap_cache = Array.make blocks 0;
@@ -305,8 +289,7 @@ let relocate_slot t ~block ~page ~slot ~logical =
      (* The mapping never points at ECC-reserved slots. *)
      assert (payload <> Stdlib.min_int);
      Write_buffer.put t.buffer ~logical ~payload;
-     t.relocated <- t.relocated + 1;
-     Telemetry.Registry.Counter.incr t.tel.tel_relocated
+     Telemetry.Registry.bump t.tel.relocated
    end);
   Mapping.unbind_logical t.mapping logical
 
@@ -390,7 +373,7 @@ let gc_once t =
   let victim =
     if
       t.config.wear_level_period > 0
-      && t.gc_runs mod t.config.wear_level_period = t.config.wear_level_period - 1
+      && t.tel.gc_runs.n mod t.config.wear_level_period = t.config.wear_level_period - 1
     then
       match pick_wear_level_victim t with
       | Some b -> Some (b, `Wear_level)
@@ -401,8 +384,7 @@ let gc_once t =
   | None -> false
   | Some (block, kind) ->
       notify_crash t Gc;
-      t.gc_runs <- t.gc_runs + 1;
-      Telemetry.Registry.Counter.incr t.tel.tel_gc_runs;
+      Telemetry.Registry.bump t.tel.gc_runs;
       if kind = `Wear_level then
         Telemetry.Registry.Counter.incr t.tel.tel_wear_level_sweeps;
       relocate_block_contents t block;
@@ -475,29 +457,33 @@ let rec open_position t =
           t.next_page <- 0;
           open_position t)
 
-let program_page t ~block ~page ~slots entries =
-  let opages = (geometry t).Flash.Geometry.opages_per_fpage in
-  let contents = Array.make opages None in
-  List.iteri
-    (fun i (_, payload) -> contents.(i) <- Some payload)
-    entries;
-  Flash.Chip.program t.chip ~block ~page contents;
-  List.iteri
-    (fun i (logical, _) ->
-      t.sequence <- t.sequence + 1;
-      let flat = flat_slot t ~block ~page ~slot:i in
-      t.oob_logical.(flat) <- logical;
-      t.oob_seq.(flat) <- t.sequence;
-      Mapping.bind t.mapping ~logical { Location.block; page; slot = i })
-    entries;
-  t.padded <- t.padded + (slots - List.length entries);
-  Telemetry.Registry.Counter.incr t.tel.tel_padded
-    ~by:(slots - List.length entries);
-  if Telemetry.Registry.Gauge.is_active t.tel.tel_waf && t.host_writes > 0 then
+(* Program the open fPage at [(block, page)], which holds [slots] data
+   slots, with the buffer's next (up to) [slots] entries: pop them into
+   the scratch arrays, program the chip, then tag each slot's OOB and
+   map it.  Both write paths program through here, so the per-op and
+   stream paths lay out flash identically. *)
+let program_fpage t ~block ~page ~slots =
+  let n =
+    Write_buffer.pop_into t.buffer ~logicals:t.scratch_logicals
+      ~payloads:t.scratch_payloads slots
+  in
+  Flash.Chip.program_ints t.chip ~block ~page ~payloads:t.scratch_payloads
+    ~count:n;
+  let base = flat_slot t ~block ~page ~slot:0 in
+  for i = 0 to n - 1 do
+    t.sequence <- t.sequence + 1;
+    let flat = base + i in
+    t.oob_logical.(flat) <- t.scratch_logicals.(i);
+    t.oob_seq.(flat) <- t.sequence;
+    Mapping.bind_flat t.mapping ~logical:t.scratch_logicals.(i) flat
+  done;
+  Telemetry.Registry.bump t.tel.padded ~by:(slots - n);
+  let host_writes = t.tel.host_writes.n in
+  if Telemetry.Registry.Gauge.is_active t.tel.tel_waf && host_writes > 0 then
     Telemetry.Registry.Gauge.set t.tel.tel_waf
       (float_of_int
          (Flash.Chip.programs t.chip * (geometry t).Flash.Geometry.opages_per_fpage)
-      /. float_of_int t.host_writes);
+      /. float_of_int host_writes);
   t.next_page <- page + 1
 
 (* Flush whole fPages while the buffer can fill them; with [force], flush
@@ -513,8 +499,7 @@ let rec drain t ~force =
              nothing, because unprogrammed entries are still in the
              non-volatile buffer. *)
           notify_crash t Before_program;
-          program_page t ~block ~page ~slots
-            (Write_buffer.pop t.buffer slots);
+          program_fpage t ~block ~page ~slots;
           notify_crash t After_program;
           drain t ~force
         end
@@ -523,8 +508,7 @@ let rec drain t ~force =
 let write t ~logical ~payload =
   if logical < 0 || logical >= t.logical_capacity then
     invalid_arg "Engine.write: logical index out of range";
-  t.host_writes <- t.host_writes + 1;
-  Telemetry.Registry.Counter.incr t.tel.tel_host_writes;
+  Telemetry.Registry.bump t.tel.host_writes;
   Write_buffer.put t.buffer ~logical ~payload;
   drain t ~force:false
 
@@ -545,10 +529,10 @@ let stream_capable t = t.crash_hook = None
 (* Bulk-aging fast path.  One call replays exactly the write stream the
    per-op loop (one [Sim.Rng.int rng window] draw, then [write]) would
    issue, with the per-write overhead hoisted out: the open position is
-   cached between programs, pages are programmed straight from the
-   reusable scratch arrays, and the host-write telemetry counter is
-   settled once at segment end ([Counter.incr] is a plain sum, so the
-   final value is identical).
+   cached between programs (each program still goes through
+   [program_fpage]), and the host-write telemetry counter is settled
+   once at segment end ([Counter.incr] is a plain sum, so the final
+   value is identical).
 
    The caller owns the LBA -> engine-logical translation and must keep
    it frozen for the whole call; device state only moves at erases (GC,
@@ -566,38 +550,12 @@ let write_stream t ~rng ~window ~limit ~translate ~payload_base ~budget =
     invalid_arg "Engine.write_stream: crash hook armed (not stream-capable)";
   let exception Stop of stream_stop in
   let exception No_space_now in
-  let opages = (geometry t).Flash.Geometry.opages_per_fpage in
   let erases0 = Flash.Chip.erases t.chip in
-  let host_writes0 = t.host_writes in
+  let host_writes = t.tel.host_writes in
+  let host_writes0 = host_writes.n in
   let accepted = ref 0 in
   (* Cached open position; [pos_slots = 0] means "not established". *)
   let pos_block = ref 0 and pos_page = ref 0 and pos_slots = ref 0 in
-  let waf_active = Telemetry.Registry.Gauge.is_active t.tel.tel_waf in
-  let program_fast () =
-    let block = !pos_block and page = !pos_page and slots = !pos_slots in
-    let n =
-      Write_buffer.pop_into t.buffer ~logicals:t.scratch_logicals
-        ~payloads:t.scratch_payloads slots
-    in
-    Flash.Chip.program_ints t.chip ~block ~page ~payloads:t.scratch_payloads
-      ~count:n;
-    let base = flat_slot t ~block ~page ~slot:0 in
-    for i = 0 to n - 1 do
-      t.sequence <- t.sequence + 1;
-      let flat = base + i in
-      t.oob_logical.(flat) <- t.scratch_logicals.(i);
-      t.oob_seq.(flat) <- t.sequence;
-      Mapping.bind_flat t.mapping ~logical:t.scratch_logicals.(i) flat
-    done;
-    t.padded <- t.padded + (slots - n);
-    Telemetry.Registry.Counter.incr t.tel.tel_padded ~by:(slots - n);
-    if waf_active && t.host_writes > 0 then
-      Telemetry.Registry.Gauge.set t.tel.tel_waf
-        (float_of_int (Flash.Chip.programs t.chip * opages)
-        /. float_of_int t.host_writes);
-    t.next_page <- page + 1;
-    pos_slots := 0
-  in
   (* [drain ~force:false] against the cached position; precondition:
      buffer non-empty (the loop just [put] an entry).  When the cache is
      valid, the skipped [open_position] call would have returned the
@@ -611,7 +569,8 @@ let write_stream t ~rng ~window ~limit ~translate ~payload_base ~budget =
           pos_page := page;
           pos_slots := slots);
     if Write_buffer.length t.buffer >= !pos_slots then begin
-      program_fast ();
+      program_fpage t ~block:!pos_block ~page:!pos_page ~slots:!pos_slots;
+      pos_slots := 0;
       (* GC relocations during [open_position] can refill the buffer;
          keep programming, as [drain]'s recursion would. *)
       if not (Write_buffer.is_empty t.buffer) then stream_drain ()
@@ -623,7 +582,7 @@ let write_stream t ~rng ~window ~limit ~translate ~payload_base ~budget =
         let lba = Sim.Rng.int rng window in
         if lba >= limit then raise (Stop Stream_out_of_window);
         let logical = translate lba in
-        t.host_writes <- t.host_writes + 1;
+        host_writes.n <- host_writes.n + 1;
         Write_buffer.put t.buffer ~logical ~payload:(payload_base + !accepted);
         (try stream_drain ()
          with No_space_now -> raise (Stop (Stream_no_space lba)));
@@ -633,8 +592,8 @@ let write_stream t ~rng ~window ~limit ~translate ~payload_base ~budget =
       Stream_budget
     with Stop stop -> stop
   in
-  Telemetry.Registry.Counter.incr t.tel.tel_host_writes
-    ~by:(t.host_writes - host_writes0);
+  Telemetry.Registry.Counter.incr host_writes.counter
+    ~by:(host_writes.n - host_writes0);
   (!accepted, stop)
 
 (* Last line of defense before [`Uncorrectable]: hand the read to the
@@ -647,20 +606,17 @@ let escalate t ~logical =
   | None -> None
   | Some hook ->
       if t.read_clock < t.escalation_retry_at then begin
-        t.escalation_suppressed_count <- t.escalation_suppressed_count + 1;
-        Telemetry.Registry.Counter.incr t.tel.tel_escalations_suppressed;
+        Telemetry.Registry.bump t.tel.escalations_suppressed;
         None
       end
       else begin
         let rec burst attempt =
           if attempt > t.recovery_config.recovery_attempts then None
           else begin
-            t.escalation_count <- t.escalation_count + 1;
-            Telemetry.Registry.Counter.incr t.tel.tel_escalations;
+            Telemetry.Registry.bump t.tel.escalations;
             match hook ~logical with
             | Some _ as rescued ->
-                t.escalation_success_count <- t.escalation_success_count + 1;
-                Telemetry.Registry.Counter.incr t.tel.tel_escalation_successes;
+                Telemetry.Registry.bump t.tel.escalation_successes;
                 t.escalation_fail_streak <- 0;
                 t.escalation_retry_at <- 0;
                 rescued
@@ -683,24 +639,18 @@ let escalate t ~logical =
 (* The two exits of [read]'s retry ladder (rung [k] decoded, or the
    ladder is exhausted), top-level so a read allocates no closures. *)
 let read_succeed t ~block ~page ~slot k ~rber =
-  if k > 0 then begin
-    t.retry_success_count <- t.retry_success_count + 1;
-    Telemetry.Registry.Counter.incr t.tel.tel_retry_successes
-  end;
-  let result =
-    match Flash.Chip.read_slot t.chip ~block ~page ~slot with
-    | Some payload -> Ok payload
-    | None -> assert false
-  in
+  if k > 0 then Telemetry.Registry.bump t.tel.retry_successes;
+  let payload = Flash.Chip.read_slot_int t.chip ~block ~page ~slot in
+  (* The mapping never points at ECC-reserved slots. *)
+  assert (payload <> Stdlib.min_int);
   (* Read-reclaim: the read itself disturbed the page; if its error rate
      has crept toward the code's limit, move the live data somewhere
      younger before it becomes uncorrectable. *)
   if t.policy.Policy.should_reclaim ~rber ~block ~page then begin
-    t.reclaims <- t.reclaims + 1;
-    Telemetry.Registry.Counter.incr t.tel.tel_reclaims;
+    Telemetry.Registry.bump t.tel.reclaims;
     relocate_page t ~block ~page
   end;
-  result
+  Ok payload
 
 let read_uncorrectable t ~logical =
   match escalate t ~logical with
@@ -755,8 +705,7 @@ let read t ~logical =
             if taken = 0. then rber0 else Flash.Chip.rber t.chip ~block ~page
           in
           let rec attempt k =
-            t.read_retry_count <- t.read_retry_count + 1;
-            Telemetry.Registry.Counter.incr t.tel.tel_read_retries;
+            Telemetry.Registry.bump t.tel.read_retries;
             let effective =
               rber *. (t.config.retry_rber_factor ** float_of_int k)
             in
@@ -778,8 +727,6 @@ let discard t ~logical =
   Hashtbl.replace t.trim_journal logical t.sequence;
   Write_buffer.drop t.buffer logical;
   Mapping.unbind_logical t.mapping logical
-
-let gc_now t = gc_once t
 
 (* --- introspection ------------------------------------------------------ *)
 
@@ -808,23 +755,23 @@ let mapped_in_range t ~lo ~len =
   done;
   !count
 let buffered_opages t = Write_buffer.length t.buffer
-let host_writes t = t.host_writes
-let relocated_opages t = t.relocated
-let gc_runs t = t.gc_runs
-let padded_slots t = t.padded
-let read_reclaims t = t.reclaims
-let read_retries t = t.read_retry_count
-let retry_successes t = t.retry_success_count
-let read_escalations t = t.escalation_count
-let escalation_successes t = t.escalation_success_count
-let escalations_suppressed t = t.escalation_suppressed_count
+let host_writes t = t.tel.host_writes.n
+let relocated_opages t = t.tel.relocated.n
+let gc_runs t = t.tel.gc_runs.n
+let padded_slots t = t.tel.padded.n
+let read_reclaims t = t.tel.reclaims.n
+let read_retries t = t.tel.read_retries.n
+let retry_successes t = t.tel.retry_successes.n
+let read_escalations t = t.tel.escalations.n
+let escalation_successes t = t.tel.escalation_successes.n
+let escalations_suppressed t = t.tel.escalations_suppressed.n
 
 let write_amplification t =
-  if t.host_writes = 0 then nan
+  if host_writes t = 0 then nan
   else
     let opages = (geometry t).Flash.Geometry.opages_per_fpage in
     float_of_int (Flash.Chip.programs t.chip * opages)
-    /. float_of_int t.host_writes
+    /. float_of_int (host_writes t)
 
 let locate t ~logical = Mapping.find t.mapping logical
 
@@ -856,8 +803,10 @@ let crash_rebuild old =
       free_heap = Intheap.create ();
     }
   in
-  (* Collect surviving OOB tags and replay them oldest-first so that
-     Mapping.bind leaves the newest copy of each logical in place. *)
+  (* Collect surviving OOB tags as [(sequence, logical, flat slot)] and
+     replay them oldest-first so that [Mapping.bind_flat] leaves the
+     newest copy of each logical in place (sequences are unique, so the
+     sort is by sequence alone). *)
   let tags = ref [] in
   for block = 0 to g.Flash.Geometry.blocks - 1 do
     for page = 0 to g.Flash.Geometry.pages_per_block - 1 do
@@ -865,22 +814,19 @@ let crash_rebuild old =
         for slot = 0 to g.Flash.Geometry.opages_per_fpage - 1 do
           let flat = flat_slot t ~block ~page ~slot in
           let logical = t.oob_logical.(flat) in
-          if logical >= 0 then
-            tags :=
-              (t.oob_seq.(flat), logical, { Location.block; page; slot })
-              :: !tags
+          if logical >= 0 then tags := (t.oob_seq.(flat), logical, flat) :: !tags
         done
     done
   done;
   let tags = List.sort compare !tags in
   List.iter
-    (fun (sequence, logical, location) ->
+    (fun (sequence, logical, flat) ->
       let trimmed_after =
         match Hashtbl.find_opt t.trim_journal logical with
         | Some trim_sequence -> trim_sequence > sequence
         | None -> false
       in
-      if not trimmed_after then Mapping.bind t.mapping ~logical location)
+      if not trimmed_after then Mapping.bind_flat t.mapping ~logical flat)
     tags;
   (* Anything the buffer still holds is newer than any flash copy. *)
   (* (reads consult the buffer first, so no rebinding is needed) *)

@@ -132,9 +132,6 @@ val relocate_page : t -> block:int -> page:int -> unit
     Salamander's decommissioning to drain the most worn pages; the space
     itself is reclaimed when the block is later erased. *)
 
-val gc_now : t -> bool
-(** Run one garbage-collection pass; [false] if no victim was available. *)
-
 (** {2 Introspection} *)
 
 type block_class = Free | Open | Closed | Retired

@@ -11,13 +11,8 @@ let slots_per_block geometry =
   geometry.Flash.Geometry.pages_per_block
   * geometry.Flash.Geometry.opages_per_fpage
 
-let flat_index t { Location.block; page; slot } =
-  (block * slots_per_block t.geometry)
-  + (page * t.geometry.Flash.Geometry.opages_per_fpage)
-  + slot
-
 (* Both directions speak flat slot indices; locations are decoded only at
-   the option-returning API edge, so the per-write hot path (bind_flat /
+   the option-returning [find], so the per-write hot path (bind_flat /
    find_flat) never boxes a [Location.t]. *)
 let location_of_flat t flat =
   let spb = slots_per_block t.geometry in
@@ -52,10 +47,6 @@ let find t logical =
   let flat = t.forward.(logical) in
   if flat < 0 then None else Some (location_of_flat t flat)
 
-let owner t location =
-  let flat = flat_index t location in
-  if t.reverse.(flat) < 0 then None else Some t.reverse.(flat)
-
 let invalidate_flat t flat =
   if t.reverse.(flat) >= 0 then begin
     t.reverse.(flat) <- -1;
@@ -88,8 +79,6 @@ let bind_flat t ~logical flat =
   t.reverse.(flat) <- logical;
   let block = flat / slots_per_block t.geometry in
   t.valid_per_block.(block) <- t.valid_per_block.(block) + 1
-
-let bind t ~logical location = bind_flat t ~logical (flat_index t location)
 
 let mapped_count t = t.mapped
 

@@ -22,14 +22,9 @@ val find_flat : t -> int -> int
     bulk-aging write stream use. *)
 
 val bind_flat : t -> logical:int -> int -> unit
-(** {!bind} keyed by flat slot index; allocation-free. *)
-
-val owner : t -> Location.t -> int option
-(** Logical index stored in a physical slot, if the slot is live. *)
-
-val bind : t -> logical:int -> Location.t -> unit
-(** Map [logical] to the location, invalidating both [logical]'s previous
-    location and any previous owner of the new location. *)
+(** [bind_flat t ~logical flat] maps [logical] to the flat slot index
+    (as {!find_flat} returns it), invalidating both [logical]'s previous
+    slot and any previous owner of [flat]; allocation-free. *)
 
 val unbind_logical : t -> int -> unit
 (** Drop the mapping for a logical index (trim/discard); its old slot

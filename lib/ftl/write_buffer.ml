@@ -4,7 +4,7 @@
    host write, plus one of each per GC-relocated oPage) touches only a
    handful of array words — no hashing, no per-entry cells.
 
-   A dropped entry leaves its ring slot behind; [pop] skips slots whose
+   A dropped entry leaves its ring slot behind; [pop_into] skips slots whose
    logical is no longer pending, exactly like the stale-queue-entry
    semantics the hashtable version had, so arrival order is unchanged:
    a logical popped or dropped and then re-put re-enters at the back. *)
@@ -100,9 +100,3 @@ let pop_into t ~logicals ~payloads n =
     end
   in
   take 0
-
-let pop t n =
-  let logicals = Array.make (Stdlib.max n 1) 0 in
-  let payloads = Array.make (Stdlib.max n 1) 0 in
-  let k = pop_into t ~logicals ~payloads n in
-  List.init k (fun i -> (logicals.(i), payloads.(i)))

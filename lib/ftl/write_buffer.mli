@@ -31,13 +31,9 @@ val mem : t -> int -> bool
 val drop : t -> int -> unit
 (** Remove a pending entry (trim of a buffered oPage). *)
 
-val pop : t -> int -> (int * int) list
-(** [pop t n] removes and returns up to [n] [(logical, payload)] entries
-    in arrival order (of each logical's most recent write). *)
-
 val pop_into : t -> logicals:int array -> payloads:int array -> int -> int
-(** [pop t n] into caller-owned scratch arrays: writes the popped
-    entries to [logicals.(0..k-1)] / [payloads.(0..k-1)] and returns
-    [k].  Identical pop order and dedup semantics to {!pop}, without
-    the per-flush list allocation — the bulk-aging stream's flush path.
-    The arrays must have at least [n] slots. *)
+(** [pop_into t ~logicals ~payloads n] removes up to [n] entries in
+    arrival order (of each logical's most recent write), writes them to
+    the caller-owned scratch arrays [logicals.(0..k-1)] /
+    [payloads.(0..k-1)] and returns [k] — allocation-free, the engine's
+    one flush path.  The arrays must have at least [n] slots. *)

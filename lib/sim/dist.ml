@@ -49,13 +49,6 @@ let binomial rng ~n ~p =
       let z = normal rng ~mean ~stddev:(sqrt variance) in
       Stdlib.max 0 (Stdlib.min n (int_of_float (Float.round z)))
 
-let geometric rng ~p =
-  if p <= 0. || p > 1. then invalid_arg "Dist.geometric: p must be in (0,1]";
-  if p = 1. then 0
-  else
-    let u = 1. -. Rng.unit_float rng in
-    int_of_float (Float.of_int 0 +. floor (log u /. log (1. -. p)))
-
 module Zipf = struct
   type t = { cdf : float array }
 

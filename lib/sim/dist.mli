@@ -22,9 +22,6 @@ val binomial : Rng.t -> n:int -> p:float -> int
     small [n*p]; normal approximation for large [n] where exact sampling
     would be too slow for per-read bit-error counts. *)
 
-val geometric : Rng.t -> p:float -> int
-(** Number of failures before the first success (support 0, 1, 2, ...). *)
-
 (** Zipfian distribution over ranks 0..n-1, used for skewed workloads. *)
 module Zipf : sig
   type t

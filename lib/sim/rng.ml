@@ -158,10 +158,6 @@ let int t bound =
   end
   else slow_draw t (Int64.of_int bound)
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 (* result >>> 11 = rh * 2^21 + (rl >>> 11): 53 bits, exact as a float *)
 let unit_float t =
   step t;
@@ -191,7 +187,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
-  arr.(int t (Array.length arr))

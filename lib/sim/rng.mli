@@ -33,9 +33,6 @@ val int : t -> int -> int
 (** [int t bound] is uniform in \[0, bound).  @raise Invalid_argument if
     [bound <= 0]. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in \[lo, hi\] inclusive. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in \[0, bound). *)
 
@@ -50,6 +47,3 @@ val chance : t -> float -> bool
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniformly random element.  @raise Invalid_argument on empty array. *)

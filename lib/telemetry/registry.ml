@@ -243,6 +243,18 @@ let counter t ?(help = "") ?(labels = []) name =
            else Counter.Local (ref 0)))
       (function Counter_m c -> Some c | _ -> None)
 
+(* A component's own event tally [n], which its accessors read, beside
+   the registry counter it feeds: components sharing a registry
+   aggregate on the counter (and the null registry drops it), so one
+   [bump] keeps each count once without losing the per-component view. *)
+type count = { mutable n : int; counter : Counter.t }
+
+let count t ?help ?labels name = { n = 0; counter = counter t ?help ?labels name }
+
+let bump ?(by = 1) c =
+  Counter.incr ~by c.counter;
+  c.n <- c.n + by
+
 let gauge t ?(help = "") ?(labels = []) name =
   if not t.live then Gauge.dummy
   else

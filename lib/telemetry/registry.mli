@@ -111,6 +111,21 @@ val is_null : t -> bool
 (** {2 Registration} *)
 
 val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> Counter.t
+
+type count = { mutable n : int; counter : Counter.t }
+(** One component's event tally: [n] is this component's own count (its
+    accessors read it) and [counter] the registry counter every
+    component sharing the registry aggregates on.  Bump it only through
+    {!bump}, so the two never drift; a hot loop may raise [n] alone and
+    settle [counter] later with [Counter.incr ~by]. *)
+
+val count : t -> ?help:string -> ?labels:(string * string) list -> string -> count
+(** Register [counter] as {!counter} does and start [n] at 0. *)
+
+val bump : ?by:int -> count -> unit
+(** Add [by] (default 1) to both [n] and [counter].
+    @raise Invalid_argument if [by] is negative. *)
+
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> Gauge.t
 
 val histogram :

@@ -84,8 +84,6 @@ module Sink = struct
   let current t =
     match t.stack with [] -> None | n :: _ -> Some n.node_id
 
-  let span_count t = t.next_id - 1
-
   let spans t =
     List.rev_map
       (fun n ->

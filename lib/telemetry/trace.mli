@@ -73,8 +73,6 @@ module Sink : sig
   val instants : t -> (int * string * (string * string) list) list
   (** All instant events in record order. *)
 
-  val span_count : t -> int
-
   val clock : t -> int
   (** Ticks consumed so far. *)
 

@@ -290,13 +290,15 @@ let test_epoch_days_invalid () =
 
 (* Steady-state hot paths must stay lean: the bulk write stream and the
    per-op read and write paths are the costs multi-year fleet runs and
-   traffic replays pay billions of times.  Observed today: ~294 minor
-   words/write on the bulk path (mostly xoshiro Int64 boxing per draw
-   plus amortized GC relocation work), ~29/read for every design, and
-   79-109/write on the per-op path (amortized GC relocation).  The
-   absolute bounds sit at about 2x the worst design (the read bound
-   predates the per-design check) so they only trip on a real
-   regression — a per-op list, array or closure — not on noise.  The
+   traffic replays pay billions of times.  Observed today: ~136 minor
+   words/write on the bulk path (regens; amortized GC relocation work
+   plus the draw and translation per write), ~27/read for every design,
+   and 34-42/write on the per-op path (baseline 34, CVSS 42,
+   ShrinkS/RegenS 35: amortized GC relocation and the open-position
+   lookup; programs, relocation programs included, allocate nothing).
+   The per-op bounds sit at about 2x the worst design so they only trip
+   on a real regression — a per-op list, array or closure — not on
+   noise.  The
    per-op paths are measured for every design, and a Salamander device
    may cost at most [translation_words] more than the baseline device
    on the same engine: its minidisk translation must stay an array
@@ -363,11 +365,11 @@ let check_per_op_allocation ~what ~bound ~seed ~op =
     words
 
 let test_read_allocation () =
-  check_per_op_allocation ~what:"read" ~bound:90. ~seed:2025
+  check_per_op_allocation ~what:"read" ~bound:55. ~seed:2025
     ~op:(fun dev _ lba -> ignore (Ftl.Device_intf.read dev ~lba))
 
 let test_write_allocation () =
-  check_per_op_allocation ~what:"write" ~bound:220. ~seed:2026
+  check_per_op_allocation ~what:"write" ~bound:85. ~seed:2026
     ~op:(fun dev i lba -> ignore (Ftl.Device_intf.write dev ~lba ~payload:i))
 
 let suite =

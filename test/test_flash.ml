@@ -89,37 +89,53 @@ let make_chip ?(seed = 1) () =
   Flash.Chip.create ~rng:(Sim.Rng.create seed) ~geometry:small_geometry ~model
     ()
 
+(* Program [data] into the page's first slots; the rest are reserved. *)
+let program chip ~block ~page data =
+  Flash.Chip.program_ints chip ~block ~page ~payloads:data
+    ~count:(Array.length data)
+
+(* Every slot of a programmed page ([min_int] = reserved). *)
+let read_page chip ~block ~page =
+  Array.init small_geometry.Flash.Geometry.opages_per_fpage (fun slot ->
+      Flash.Chip.read_slot_int chip ~block ~page ~slot)
+
 let test_chip_program_read_roundtrip () =
   let chip = make_chip () in
-  let contents = [| Some 11; Some 22; None; Some 44 |] in
-  Flash.Chip.program chip ~block:0 ~page:3 contents;
-  (match Flash.Chip.read chip ~block:0 ~page:3 with
-  | Flash.Chip.Programmed slots ->
-      Alcotest.(check (array (option int))) "slots back" contents slots
-  | Flash.Chip.Free -> Alcotest.fail "expected programmed");
-  Alcotest.(check (option int)) "slot read" (Some 44)
-    (Flash.Chip.read_slot chip ~block:0 ~page:3 ~slot:3);
-  Alcotest.(check (option int)) "ecc slot reads None" None
-    (Flash.Chip.read_slot chip ~block:0 ~page:3 ~slot:2)
+  (* [count] cuts the scratch array: the trailing 99 is never stored. *)
+  Flash.Chip.program_ints chip ~block:0 ~page:3
+    ~payloads:[| 11; 22; 44; 99 |] ~count:3;
+  Alcotest.(check (array int))
+    "slots back" [| 11; 22; 44; min_int |]
+    (read_page chip ~block:0 ~page:3);
+  checki "slot read" 44 (Flash.Chip.read_slot_int chip ~block:0 ~page:3 ~slot:2);
+  checki "ecc slot reads min_int" min_int
+    (Flash.Chip.read_slot_int chip ~block:0 ~page:3 ~slot:3);
+  Alcotest.check_raises "count beyond the page"
+    (Invalid_argument "Chip.program_ints: count out of range") (fun () ->
+      Flash.Chip.program_ints chip ~block:0 ~page:4
+        ~payloads:[| 1; 2; 3; 4; 5 |] ~count:5);
+  Alcotest.check_raises "slot out of range"
+    (Invalid_argument "Chip.read_slot_int: slot out of range") (fun () ->
+      ignore (Flash.Chip.read_slot_int chip ~block:0 ~page:3 ~slot:4))
 
 let test_chip_program_once () =
   let chip = make_chip () in
-  let contents = [| Some 1; Some 2; Some 3; Some 4 |] in
-  Flash.Chip.program chip ~block:1 ~page:0 contents;
+  let contents = [| 1; 2; 3; 4 |] in
+  program chip ~block:1 ~page:0 contents;
   Alcotest.check_raises "double program"
-    (Invalid_argument "Chip.program: page already programmed (erase first)")
-    (fun () -> Flash.Chip.program chip ~block:1 ~page:0 contents)
+    (Invalid_argument "Chip.program_ints: page already programmed (erase first)")
+    (fun () -> program chip ~block:1 ~page:0 contents)
 
 let test_chip_erase_frees_and_wears () =
   let chip = make_chip () in
-  let contents = [| Some 1; Some 2; Some 3; Some 4 |] in
-  Flash.Chip.program chip ~block:2 ~page:5 contents;
+  let contents = [| 1; 2; 3; 4 |] in
+  program chip ~block:2 ~page:5 contents;
   checki "pec 0" 0 (Flash.Chip.pec chip ~block:2);
   Flash.Chip.erase chip ~block:2;
   checki "pec 1" 1 (Flash.Chip.pec chip ~block:2);
   checkb "page free again" true (Flash.Chip.is_free chip ~block:2 ~page:5);
   (* reprogram allowed *)
-  Flash.Chip.program chip ~block:2 ~page:5 contents
+  program chip ~block:2 ~page:5 contents
 
 let test_chip_pec_min_incremental () =
   (* The incrementally maintained fleet minimum must equal a brute-force
@@ -166,9 +182,8 @@ let test_chip_page_variance () =
 
 let test_chip_counters () =
   let chip = make_chip () in
-  let contents = [| Some 1; None; None; None |] in
-  Flash.Chip.program chip ~block:0 ~page:0 contents;
-  ignore (Flash.Chip.read chip ~block:0 ~page:0);
+  program chip ~block:0 ~page:0 [| 1 |];
+  ignore (Flash.Chip.read_slot_int chip ~block:0 ~page:0 ~slot:0);
   Flash.Chip.erase chip ~block:0;
   checki "programs" 1 (Flash.Chip.programs chip);
   checki "reads" 1 (Flash.Chip.reads chip);
@@ -192,10 +207,10 @@ let test_read_disturb_accumulates () =
     Flash.Chip.create ~rng:(Sim.Rng.create 2) ~geometry:small_geometry
       ~model:disturb_model ()
   in
-  Flash.Chip.program chip ~block:0 ~page:0 [| Some 1; Some 2; Some 3; Some 4 |];
+  program chip ~block:0 ~page:0 [| 1; 2; 3; 4 |];
   let before = Flash.Chip.rber chip ~block:0 ~page:0 in
   for _ = 1 to 1000 do
-    ignore (Flash.Chip.read_slot chip ~block:0 ~page:0 ~slot:0)
+    ignore (Flash.Chip.read_slot_int chip ~block:0 ~page:0 ~slot:0)
   done;
   checki "reads counted" 1000 (Flash.Chip.reads_since_erase chip ~block:0 ~page:0);
   let after = Flash.Chip.rber chip ~block:0 ~page:0 in
@@ -209,9 +224,9 @@ let test_read_disturb_cleared_by_erase () =
     Flash.Chip.create ~rng:(Sim.Rng.create 3) ~geometry:small_geometry
       ~model:disturb_model ()
   in
-  Flash.Chip.program chip ~block:1 ~page:0 [| Some 1; None; None; None |];
+  program chip ~block:1 ~page:0 [| 1 |];
   for _ = 1 to 500 do
-    ignore (Flash.Chip.read chip ~block:1 ~page:0)
+    ignore (Flash.Chip.read_slot_int chip ~block:1 ~page:0 ~slot:0)
   done;
   Flash.Chip.erase chip ~block:1;
   checki "counter reset" 0 (Flash.Chip.reads_since_erase chip ~block:1 ~page:0);
@@ -228,59 +243,56 @@ let test_chip_reserved_payload_rejected () =
      programming it must be refused before any slot is written. *)
   let chip = make_chip () in
   Alcotest.check_raises "min_int payload"
-    (Invalid_argument "Chip.program: payload min_int is reserved") (fun () ->
-      Flash.Chip.program chip ~block:0 ~page:0
-        [| Some min_int; None; None; None |]);
+    (Invalid_argument "Chip.program_ints: payload min_int is reserved")
+    (fun () -> program chip ~block:0 ~page:0 [| min_int |]);
   checkb "page still free after rejection" true
     (Flash.Chip.is_free chip ~block:0 ~page:0);
   (* Extreme but legal payloads survive the packed roundtrip. *)
-  Flash.Chip.program chip ~block:0 ~page:1
-    [| Some max_int; Some (min_int + 1); Some 0; None |];
-  Alcotest.(check (option int)) "max_int roundtrips" (Some max_int)
-    (Flash.Chip.read_slot chip ~block:0 ~page:1 ~slot:0);
-  Alcotest.(check (option int)) "min_int+1 roundtrips" (Some (min_int + 1))
-    (Flash.Chip.read_slot chip ~block:0 ~page:1 ~slot:1)
+  program chip ~block:0 ~page:1 [| max_int; min_int + 1; 0 |];
+  checki "max_int roundtrips" max_int
+    (Flash.Chip.read_slot_int chip ~block:0 ~page:1 ~slot:0);
+  checki "min_int+1 roundtrips" (min_int + 1)
+    (Flash.Chip.read_slot_int chip ~block:0 ~page:1 ~slot:1)
 
 let test_chip_stale_payloads_hidden_after_erase () =
   (* Erase flips the programmed bit but leaves old payload words in place;
-     reads must report Free, and a re-program must fully replace them. *)
+     the page must read as free, and a re-program must fully replace
+     them. *)
   let chip = make_chip () in
-  Flash.Chip.program chip ~block:1 ~page:2 [| Some 7; Some 8; Some 9; None |];
+  program chip ~block:1 ~page:2 [| 7; 8; 9 |];
   Flash.Chip.erase chip ~block:1;
-  (match Flash.Chip.read chip ~block:1 ~page:2 with
-  | Flash.Chip.Free -> ()
-  | Flash.Chip.Programmed _ -> Alcotest.fail "stale payload leaked");
+  checkb "erased page is free" true (Flash.Chip.is_free chip ~block:1 ~page:2);
   Alcotest.check_raises "slot read on erased page rejected"
-    (Invalid_argument "Chip.read_slot: page is erased") (fun () ->
-      ignore (Flash.Chip.read_slot chip ~block:1 ~page:2 ~slot:0));
-  Flash.Chip.program chip ~block:1 ~page:2 [| None; Some 5; None; None |];
-  (match Flash.Chip.read chip ~block:1 ~page:2 with
-  | Flash.Chip.Programmed slots ->
-      Alcotest.(check (array (option int)))
-        "old slots fully replaced" [| None; Some 5; None; None |] slots
-  | Flash.Chip.Free -> Alcotest.fail "expected programmed")
+    (Invalid_argument "Chip.read_slot_int: page is erased") (fun () ->
+      ignore (Flash.Chip.read_slot_int chip ~block:1 ~page:2 ~slot:0));
+  program chip ~block:1 ~page:2 [| 5 |];
+  Alcotest.(check (array int))
+    "old slots fully replaced" [| 5; min_int; min_int; min_int |]
+    (read_page chip ~block:1 ~page:2)
 
 let test_chip_faults_cleared_by_erase () =
   (* Injected faults live in a sparse side table keyed by flat page index;
      erasing the block must drop the whole cell, not just one field. *)
   let chip = make_chip () in
-  Flash.Chip.program chip ~block:3 ~page:0 [| Some 1; None; None; None |];
+  program chip ~block:3 ~page:0 [| 1 |];
   Flash.Chip.inject chip ~block:3 ~page:0 (Flash.Chip.Transient_rber 0.1);
   Flash.Chip.inject chip ~block:3 ~page:0 (Flash.Chip.Sticky_rber 0.2);
   Flash.Chip.inject chip ~block:3 ~page:0 (Flash.Chip.Silent_corruption 0b101);
   checki "three injections counted" 3 (Flash.Chip.faults_injected chip);
   checkf 1e-12 "sticky visible" 0.2
     (Flash.Chip.sticky_rber chip ~block:3 ~page:0);
-  Alcotest.(check (option int)) "corruption flips payload bits" (Some 4)
-    (Flash.Chip.read_slot chip ~block:3 ~page:0 ~slot:0);
+  checki "corruption flips payload bits" 4
+    (Flash.Chip.read_slot_int chip ~block:3 ~page:0 ~slot:0);
+  checki "reserved slot stays reserved under corruption" min_int
+    (Flash.Chip.read_slot_int chip ~block:3 ~page:0 ~slot:1);
   Flash.Chip.erase chip ~block:3;
   checkf 1e-12 "sticky gone after erase" 0.
     (Flash.Chip.sticky_rber chip ~block:3 ~page:0);
   checkf 1e-12 "transient gone after erase" 0.
     (Flash.Chip.take_transient chip ~block:3 ~page:0);
-  Flash.Chip.program chip ~block:3 ~page:0 [| Some 1; None; None; None |];
-  Alcotest.(check (option int)) "corruption gone after erase" (Some 1)
-    (Flash.Chip.read_slot chip ~block:3 ~page:0 ~slot:0);
+  program chip ~block:3 ~page:0 [| 1 |];
+  checki "corruption gone after erase" 1
+    (Flash.Chip.read_slot_int chip ~block:3 ~page:0 ~slot:0);
   checki "injection counter survives erase" 3
     (Flash.Chip.faults_injected chip)
 
@@ -289,10 +301,10 @@ let test_read_disturb_off_by_default () =
   let chip =
     Flash.Chip.create ~rng:(Sim.Rng.create 4) ~geometry:small_geometry ~model ()
   in
-  Flash.Chip.program chip ~block:0 ~page:0 [| Some 1; None; None; None |];
+  program chip ~block:0 ~page:0 [| 1 |];
   let before = Flash.Chip.rber chip ~block:0 ~page:0 in
   for _ = 1 to 1000 do
-    ignore (Flash.Chip.read chip ~block:0 ~page:0)
+    ignore (Flash.Chip.read_slot_int chip ~block:0 ~page:0 ~slot:0)
   done;
   checkf 0. "no disturb by default" before (Flash.Chip.rber chip ~block:0 ~page:0)
 

@@ -21,16 +21,30 @@ let fast_model =
 
 module Mapping_exposed = struct
   let create () = Ftl.Mapping.create ~geometry ~logical_opages:64
+
+  let flat { Ftl.Location.block; page; slot } =
+    (((block * geometry.Flash.Geometry.pages_per_block) + page)
+     * geometry.Flash.Geometry.opages_per_fpage)
+    + slot
+
+  let bind m ~logical loc = Ftl.Mapping.bind_flat m ~logical (flat loc)
+
+  (* Reverse direction: the logical live in a slot, read through the
+     page walk GC relocation uses. *)
+  let owner m { Ftl.Location.block; page; slot } =
+    List.assoc_opt slot (Ftl.Mapping.live_slots_in_page m ~block ~page)
 end
 
 let test_mapping_bind_find () =
   let m = Mapping_exposed.create () in
   let loc = { Ftl.Location.block = 1; page = 2; slot = 3 } in
-  Ftl.Mapping.bind m ~logical:7 loc;
+  Mapping_exposed.bind m ~logical:7 loc;
   (match Ftl.Mapping.find m 7 with
   | Some l -> checkb "found" true (Ftl.Location.equal l loc)
   | None -> Alcotest.fail "mapping lost");
-  Alcotest.(check (option int)) "reverse" (Some 7) (Ftl.Mapping.owner m loc);
+  checki "flat lookup" (Mapping_exposed.flat loc) (Ftl.Mapping.find_flat m 7);
+  checki "unmapped flat lookup" (-1) (Ftl.Mapping.find_flat m 8);
+  Alcotest.(check (option int)) "reverse" (Some 7) (Mapping_exposed.owner m loc);
   checki "mapped count" 1 (Ftl.Mapping.mapped_count m);
   checki "valid in block" 1 (Ftl.Mapping.valid_in_block m ~block:1)
 
@@ -38,29 +52,29 @@ let test_mapping_rebind_invalidates_old () =
   let m = Mapping_exposed.create () in
   let old_loc = { Ftl.Location.block = 0; page = 0; slot = 0 } in
   let new_loc = { Ftl.Location.block = 1; page = 1; slot = 1 } in
-  Ftl.Mapping.bind m ~logical:3 old_loc;
-  Ftl.Mapping.bind m ~logical:3 new_loc;
-  Alcotest.(check (option int)) "old slot stale" None (Ftl.Mapping.owner m old_loc);
+  Mapping_exposed.bind m ~logical:3 old_loc;
+  Mapping_exposed.bind m ~logical:3 new_loc;
+  Alcotest.(check (option int)) "old slot stale" None (Mapping_exposed.owner m old_loc);
   checki "old block emptied" 0 (Ftl.Mapping.valid_in_block m ~block:0);
   checki "still one mapping" 1 (Ftl.Mapping.mapped_count m)
 
 let test_mapping_slot_stealing () =
   let m = Mapping_exposed.create () in
   let loc = { Ftl.Location.block = 2; page = 3; slot = 1 } in
-  Ftl.Mapping.bind m ~logical:10 loc;
-  Ftl.Mapping.bind m ~logical:11 loc;
+  Mapping_exposed.bind m ~logical:10 loc;
+  Mapping_exposed.bind m ~logical:11 loc;
   (* stealing the slot unmaps the previous owner *)
-  Alcotest.(check (option int)) "new owner" (Some 11) (Ftl.Mapping.owner m loc);
+  Alcotest.(check (option int)) "new owner" (Some 11) (Mapping_exposed.owner m loc);
   checkb "old logical unmapped" true (Ftl.Mapping.find m 10 = None);
   checki "one mapping" 1 (Ftl.Mapping.mapped_count m)
 
 let test_mapping_unbind () =
   let m = Mapping_exposed.create () in
   let loc = { Ftl.Location.block = 0; page = 1; slot = 2 } in
-  Ftl.Mapping.bind m ~logical:5 loc;
+  Mapping_exposed.bind m ~logical:5 loc;
   Ftl.Mapping.unbind_logical m 5;
   checkb "gone" true (Ftl.Mapping.find m 5 = None);
-  Alcotest.(check (option int)) "slot stale" None (Ftl.Mapping.owner m loc);
+  Alcotest.(check (option int)) "slot stale" None (Mapping_exposed.owner m loc);
   checki "none mapped" 0 (Ftl.Mapping.mapped_count m);
   (* double unbind is a no-op *)
   Ftl.Mapping.unbind_logical m 5
@@ -75,7 +89,7 @@ let prop_mapping_consistency =
       List.iter
         (fun (logical, (block, page, slot)) ->
           if logical mod 7 = 0 then Ftl.Mapping.unbind_logical m logical
-          else Ftl.Mapping.bind m ~logical { Ftl.Location.block; page; slot })
+          else Mapping_exposed.bind m ~logical { Ftl.Location.block; page; slot })
         ops;
       (* forward -> reverse agreement *)
       let consistent = ref true in
@@ -85,7 +99,15 @@ let prop_mapping_consistency =
         | None -> ()
         | Some loc ->
             incr count;
-            if Ftl.Mapping.owner m loc <> Some logical then consistent := false
+            if Mapping_exposed.owner m loc <> Some logical then consistent := false
+      done;
+      (* reverse -> forward agreement *)
+      for block = 0 to 15 do
+        Ftl.Mapping.iter_block m ~block (fun ~page ~slot ~logical ->
+            if
+              Ftl.Mapping.find_flat m logical
+              <> Mapping_exposed.flat { Ftl.Location.block; page; slot }
+            then consistent := false)
       done;
       (* counters *)
       let by_block = Array.make 16 0 in
@@ -114,6 +136,13 @@ let test_buffer_dedupe () =
   Alcotest.(check (option int)) "latest payload" (Some 20)
     (Ftl.Write_buffer.payload_of b 1)
 
+(* [pop_into] as a [(logical, payload)] list, through fresh scratch
+   arrays the size of the request. *)
+let pop b n =
+  let logicals = Array.make n 0 and payloads = Array.make n 0 in
+  let k = Ftl.Write_buffer.pop_into b ~logicals ~payloads n in
+  List.init k (fun i -> (logicals.(i), payloads.(i)))
+
 let test_buffer_pop_order () =
   let b = Ftl.Write_buffer.create () in
   Ftl.Write_buffer.put b ~logical:1 ~payload:10;
@@ -122,7 +151,7 @@ let test_buffer_pop_order () =
   Alcotest.(check (list (pair int int)))
     "first two in order"
     [ (1, 10); (2, 20) ]
-    (Ftl.Write_buffer.pop b 2);
+    (pop b 2);
   checki "one left" 1 (Ftl.Write_buffer.length b)
 
 let test_buffer_drop_then_rewrite () =
@@ -132,7 +161,7 @@ let test_buffer_drop_then_rewrite () =
   checkb "empty" true (Ftl.Write_buffer.is_empty b);
   Ftl.Write_buffer.put b ~logical:1 ~payload:30;
   Alcotest.(check (list (pair int int))) "stale entry skipped" [ (1, 30) ]
-    (Ftl.Write_buffer.pop b 5);
+    (pop b 5);
   checkb "drained" true (Ftl.Write_buffer.is_empty b)
 
 (* --- Engine -------------------------------------------------------------- *)

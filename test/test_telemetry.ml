@@ -26,7 +26,24 @@ let test_counter_gauge_basics () =
   let g = Telemetry.Registry.gauge reg "depth" in
   Telemetry.Registry.Gauge.set g 7.;
   Telemetry.Registry.Gauge.add g 0.5;
-  checkf 1e-9 "gauge set+add" 7.5 (Telemetry.Registry.Gauge.value g)
+  checkf 1e-9 "gauge set+add" 7.5 (Telemetry.Registry.Gauge.value g);
+  (* Two components' counts on one name: each keeps its own tally, the
+     registry counter aggregates both, and the null registry drops only
+     the aggregate. *)
+  let a = Telemetry.Registry.count reg "events_total" in
+  let b = Telemetry.Registry.count reg "events_total" in
+  let off = Telemetry.Registry.count Telemetry.Registry.null "events_total" in
+  Telemetry.Registry.bump a;
+  Telemetry.Registry.bump b ~by:4;
+  Telemetry.Registry.bump off ~by:2;
+  checki "own tally a" 1 a.Telemetry.Registry.n;
+  checki "own tally b" 4 b.Telemetry.Registry.n;
+  checki "shared counter aggregates" 5
+    (Telemetry.Registry.Counter.value a.Telemetry.Registry.counter);
+  checki "null registry still tallies" 2 off.Telemetry.Registry.n;
+  checkb "negative bump raises" true
+    (raises_invalid (fun () -> Telemetry.Registry.bump a ~by:(-1)));
+  checki "rejected bump leaves the tally" 1 a.Telemetry.Registry.n
 
 let test_label_canonicalization () =
   let reg = Telemetry.Registry.create () in
