@@ -217,11 +217,12 @@ let create ?(config = default_config) ?registry ~geometry ~model ~rng () =
      are about to be reused at their new wear level (§3.1). *)
   policy.Ftl.Policy.on_block_erased <-
     (fun ~block ->
+      let wear = Flash.Chip.erased_wear chip ~block in
       for page = 0 to geometry.Flash.Geometry.pages_per_block - 1 do
         let index = page_index geometry ~block ~page in
         let current = levels.(index) in
         if current < Tiredness.dead_level profile then begin
-          let rber = Flash.Chip.rber chip ~block ~page in
+          let rber = Flash.Chip.erased_rber chip ~wear ~block ~page in
           let required = Tiredness.level_for_rber profile ~rber in
           if required > current then begin
             transition_with limbo tel ~from_level:current ~to_level:required;
@@ -696,7 +697,10 @@ module As_device = struct
           let v = Minidisk.Registry.view t.registry in
           let base = v.base in
           let limit = Array.length base * per in
-          let translate lba = base.(lba / per) + (lba mod per) in
+          let translate lba =
+            let i = lba / per in
+            base.(i) + (lba - (i * per))
+          in
           let n, stop =
             Ftl.Engine.write_stream t.engine ~rng ~window ~limit ~translate
               ~payload_base:(payload_base + accepted)

@@ -269,11 +269,12 @@ let erase t ~block =
     Telemetry.Registry.Gauge.set t.tel.tel_pec_min (float_of_int t.pec_min);
     (* Post-erase RBER of the freshly worn block: pure wear, no read
        disturb, no injected faults (erase just cleared both). *)
+    let wear = Rber_model.wear t.model ~pec ~reads:0 in
     let block_worst = ref 0. in
     for page = 0 to ppb - 1 do
       block_worst :=
         Float.max !block_worst
-          (Rber_model.rber t.model ~pec
+          (Rber_model.of_wear t.model ~wear
              ~strength:(Float.Array.get t.strengths (base + page)))
     done;
     Telemetry.Registry.Gauge.set t.tel.tel_rber_worst
@@ -302,11 +303,12 @@ let wear t =
   for block = 0 to blocks - 1 do
     let pec = t.pecs.(block) in
     if pec > !pec_max then pec_max := pec;
+    let wear = Rber_model.wear t.model ~pec ~reads:0 in
     let base = block * ppb in
     for page = 0 to ppb - 1 do
       worst :=
         Float.max !worst
-          (Rber_model.rber t.model ~pec
+          (Rber_model.of_wear t.model ~wear
              ~strength:(Float.Array.get t.strengths (base + page)))
     done
   done;
@@ -327,6 +329,18 @@ let rber t ~block ~page =
     match Hashtbl.find_opt t.faults fp with
     | Some c -> base +. c.transient +. c.sticky
     | None -> base
+
+(* Right after an erase every page of the block has the same PEC, no
+   reads and no faults, so its pages share one wear term: an erase hook
+   pays one [Float.pow] per block instead of one per page. *)
+let erased_wear t ~block =
+  check_block t block;
+  Rber_model.wear t.model ~pec:t.pecs.(block) ~reads:0
+
+let erased_rber t ~wear ~block ~page =
+  let fp = check_page t block page in
+  assert (t.words.(fp) = 0);
+  Rber_model.of_wear t.model ~wear ~strength:(Float.Array.get t.strengths fp)
 
 let rber_after_next_erase t ~block ~page =
   (* An erase clears the accumulated read disturb along with the data. *)

@@ -88,6 +88,18 @@ val rber : t -> block:int -> page:int -> float
     accumulated read disturb since the block's last erase, plus any
     injected transient/sticky excess (see {!inject}). *)
 
+val erased_wear : t -> block:int -> float
+(** The {!Rber_model.wear} term every page of [block] shares while the
+    block is freshly erased (its current PEC, no reads).  Pass it to
+    {!erased_rber} for each page. *)
+
+val erased_rber : t -> wear:float -> block:int -> page:int -> float
+(** [erased_rber t ~wear:(erased_wear t ~block) ~block ~page] is bit for
+    bit {!rber} of the page, provided nothing has programmed, read or
+    injected a fault into the page since its block's last erase (the
+    erase cleared its faults) — the state an erase hook sees.  It costs
+    no [Float.pow]. *)
+
 val rber_after_next_erase : t -> block:int -> page:int -> float
 (** The RBER the page will have once its block is erased one more time
     (an erase also clears the read disturb — and any injected faults);

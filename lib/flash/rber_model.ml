@@ -43,14 +43,16 @@ let calibrate ?(floor_rber = default_floor) ?(exponent = default_exponent)
     read_disturb_per_read;
   }
 
+let wear t ~pec ~reads =
+  if pec < 0 then invalid_arg "Rber_model.wear: negative pec";
+  if reads < 0 then invalid_arg "Rber_model.wear: negative reads";
+  (t.coefficient *. Float.pow (float_of_int pec /. t.pec_scale) t.exponent)
+  +. (t.read_disturb_per_read *. float_of_int reads)
+
+let[@inline] of_wear t ~wear ~strength = t.floor_rber +. (strength *. wear)
+
 let rber ?(reads = 0) t ~pec ~strength =
-  if pec < 0 then invalid_arg "Rber_model.rber: negative pec";
-  if reads < 0 then invalid_arg "Rber_model.rber: negative reads";
-  t.floor_rber
-  +. (strength
-     *. ((t.coefficient
-         *. Float.pow (float_of_int pec /. t.pec_scale) t.exponent)
-        +. (t.read_disturb_per_read *. float_of_int reads)))
+  of_wear t ~wear:(wear t ~pec ~reads) ~strength
 
 let pec_at t ~rber ~strength =
   if rber <= t.floor_rber then 0.

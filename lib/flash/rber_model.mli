@@ -57,6 +57,18 @@ val rber : ?reads:int -> t -> pec:int -> strength:float -> float
     page since its block's last erase, default 0) times the disturb
     coefficient, both scaled by the page strength. *)
 
+val wear : t -> pec:int -> reads:int -> float
+(** The strength-free part of {!rber}: the wear term plus the read-disturb
+    term, before the page multiplier.  Every page of one block shares it
+    right after an erase (same [pec], no reads), so an erase hook pays
+    its [Float.pow] once per block.
+    @raise Invalid_argument on a negative [pec] or [reads]. *)
+
+val of_wear : t -> wear:float -> strength:float -> float
+(** [of_wear t ~wear ~strength] scales a {!wear} term by the page strength
+    and adds the floor: [rber ~reads t ~pec ~strength] is exactly
+    [of_wear t ~wear:(wear t ~pec ~reads) ~strength], bit for bit. *)
+
 val pec_at : t -> rber:float -> strength:float -> float
 (** Inverse of {!rber} in [pec]: the cycle count at which the page reaches
     the given error rate.  Returns 0 when the rate is at or below the

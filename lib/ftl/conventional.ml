@@ -91,14 +91,18 @@ let create ~retirement ?registry ~geometry ~model ~rng () =
      the default code's tolerance after the erase it just received, the
      whole block is retired. *)
   let pages = geometry.Flash.Geometry.pages_per_block in
-  let rec tired ~block page =
+  let rec tired ~wear ~block page =
     page < pages
-    && (Ecc_profile.page_is_tired ecc ~rber:(Flash.Chip.rber chip ~block ~page)
-       || tired ~block (page + 1))
+    && (Ecc_profile.page_is_tired ecc
+          ~rber:(Flash.Chip.erased_rber chip ~wear ~block ~page)
+       || tired ~wear ~block (page + 1))
   in
   policy.Policy.on_block_erased <-
     (fun ~block ->
-      if (not t.block_bad.(block)) && tired ~block 0 then
+      if
+        (not t.block_bad.(block))
+        && tired ~wear:(Flash.Chip.erased_wear chip ~block) ~block 0
+      then
         retire t ~block ~block_opages:(pages * opages));
   t
 

@@ -134,17 +134,15 @@ type t = {
       (* read-clock value before which escalations are suppressed *)
   (* Incremental block accounting.  [cap_cache.(b)] is the block's data
      capacity (sum of [Policy.data_slots] over its pages) as of the last
-     refresh; [cap_dirty] marks blocks whose capacity may have changed
-     (erase hooks and proactive retirement are the only mutation points —
-     see the contract on {!Policy.data_slots}); [total_capacity] is the
-     sum of [cap_cache] over all blocks (retired blocks contribute 0).
-     [closed] is the set of Closed blocks, so victim selection only
-     touches candidates; [free_heap] holds one [(pec, block)]-encoded
-     entry per Free block. *)
+     refresh; [cap_dirty.[b]] is nonzero when that capacity may have
+     changed (erase hooks and proactive retirement are the only mutation
+     points — see the contract on {!Policy.data_slots}); [total_capacity]
+     is the sum of [cap_cache] over all blocks (retired blocks contribute
+     0).  [free_heap] holds one [(pec, block)]-encoded entry per Free
+     block. *)
   cap_cache : int array;
-  cap_dirty : Blockset.t;
+  cap_dirty : Bytes.t;
   mutable total_capacity : int;
-  closed : Blockset.t;
   free_heap : Intheap.t;
   (* Program scratch: one [(logical, payload)] pair per oPage slot of an
      fPage, reused across every program so a program allocates
@@ -177,10 +175,6 @@ let create ?(config = default_config) ?registry ~chip ~rng ~policy
     * geometry.Flash.Geometry.opages_per_fpage
   in
   let blocks = geometry.Flash.Geometry.blocks in
-  let cap_dirty = Blockset.create blocks in
-  for block = 0 to blocks - 1 do
-    Blockset.add cap_dirty block
-  done;
   let free_heap = Intheap.create () in
   (* every block starts Free at PEC 0, so the encoded key is the index *)
   for block = 0 to blocks - 1 do
@@ -211,9 +205,8 @@ let create ?(config = default_config) ?registry ~chip ~rng ~policy
     escalation_fail_streak = 0;
     escalation_retry_at = 0;
     cap_cache = Array.make blocks 0;
-    cap_dirty;
+    cap_dirty = Bytes.make blocks '\001';
     total_capacity = 0;
-    closed = Blockset.create blocks;
     free_heap;
     scratch_logicals =
       Array.make geometry.Flash.Geometry.opages_per_fpage 0;
@@ -259,12 +252,14 @@ let compute_block_capacity t block =
   done;
   !capacity
 
+let mark_capacity_dirty t block = Bytes.set t.cap_dirty block '\001'
+
 let refresh_capacity t block =
-  if Blockset.mem t.cap_dirty block then begin
+  if Bytes.get t.cap_dirty block <> '\000' then begin
     let capacity = compute_block_capacity t block in
     t.total_capacity <- t.total_capacity - t.cap_cache.(block) + capacity;
     t.cap_cache.(block) <- capacity;
-    Blockset.remove t.cap_dirty block
+    Bytes.set t.cap_dirty block '\000'
   end
 
 let block_data_capacity t block =
@@ -304,23 +299,22 @@ let relocate_page t ~block ~page =
   (* Devices retire pages (changing [Policy.data_slots]) immediately after
      this call, so the block's cached capacity must be recomputed on its
      next use. *)
-  Blockset.add t.cap_dirty block
+  mark_capacity_dirty t block
 
 (* --- garbage collection ------------------------------------------------ *)
 
 let erase_and_reclassify t block =
   Flash.Chip.erase t.chip ~block;
-  (* the erase wipes the OOB area along with the data *)
+  (* the erase wipes the OOB area along with the data; a block's slots
+     are contiguous in the flat numbering *)
   let g = geometry t in
-  for page = 0 to g.Flash.Geometry.pages_per_block - 1 do
-    for slot = 0 to g.Flash.Geometry.opages_per_fpage - 1 do
-      t.oob_logical.(flat_slot t ~block ~page ~slot) <- -1
-    done
-  done;
+  Array.fill t.oob_logical
+    (flat_slot t ~block ~page:0 ~slot:0)
+    (g.Flash.Geometry.pages_per_block * g.Flash.Geometry.opages_per_fpage)
+    (-1);
   t.policy.Policy.on_block_erased ~block;
   (* the erase hook may have advanced page levels *)
-  Blockset.add t.cap_dirty block;
-  Blockset.remove t.closed block;
+  mark_capacity_dirty t block;
   if block_data_capacity t block = 0 then begin
     t.classes.(block) <- Retired;
     t.retired_count <- t.retired_count + 1
@@ -331,65 +325,67 @@ let erase_and_reclassify t block =
     push_free t block
   end
 
-let closed_blocks_fold t f init = Blockset.fold t.closed f init
-
-(* Victim with fewest live oPages: the greedy-min-valid policy.  A block
-   with no dead slots yields nothing and is never picked — otherwise GC
-   would churn forever when the device is genuinely full. *)
+(* Victim with fewest live oPages: the greedy-min-valid policy, lowest
+   index on ties; [-1] when there is none.  A block with no dead slots
+   yields nothing and is never picked — otherwise GC would churn forever
+   when the device is genuinely full.  One pass over the block classes,
+   allocation-free; a block's capacity is only consulted when its valid
+   count would improve on the best so far (a refresh is a pure
+   recomputation, so skipping one changes no choice). *)
 let pick_gc_victim t =
-  closed_blocks_fold t
-    (fun best block ->
-      let valid = Mapping.valid_in_block t.mapping ~block in
-      if valid >= block_data_capacity t block then best
-      else
-        match best with
-        | Some (_, best_valid) when best_valid <= valid -> best
-        | _ -> Some (block, valid))
-    None
+  let best = ref (-1) and best_valid = ref max_int in
+  for block = 0 to Array.length t.classes - 1 do
+    match t.classes.(block) with
+    | Closed ->
+        let valid = Mapping.valid_in_block t.mapping ~block in
+        if valid < !best_valid && valid < block_data_capacity t block then begin
+          best := block;
+          best_valid := valid
+        end
+    | Free | Open | Retired -> ()
+  done;
+  !best
 
-(* Coldest closed block, for wear-leveling sweeps: rewriting its (cold)
-   data elsewhere lets its low-PEC block re-enter the allocation pool. *)
+(* Coldest closed block (lowest index on ties), for wear-leveling
+   sweeps: rewriting its (cold) data elsewhere lets its low-PEC block
+   re-enter the allocation pool.  Picked only when it trails the most
+   worn non-Retired block by more than [wear_level_gap]; [-1] otherwise.
+   Both scans share one pass. *)
 let pick_wear_level_victim t =
-  let coldest =
-    closed_blocks_fold t
-      (fun best block ->
+  let coldest = ref (-1) and coldest_pec = ref max_int and max_pec = ref 0 in
+  for block = 0 to Array.length t.classes - 1 do
+    match t.classes.(block) with
+    | Retired -> ()
+    | (Free | Open | Closed) as cls ->
         let pec = Flash.Chip.pec t.chip ~block in
-        match best with
-        | Some (_, best_pec) when best_pec <= pec -> best
-        | _ -> Some (block, pec))
-      None
-  in
-  match coldest with
-  | None -> None
-  | Some (block, pec) ->
-      let max_pec = ref 0 in
-      for b = 0 to Array.length t.classes - 1 do
-        if t.classes.(b) <> Retired then
-          max_pec := Stdlib.max !max_pec (Flash.Chip.pec t.chip ~block:b)
-      done;
-      if !max_pec - pec > t.config.wear_level_gap then Some block else None
+        if pec > !max_pec then max_pec := pec;
+        if cls = Closed && pec < !coldest_pec then begin
+          coldest := block;
+          coldest_pec := pec
+        end
+  done;
+  if !coldest >= 0 && !max_pec - !coldest_pec > t.config.wear_level_gap then
+    !coldest
+  else -1
 
 let gc_once t =
-  let victim =
-    if
-      t.config.wear_level_period > 0
-      && t.tel.gc_runs.n mod t.config.wear_level_period = t.config.wear_level_period - 1
-    then
-      match pick_wear_level_victim t with
-      | Some b -> Some (b, `Wear_level)
-      | None -> Option.map (fun (b, _) -> (b, `Greedy)) (pick_gc_victim t)
-    else Option.map (fun (b, _) -> (b, `Greedy)) (pick_gc_victim t)
+  let period = t.config.wear_level_period in
+  let wear_victim =
+    if period > 0 && t.tel.gc_runs.n mod period = period - 1 then
+      pick_wear_level_victim t
+    else -1
   in
-  match victim with
-  | None -> false
-  | Some (block, kind) ->
-      notify_crash t Gc;
-      Telemetry.Registry.bump t.tel.gc_runs;
-      if kind = `Wear_level then
-        Telemetry.Registry.Counter.incr t.tel.tel_wear_level_sweeps;
-      relocate_block_contents t block;
-      erase_and_reclassify t block;
-      true
+  let victim = if wear_victim >= 0 then wear_victim else pick_gc_victim t in
+  if victim < 0 then false
+  else begin
+    notify_crash t Gc;
+    Telemetry.Registry.bump t.tel.gc_runs;
+    if wear_victim >= 0 then
+      Telemetry.Registry.Counter.incr t.tel.tel_wear_level_sweeps;
+    relocate_block_contents t victim;
+    erase_and_reclassify t victim;
+    true
+  end
 
 let maybe_gc t =
   if not t.in_gc then begin
@@ -446,7 +442,6 @@ let rec open_position t =
           Some (block, page, slots)
       | None ->
           t.classes.(block) <- Closed;
-          Blockset.add t.closed block;
           t.open_block <- None;
           open_position t)
   | None -> (
@@ -550,6 +545,7 @@ let write_stream t ~rng ~window ~limit ~translate ~payload_base ~budget =
     invalid_arg "Engine.write_stream: crash hook armed (not stream-capable)";
   let exception Stop of stream_stop in
   let exception No_space_now in
+  let bound = Sim.Rng.bounded window in
   let erases0 = Flash.Chip.erases t.chip in
   let host_writes = t.tel.host_writes in
   let host_writes0 = host_writes.n in
@@ -579,7 +575,7 @@ let write_stream t ~rng ~window ~limit ~translate ~payload_base ~budget =
   let stop =
     try
       while !accepted < budget do
-        let lba = Sim.Rng.int rng window in
+        let lba = Sim.Rng.draw rng bound in
         if lba >= limit then raise (Stop Stream_out_of_window);
         let logical = translate lba in
         host_writes.n <- host_writes.n + 1;
@@ -678,9 +674,9 @@ let read t ~logical =
         let opages = g.Flash.Geometry.opages_per_fpage in
         let spb = g.Flash.Geometry.pages_per_block * opages in
         let block = flat / spb in
-        let rem = flat mod spb in
+        let rem = flat - (block * spb) in
         let page = rem / opages in
-        let slot = rem mod opages in
+        let slot = rem - (page * opages) in
         (* Read-retry ladder: each rung re-senses with escalating effort
            (adjusted read thresholds, soft-decision decoding), modeled as
            the effective RBER shrinking by [retry_rber_factor] per
@@ -731,6 +727,9 @@ let discard t ~logical =
 (* --- introspection ------------------------------------------------------ *)
 
 let block_class t block = t.classes.(block)
+let victim_option block = if block < 0 then None else Some block
+let gc_victim t = victim_option (pick_gc_victim t)
+let wear_level_victim t = victim_option (pick_wear_level_victim t)
 let free_blocks t = t.free_count
 let retired_blocks t = t.retired_count
 
@@ -738,8 +737,9 @@ let total_data_slots t =
   (* Flush pending capacity recomputations, then the maintained sum is
      the answer (retired blocks contribute 0 — retirement requires a
      capacity of 0 and [Policy.data_slots] never grows). *)
-  let dirty = Blockset.fold t.cap_dirty (fun acc b -> b :: acc) [] in
-  List.iter (fun block -> refresh_capacity t block) dirty;
+  for block = 0 to Array.length t.classes - 1 do
+    refresh_capacity t block
+  done;
   t.total_capacity
 
 let mapped_opages t = Mapping.mapped_count t.mapping
@@ -782,10 +782,6 @@ let locate t ~logical = Mapping.find t.mapping logical
 let crash_rebuild old =
   let g = Flash.Chip.geometry old.chip in
   let blocks = g.Flash.Geometry.blocks in
-  let cap_dirty = Blockset.create blocks in
-  for block = 0 to blocks - 1 do
-    Blockset.add cap_dirty block
-  done;
   let t =
     {
       old with
@@ -797,9 +793,8 @@ let crash_rebuild old =
       retired_count = 0;
       in_gc = false;
       cap_cache = Array.make blocks 0;
-      cap_dirty;
+      cap_dirty = Bytes.make blocks '\001';
       total_capacity = 0;
-      closed = Blockset.create blocks;
       free_heap = Intheap.create ();
     }
   in
@@ -843,10 +838,7 @@ let crash_rebuild old =
       t.classes.(block) <- Retired;
       t.retired_count <- t.retired_count + 1
     end
-    else if !any_programmed then begin
-      t.classes.(block) <- Closed;
-      Blockset.add t.closed block
-    end
+    else if !any_programmed then t.classes.(block) <- Closed
     else begin
       t.classes.(block) <- Free;
       t.free_count <- t.free_count + 1;

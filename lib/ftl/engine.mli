@@ -140,6 +140,18 @@ val block_class : t -> int -> block_class
 val free_blocks : t -> int
 val retired_blocks : t -> int
 
+val gc_victim : t -> int option
+(** The block a greedy GC pass would erase now: the Closed block with the
+    fewest valid oPages among those holding at least one dead slot
+    (valid below its data capacity), lowest index on ties. *)
+
+val wear_level_victim : t -> int option
+(** The block a wear-leveling GC pass would erase now: the Closed block
+    with the lowest PEC (lowest index on ties), provided the highest PEC
+    of any non-Retired block exceeds it by more than the config's
+    [wear_level_gap].  A wear-leveling pass falls back to {!gc_victim}
+    when this is [None]. *)
+
 val total_data_slots : t -> int
 (** Device-wide data capacity in oPages under the current policy (free,
     open and closed blocks; retired blocks excluded).  This is the left

@@ -18,8 +18,9 @@ let location_of_flat t flat =
   let spb = slots_per_block t.geometry in
   let opages = t.geometry.Flash.Geometry.opages_per_fpage in
   let block = flat / spb in
-  let rem = flat mod spb in
-  { Location.block; page = rem / opages; slot = rem mod opages }
+  let rem = flat - (block * spb) in
+  let page = rem / opages in
+  { Location.block; page; slot = rem - (page * opages) }
 
 let create ~geometry ~logical_opages =
   if logical_opages <= 0 then invalid_arg "Mapping.create: logical_opages";

@@ -4,6 +4,9 @@
    host write, plus one of each per GC-relocated oPage) touches only a
    handful of array words — no hashing, no per-entry cells.
 
+   The ring's length is a power of two (64, doubled on growth), so ring
+   positions wrap with [land (length - 1)] instead of a division.
+
    A dropped entry leaves its ring slot behind; [pop_into] skips slots whose
    logical is no longer pending, exactly like the stale-queue-entry
    semantics the hashtable version had, so arrival order is unchanged:
@@ -13,10 +16,14 @@ type t = {
   mutable payloads : int array; (* logical -> pending payload *)
   mutable pending : Bytes.t; (* logical -> '\001' iff pending *)
   mutable count : int; (* number of pending logicals *)
-  mutable ring : int array; (* arrival order, circular *)
+  mutable ring : int array; (* arrival order, circular; power-of-two length *)
   mutable head : int; (* next pop index *)
   mutable used : int; (* ring entries between head and tail *)
 }
+
+(* Doubling keeps a power of two a power of two. *)
+let initial_ring = 64
+let () = assert (initial_ring > 0 && initial_ring land (initial_ring - 1) = 0)
 
 let create ?(capacity = 64) () =
   let capacity = Stdlib.max 1 capacity in
@@ -24,7 +31,7 @@ let create ?(capacity = 64) () =
     payloads = Array.make capacity 0;
     pending = Bytes.make capacity '\000';
     count = 0;
-    ring = Array.make 64 0;
+    ring = Array.make initial_ring 0;
     head = 0;
     used = 0;
   }
@@ -55,7 +62,7 @@ let push_ring t logical =
     t.ring <- ring;
     t.head <- 0
   end;
-  t.ring.((t.head + t.used) mod Array.length t.ring) <- logical;
+  t.ring.((t.head + t.used) land (Array.length t.ring - 1)) <- logical;
   t.used <- t.used + 1
 
 let mem t logical =
@@ -86,7 +93,7 @@ let pop_into t ~logicals ~payloads n =
     if filled = n || t.used = 0 then filled
     else begin
       let logical = t.ring.(t.head) in
-      t.head <- (t.head + 1) mod Array.length t.ring;
+      t.head <- (t.head + 1) land (Array.length t.ring - 1);
       t.used <- t.used - 1;
       if Bytes.unsafe_get t.pending logical = '\000' then take filled
         (* stale: dropped, or rewritten and already popped *)

@@ -147,14 +147,35 @@ let rec slow_draw t bound64 =
   then slow_draw t bound64
   else Int64.to_int candidate
 
+(* [fast_draw]'s rejection limit 2^31 - u, u = 2^63 mod bound (2^62 mod
+   bound is max_int mod bound + 1, reduced).  Three constant divisions:
+   a caller drawing many times under one bound computes it once through
+   [bounded]. *)
+let[@inline] rejection_limit bound =
+  let h62 = (max_int mod bound + 1) mod bound in
+  two31 - ((h62 + h62) mod bound)
+
+(* [lim] and [p31] are [fast_draw]'s arguments; both are 0 for bounds
+   above 2^31, which go through [slow_draw]. *)
+type bounded = { bound : int; lim : int; p31 : int }
+
+let bounded bound =
+  if bound <= 0 then invalid_arg "Rng.bounded: bound must be positive";
+  if bound <= two31 then
+    { bound; lim = rejection_limit bound; p31 = two31 mod bound }
+  else { bound; lim = 0; p31 = 0 }
+
+let draw t b =
+  if b.bound <= two31 then fast_draw t b.bound b.lim b.p31
+  else slow_draw t (Int64.of_int b.bound)
+
+(* [draw t (bounded bound)] without the record, so a one-off draw
+   allocates nothing. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   if bound <= two31 then begin
-    let u =
-      let h62 = (max_int mod bound + 1) mod bound in
-      (h62 + h62) mod bound
-    in
-    fast_draw t bound (two31 - u) (two31 mod bound)
+    let lim = rejection_limit bound in
+    fast_draw t bound lim (two31 mod bound)
   end
   else slow_draw t (Int64.of_int bound)
 

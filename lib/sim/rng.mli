@@ -33,6 +33,19 @@ val int : t -> int -> int
 (** [int t bound] is uniform in \[0, bound).  @raise Invalid_argument if
     [bound <= 0]. *)
 
+type bounded
+(** A bound with {!int}'s per-call division work done once. *)
+
+val bounded : int -> bounded
+(** [bounded bound] precomputes [bound]'s rejection limit.
+    @raise Invalid_argument if [bound <= 0]. *)
+
+val draw : t -> bounded -> int
+(** [draw t (bounded bound)] is [int t bound]: the same value, and [t]
+    advances by the same number of steps.  Hot loops that draw under one
+    bound build it once and skip {!int}'s four constant divisions per
+    call. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in \[0, bound). *)
 

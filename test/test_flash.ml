@@ -67,6 +67,39 @@ let test_rber_strength_scales () =
   let strong = Flash.Rber_model.rber model ~pec:2000 ~strength:0.5 in
   checkb "weak pages err more" true (weak > strong)
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [rber] is defined through [wear] and [of_wear]; both must reproduce the
+   closed form it had before the split, bit for bit. *)
+let prop_rber_split_bit_exact =
+  QCheck.Test.make ~count:500 ~name:"rber = of_wear (wear ...) bit for bit"
+    QCheck.(
+      quad (int_range 1 100_000) (int_range 0 200_000) (int_range 0 1_000_000)
+        (pair (float_range (-4.) 3.) (float_range 0. 1e-5)))
+    (fun (target_pec, pec, reads, (log_strength, disturb)) ->
+      let model =
+        Flash.Rber_model.calibrate ~target_rber:3e-3 ~target_pec
+          ~read_disturb_per_read:disturb ()
+      in
+      let strength = Float.exp log_strength in
+      let closed_form =
+        model.Flash.Rber_model.floor_rber
+        +. strength
+           *. ((model.Flash.Rber_model.coefficient
+               *. Float.pow
+                    (float_of_int pec /. model.Flash.Rber_model.pec_scale)
+                    model.Flash.Rber_model.exponent)
+              +. (model.Flash.Rber_model.read_disturb_per_read
+                 *. float_of_int reads))
+      in
+      let rber = Flash.Rber_model.rber ~reads model ~pec ~strength in
+      let split =
+        Flash.Rber_model.of_wear model
+          ~wear:(Flash.Rber_model.wear model ~pec ~reads)
+          ~strength
+      in
+      same_bits closed_form rber && same_bits rber split)
+
 let test_rber_strength_distribution () =
   let model =
     Flash.Rber_model.calibrate ~target_rber:3e-3 ~target_pec:3000 ()
@@ -235,6 +268,47 @@ let test_read_disturb_cleared_by_erase () =
     (Flash.Rber_model.rber (Flash.Chip.model chip) ~pec:2
        ~strength:(Flash.Chip.strength chip ~block:1 ~page:0))
     (Flash.Chip.rber_after_next_erase chip ~block:1 ~page:0)
+
+(* An erase hook reads every page of the block it just erased through
+   [erased_rber] with one shared [erased_wear]; that must be [rber] bit
+   for bit, whatever the other blocks' reads, programs and faults, and
+   whatever faults the erased block carried before its erase. *)
+let prop_erased_rber_bit_exact =
+  QCheck.Test.make ~count:60 ~name:"erased_rber = rber after an erase"
+    QCheck.(pair small_int (list_of_size Gen.(int_range 1 60) (int_range 0 999)))
+    (fun (seed, ops) ->
+      let chip =
+        Flash.Chip.create ~rng:(Sim.Rng.create seed) ~geometry:small_geometry
+          ~model:disturb_model ()
+      in
+      let blocks = small_geometry.Flash.Geometry.blocks in
+      let pages = small_geometry.Flash.Geometry.pages_per_block in
+      List.for_all
+        (fun op ->
+          let block = op mod blocks and page = op / blocks mod pages in
+          (* churn every block: programs, reads and faults *)
+          for b = 0 to blocks - 1 do
+            if Flash.Chip.is_free chip ~block:b ~page then
+              program chip ~block:b ~page [| op + 1 |];
+            for _ = 0 to op mod 5 do
+              ignore (Flash.Chip.read_slot_int chip ~block:b ~page ~slot:0)
+            done;
+            (match op mod 3 with
+            | 0 -> Flash.Chip.inject chip ~block:b ~page (Flash.Chip.Transient_rber 1e-4)
+            | 1 -> Flash.Chip.inject chip ~block:b ~page (Flash.Chip.Sticky_rber 2e-4)
+            | _ ->
+                Flash.Chip.inject chip ~block:b ~page
+                  (Flash.Chip.Silent_corruption (op + 1)))
+          done;
+          Flash.Chip.erase chip ~block;
+          let wear = Flash.Chip.erased_wear chip ~block in
+          List.for_all
+            (fun page ->
+              same_bits
+                (Flash.Chip.rber chip ~block ~page)
+                (Flash.Chip.erased_rber chip ~wear ~block ~page))
+            (List.init pages Fun.id))
+        ops)
 
 (* --- packed representation edge cases ----------------------------------- *)
 
@@ -421,6 +495,7 @@ let suite =
     ("rber inverse", `Quick, test_rber_inverse);
     ("rber strength scales", `Quick, test_rber_strength_scales);
     ("rber strength distribution", `Slow, test_rber_strength_distribution);
+    QCheck_alcotest.to_alcotest prop_rber_split_bit_exact;
     ("chip program/read roundtrip", `Quick, test_chip_program_read_roundtrip);
     ("chip program once", `Quick, test_chip_program_once);
     ("chip erase frees and wears", `Quick, test_chip_erase_frees_and_wears);
@@ -432,6 +507,7 @@ let suite =
     ("read disturb accumulates", `Quick, test_read_disturb_accumulates);
     ("read disturb cleared by erase", `Quick, test_read_disturb_cleared_by_erase);
     ("read disturb off by default", `Quick, test_read_disturb_off_by_default);
+    QCheck_alcotest.to_alcotest prop_erased_rber_bit_exact;
     ("chip reserved payload rejected", `Quick,
      test_chip_reserved_payload_rejected);
     ("chip stale payloads hidden after erase", `Quick,

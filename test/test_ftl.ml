@@ -168,20 +168,6 @@ let test_buffer_drop_then_rewrite () =
 
 (* --- incremental accounting structures --------------------------------- *)
 
-let test_blockset_ascending () =
-  let s = Ftl.Blockset.create 200 in
-  List.iter (Ftl.Blockset.add s) [ 190; 3; 64; 63; 0; 127; 3 ];
-  Ftl.Blockset.remove s 64;
-  Ftl.Blockset.remove s 5;
-  (* removing a non-member is a no-op *)
-  let seen = ref [] in
-  Ftl.Blockset.iter s (fun i -> seen := i :: !seen);
-  Alcotest.(check (list int))
-    "members in ascending order" [ 0; 3; 63; 127; 190 ] (List.rev !seen);
-  checki "cardinal" 5 (Ftl.Blockset.cardinal s);
-  checkb "mem" true (Ftl.Blockset.mem s 127);
-  checkb "not mem" false (Ftl.Blockset.mem s 64)
-
 let test_intheap_sorted_pops () =
   let h = Ftl.Intheap.create () in
   let rng = Sim.Rng.create 77 in
@@ -197,8 +183,8 @@ let test_intheap_sorted_pops () =
     "pops come out sorted" (List.sort compare pushed) popped;
   checkb "empty after drain" true (Ftl.Intheap.is_empty h)
 
-(* The engine's cached per-block capacities, maintained total, closed set
-   and free-block heap must agree with a brute-force recount at any point
+(* The engine's cached per-block capacities, maintained total and
+   free-block heap must agree with a brute-force recount at any point
    of a churny life that includes level bumps (capacity shrinking at erase
    time, like the Salamander policy does). *)
 let test_incremental_accounting_matches_brute_force () =
@@ -265,6 +251,170 @@ let test_incremental_accounting_matches_brute_force () =
     if step mod 200 = 0 then cross_check step
   done;
   cross_check 3001
+
+(* --- GC victim picks against the fold-based scans ---------------------- *)
+
+(* The victim picks as the engine wrote them when it kept a set of Closed
+   blocks: folds over that set in ascending order, keeping the first of
+   equal candidates, and a second scan for the highest non-Retired PEC.
+   The engine's one-pass picks must return the same block on every
+   step. *)
+let oracle_gc_victim ~closed ~valid ~capacity =
+  List.fold_left
+    (fun best block ->
+      let v = valid.(block) in
+      if v >= capacity.(block) then best
+      else
+        match best with
+        | Some (_, best_valid) when best_valid <= v -> best
+        | _ -> Some (block, v))
+    None closed
+  |> Option.map fst
+
+let oracle_wear_level_victim ~closed ~classes ~pec ~gap =
+  let coldest =
+    List.fold_left
+      (fun best block ->
+        let p = pec.(block) in
+        match best with
+        | Some (_, best_pec) when best_pec <= p -> best
+        | _ -> Some (block, p))
+      None closed
+  in
+  match coldest with
+  | None -> None
+  | Some (block, p) ->
+      let max_pec = ref 0 in
+      Array.iteri
+        (fun b cls ->
+          if cls <> Ftl.Engine.Retired then max_pec := Stdlib.max !max_pec pec.(b))
+        classes;
+      if !max_pec - p > gap then Some block else None
+
+(* Steps on which the histories reached each state the picks must get
+   right; every one must be reached at least once. *)
+let victim_coverage =
+  [| ("tied fewest-valid candidates", ref 0);
+     ("closed block with valid = capacity", ref 0);
+     ("retired block", ref 0);
+     ("wear-level victim", ref 0);
+     ("no wear-level victim despite closed blocks", ref 0) |]
+
+let reached i = incr (snd victim_coverage.(i))
+
+let prop_victim_picks_match_scans =
+  QCheck.Test.make ~count:30 ~name:"victim picks match the fold-based scans"
+    QCheck.(
+      quad small_int (int_range 0 12) (int_range 200 380) (int_range 0 3))
+    (fun (seed, gap, logical, bump_odds) ->
+      let pages = geometry.Flash.Geometry.pages_per_block in
+      let blocks = geometry.Flash.Geometry.blocks in
+      let levels = Array.make (blocks * pages) 0 in
+      let data_slots ~block ~page =
+        Stdlib.max 0 (4 - levels.((block * pages) + page))
+      in
+      let chip =
+        Flash.Chip.create ~rng:(Sim.Rng.create seed) ~geometry
+          ~model:gentle_model ()
+      in
+      let policy =
+        {
+          Ftl.Policy.data_slots;
+          read_fail_prob = (fun ~rber:_ ~block:_ ~page:_ -> 0.);
+          should_reclaim = (fun ~rber:_ ~block:_ ~page:_ -> false);
+          on_block_erased = (fun ~block:_ -> ());
+        }
+      in
+      let config =
+        {
+          Ftl.Engine.default_config with
+          wear_level_gap = gap;
+          wear_level_period = 1 + (seed mod 16);
+        }
+      in
+      let engine =
+        Ftl.Engine.create ~config ~chip ~rng:(Sim.Rng.create (seed + 1))
+          ~policy ~logical_capacity:logical ()
+      in
+      let rng = Sim.Rng.create (seed + 2) in
+      (* Erase-time tiredness on a random share of erases: capacities
+         shrink, some pages die, and whole blocks retire. *)
+      policy.Ftl.Policy.on_block_erased <-
+        (fun ~block ->
+          if Sim.Rng.int rng (1 + bump_odds) = 0 then
+            for page = 0 to pages - 1 do
+              let i = (block * pages) + page in
+              if levels.(i) < 4 && Sim.Rng.bool rng then
+                levels.(i) <- levels.(i) + 1
+            done);
+      let check () =
+        let classes = Array.init blocks (Ftl.Engine.block_class engine) in
+        let closed =
+          List.filter
+            (fun b -> classes.(b) = Ftl.Engine.Closed)
+            (List.init blocks Fun.id)
+        in
+        let valid = Array.make blocks 0 in
+        List.iter
+          (fun (_, { Ftl.Location.block; _ }) ->
+            valid.(block) <- valid.(block) + 1)
+          (Ftl.Engine.live_entries engine);
+        let capacity =
+          Array.init blocks (fun block ->
+              List.fold_left
+                (fun acc page -> acc + data_slots ~block ~page)
+                0 (List.init pages Fun.id))
+        in
+        let pec = Array.init blocks (fun block -> Flash.Chip.pec chip ~block) in
+        let eligible = List.filter (fun b -> valid.(b) < capacity.(b)) closed in
+        (match List.sort compare (List.map (fun b -> valid.(b)) eligible) with
+        | a :: b :: _ when a = b -> reached 0
+        | _ -> ());
+        if List.length eligible < List.length closed then reached 1;
+        if Array.exists (fun c -> c = Ftl.Engine.Retired) classes then reached 2;
+        let expected_wear = oracle_wear_level_victim ~closed ~classes ~pec ~gap in
+        (match (expected_wear, closed) with
+        | Some _, _ -> reached 3
+        | None, _ :: _ -> reached 4
+        | None, [] -> ());
+        Ftl.Engine.gc_victim engine = oracle_gc_victim ~closed ~valid ~capacity
+        && Ftl.Engine.wear_level_victim engine = expected_wear
+      in
+      let hot = Stdlib.max 1 (logical / 8) in
+      let rec run step =
+        step > 1200
+        || begin
+             (match Sim.Rng.int rng 8 with
+             | 0 -> Ftl.Engine.discard engine ~logical:(Sim.Rng.int rng logical)
+             | 1 -> ignore (Ftl.Engine.flush engine)
+             | 2 ->
+                 (* a cold sequential burst fills blocks with live data *)
+                 let base = Sim.Rng.int rng logical in
+                 for i = 0 to 31 do
+                   ignore
+                     (Ftl.Engine.write engine
+                        ~logical:((base + i) mod logical)
+                        ~payload:step)
+                 done
+             | _ ->
+                 (* a hot set takes most writes, so PECs drift apart *)
+                 let target =
+                   if Sim.Rng.int rng 4 = 0 then Sim.Rng.int rng logical
+                   else Sim.Rng.int rng hot
+                 in
+                 ignore (Ftl.Engine.write engine ~logical:target ~payload:step));
+             check () && run (step + 1)
+           end
+      in
+      check () && run 1)
+
+let test_victim_picks_match_scans () =
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 23 |])
+    prop_victim_picks_match_scans;
+  Array.iter
+    (fun (state, steps) ->
+      if !steps = 0 then Alcotest.failf "no history reached: %s" state)
+    victim_coverage
 
 let make_engine ?(seed = 1) ?(logical = 256) ?(model = gentle_model) () =
   let chip =
@@ -978,10 +1128,11 @@ let suite =
     ("buffer dedupe", `Quick, test_buffer_dedupe);
     ("buffer pop order", `Quick, test_buffer_pop_order);
     ("buffer drop then rewrite", `Quick, test_buffer_drop_then_rewrite);
-    ("blockset ascending iteration", `Quick, test_blockset_ascending);
     ("intheap sorted pops", `Quick, test_intheap_sorted_pops);
     ("incremental accounting brute force", `Slow,
      test_incremental_accounting_matches_brute_force);
+    ("victim picks match the fold-based scans", `Slow,
+     test_victim_picks_match_scans);
     ("engine read-your-writes", `Quick, test_engine_read_your_writes);
     ("engine unmapped read", `Quick, test_engine_unmapped_read);
     ("engine overwrite", `Quick, test_engine_overwrite);

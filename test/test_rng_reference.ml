@@ -73,6 +73,7 @@ module Ref = struct
 end
 
 let checkb msg expected actual = Alcotest.(check bool) msg expected actual
+let checki msg expected actual = Alcotest.(check int) msg expected actual
 
 let test_bits64_stream () =
   for seed = 0 to 100 do
@@ -128,6 +129,33 @@ let test_float_bool_chance () =
   checkb "state in sync after floats" true
     (Int64.equal (Ref.bits64 a) (Sim.Rng.bits64 b))
 
+(* A precomputed bound draws exactly what [int] draws: the same values
+   and the same generator positions, on both sides of the 2^31 split
+   between the unboxed and the boxed draw. *)
+let test_draw_matches_int () =
+  let pick = Sim.Rng.create 41 in
+  let bounds =
+    [ 1; 2; 3; 64; 1000; 1 lsl 31; (1 lsl 31) + 1; 1 lsl 40; max_int ]
+    @ List.init 12 (fun _ -> 1 + Sim.Rng.int pick (1 lsl 31))
+    @ List.init 4 (fun _ -> (1 lsl 31) + Sim.Rng.int pick (1 lsl 40))
+  in
+  List.iteri
+    (fun i bound ->
+      let a = Sim.Rng.create (100 + i) in
+      let b = Sim.Rng.copy a in
+      let bounded = Sim.Rng.bounded bound in
+      for _ = 1 to 2_000 do
+        checki
+          (Printf.sprintf "draw = int under bound %d" bound)
+          (Sim.Rng.int a bound) (Sim.Rng.draw b bounded);
+        if not (Sim.Rng.equal a b) then
+          Alcotest.failf "generators diverged under bound %d" bound
+      done)
+    bounds;
+  Alcotest.check_raises "bound 0"
+    (Invalid_argument "Rng.bounded: bound must be positive") (fun () ->
+      ignore (Sim.Rng.bounded 0))
+
 let test_int_allocation_free () =
   let r = Sim.Rng.create 3 in
   let acc = ref 0 in
@@ -141,7 +169,16 @@ let test_int_allocation_free () =
   ignore (Sys.opaque_identity !acc);
   let per_draw = (Gc.minor_words () -. w0) /. 50_000. in
   if per_draw > 0.01 then
-    Alcotest.failf "Rng.int allocates %.3f words/draw (expected 0)" per_draw
+    Alcotest.failf "Rng.int allocates %.3f words/draw (expected 0)" per_draw;
+  let bounded = Sim.Rng.bounded 1577 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 50_000 do
+    acc := !acc + Sim.Rng.draw r bounded
+  done;
+  ignore (Sys.opaque_identity !acc);
+  let per_draw = (Gc.minor_words () -. w0) /. 50_000. in
+  if per_draw > 0.01 then
+    Alcotest.failf "Rng.draw allocates %.3f words/draw (expected 0)" per_draw
 
 let suite =
   [
@@ -151,6 +188,8 @@ let suite =
       test_int_all_bounds;
     Alcotest.test_case "unit_float/bool/chance match reference" `Quick
       test_float_bool_chance;
+    Alcotest.test_case "draw on a precomputed bound matches int" `Quick
+      test_draw_matches_int;
     Alcotest.test_case "int draws are allocation-free" `Quick
       test_int_allocation_free;
   ]
