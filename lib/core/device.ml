@@ -187,12 +187,9 @@ let create ?(config = default_config) ?registry ~geometry ~model ~rng () =
           Telemetry.Registry.Counter.incr tel.tel_decode_attempts.(level);
           (if Telemetry.Registry.Counter.is_active tel.tel_corrected_bits.(level)
            then
-             match (Tiredness.info profile level).Tiredness.params with
-             | Some params ->
-                 let n =
-                   params.Ecc.Code_params.n_bits
-                   * geometry.Flash.Geometry.codewords_per_opage
-                 in
+             match (Tiredness.info profile level).Tiredness.tail with
+             | Some { Ecc.Reliability.params; codewords; _ } ->
+                 let n = params.Ecc.Code_params.n_bits * codewords in
                  Telemetry.Registry.Counter.incr
                    tel.tel_corrected_bits.(level)
                    ~by:(Sim.Dist.binomial tel.tel_rng ~n ~p:rber)
@@ -296,6 +293,37 @@ let pick_victim t =
       in
       Some (best, best_live)
 
+(* Retirement order: RBER (snapshotted before any relocation) descending,
+   ties to the higher flat page index — the order a stable sort of the
+   block-major candidate list, consed and so reversed, gave. *)
+let wears_before rbers a b =
+  let c = Float.compare (Float.Array.get rbers a) (Float.Array.get rbers b) in
+  c > 0 || (c = 0 && a > b)
+
+(* Retirement scratch, one per domain and shared by its devices, so a
+   fleet pays for it once per worker rather than once per device:
+   [rbers] is indexed like a device's [levels], [heap] holds flat page
+   indices as a max-heap by [wears_before].  Retirement never re-enters
+   itself: [Engine.relocate_page] only moves data into the write buffer,
+   so no program, GC or hook runs inside it. *)
+type worn = { mutable rbers : Float.Array.t; mutable heap : int array }
+
+let worn_scratch =
+  Domain.DLS.new_key (fun () -> { rbers = Float.Array.create 0; heap = [||] })
+
+let rec sift_down rbers heap ~size i =
+  let l = (2 * i) + 1 in
+  if l < size then begin
+    let r = l + 1 in
+    let c = if r < size && wears_before rbers heap.(r) heap.(l) then r else l in
+    if wears_before rbers heap.(c) heap.(i) then begin
+      let top = heap.(i) in
+      heap.(i) <- heap.(c);
+      heap.(c) <- top;
+      sift_down rbers heap ~size c
+    end
+  end
+
 (* §3.3: when a minidisk is decommissioned, the SSD preemptively retires
    the most worn-out fPages — regardless of which minidisk their data
    belongs to — relocating live oPages to less worn flash and advancing
@@ -305,30 +333,43 @@ let pick_victim t =
    most of its capacity remains usable — the source of the "available but
    not used" oPages that later regenerate into new minidisks (§3.4). *)
 let retire_worn_pages t ~budget =
-  let candidates = ref [] in
+  let worn = Domain.DLS.get worn_scratch in
+  let pages = Array.length t.levels in
+  if Array.length worn.heap < pages then begin
+    worn.rbers <- Float.Array.create pages;
+    worn.heap <- Array.make pages 0
+  end;
+  let rbers = worn.rbers and heap = worn.heap in
+  let size = ref 0 in
   for block = 0 to t.geometry.Flash.Geometry.blocks - 1 do
     for page = 0 to t.geometry.Flash.Geometry.pages_per_block - 1 do
-      let level = t.levels.(page_index t.geometry ~block ~page) in
-      if level < Tiredness.dead_level t.profile then
-        candidates :=
-          (Flash.Chip.rber t.chip ~block ~page, block, page) :: !candidates
+      let index = page_index t.geometry ~block ~page in
+      if t.levels.(index) < Tiredness.dead_level t.profile then begin
+        Float.Array.set rbers index (Flash.Chip.rber t.chip ~block ~page);
+        heap.(!size) <- index;
+        incr size
+      end
     done
   done;
-  let sorted =
-    List.sort (fun (a, _, _) (b, _, _) -> Float.compare b a) !candidates
-  in
+  for i = (!size / 2) - 1 downto 0 do
+    sift_down rbers heap ~size:!size i
+  done;
+  (* Pop only as many pages as the budget takes: a handful of the
+     device's pages per decommission. *)
+  let ppb = t.geometry.Flash.Geometry.pages_per_block in
   let retired = ref 0 in
-  List.iter
-    (fun (_, block, page) ->
-      if !retired < budget then begin
-        let index = page_index t.geometry ~block ~page in
-        let level = t.levels.(index) in
-        Ftl.Engine.relocate_page t.engine ~block ~page;
-        transition_with t.limbo t.tel ~from_level:level ~to_level:(level + 1);
-        t.levels.(index) <- level + 1;
-        retired := !retired + Tiredness.data_slots t.profile level
-      end)
-    sorted
+  while !retired < budget && !size > 0 do
+    let index = heap.(0) in
+    decr size;
+    heap.(0) <- heap.(!size);
+    sift_down rbers heap ~size:!size 0;
+    let level = t.levels.(index) in
+    Ftl.Engine.relocate_page t.engine ~block:(index / ppb)
+      ~page:(index mod ppb);
+    transition_with t.limbo t.tel ~from_level:level ~to_level:(level + 1);
+    t.levels.(index) <- level + 1;
+    retired := !retired + Tiredness.data_slots t.profile level
+  done
 
 let discard_mdisk_lbas t (mdisk : Minidisk.t) =
   let base = mdisk.Minidisk.slot * t.config.mdisk_opages in

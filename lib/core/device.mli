@@ -139,6 +139,14 @@ val force_page_level : t -> block:int -> page:int -> level:int -> unit
     @raise Invalid_argument if [level] is not above the page's current
     level or exceeds the profile's dead level. *)
 
+val retire_worn_pages : t -> budget:int -> unit
+(** §3.3's proactive retirement, which every decommission runs when
+    [scrub_on_decommission] is set: relocate the live data off the most
+    worn live pages and move each up one level until [budget] data oPages
+    (counted at each page's level before the move) have been retired.
+    Pages go in descending RBER as sensed on entry, ties to the higher
+    flat page index ([block * pages_per_block + page]). *)
+
 (** {2 Flat-LBA adapter}
 
     Concatenates the live minidisks' LBA spaces so fleet experiments can

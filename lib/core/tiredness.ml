@@ -1,7 +1,7 @@
 type level_info = {
   level : int;
   data_slots : int;
-  params : Ecc.Code_params.t option;
+  tail : Ecc.Reliability.tail option;
   tolerable_rber : float;
   code_rate : float;
 }
@@ -44,8 +44,7 @@ let profile ?(target = Ecc.Reliability.default_codeword_target) ?(max_level = 1)
     Flash.Geometry.fpage_data_bytes geometry + geometry.Flash.Geometry.spare_bytes
   in
   let dead level =
-    { level; data_slots = 0; params = None; tolerable_rber = 0.;
-      code_rate = 0. }
+    { level; data_slots = 0; tail = None; tolerable_rber = 0.; code_rate = 0. }
   in
   let make level =
     (* The level past [max_level] is terminal by definition, even when the
@@ -57,7 +56,10 @@ let profile ?(target = Ecc.Reliability.default_codeword_target) ?(max_level = 1)
         {
           level;
           data_slots;
-          params = Some params;
+          tail =
+            Some
+              (Ecc.Reliability.tail params
+                 ~codewords:geometry.Flash.Geometry.codewords_per_opage);
           tolerable_rber;
           code_rate =
             float_of_int (data_slots * geometry.Flash.Geometry.opage_bytes)
@@ -88,17 +90,15 @@ let level_for_rber t ~rber =
   search 0
 
 let read_fail_prob t ~level ~rber =
-  match (info t level).params with
+  match (info t level).tail with
   | None -> 1.
-  | Some params ->
-      Ecc.Reliability.page_fail_prob params
-        ~codewords:t.geometry.Flash.Geometry.codewords_per_opage ~rber
+  | Some tail -> Ecc.Reliability.tail_prob tail ~rber
 
 let pp_level t fmt level =
   let i = info t level in
-  match i.params with
+  match i.tail with
   | None -> Format.fprintf fmt "L%d (dead)" level
-  | Some params ->
+  | Some { Ecc.Reliability.params; _ } ->
       Format.fprintf fmt "L%d: %d oPages, rate %.3f, t=%d, rber<=%.2e" level
         i.data_slots i.code_rate params.Ecc.Code_params.capability
         i.tolerable_rber

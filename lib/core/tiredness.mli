@@ -13,8 +13,9 @@
 type level_info = private {
   level : int;
   data_slots : int;  (** oPages still storing data at this level *)
-  params : Ecc.Code_params.t option;
-      (** per-codeword code; [None] for the terminal (dead) level *)
+  tail : Ecc.Reliability.tail option;
+      (** one oPage's read-failure tail: the per-codeword code and the
+          oPage's codeword count; [None] for the terminal (dead) level *)
   tolerable_rber : float;
       (** retire to the next level beyond this error rate; 0 for dead *)
   code_rate : float;  (** data / (data + spare + repurposed); 0 for dead *)
@@ -45,6 +46,8 @@ val level_for_rber : t -> rber:float -> int
     {!dead_level} when none does. *)
 
 val read_fail_prob : t -> level:int -> rber:float -> float
-(** Probability that reading one oPage on a page of this level fails. *)
+(** Probability that reading one oPage on a page of this level fails:
+    the level's [tail] through {!Ecc.Reliability.tail_prob}, bit for bit
+    {!Ecc.Reliability.page_fail_prob}; [1.] at the dead level. *)
 
 val pp_level : t -> Format.formatter -> int -> unit

@@ -34,5 +34,56 @@ let tolerable_rber ?(target = default_codeword_target)
           Hashtbl.add tolerable_cache key rber;
           rber)
 
+type tail = {
+  params : Code_params.t;
+  codewords : int;
+  zero_upto : float;
+  one_from : float;
+}
+
+(* Non-negative floats order like their bit patterns, and every pattern
+   up to 1.0 (0x3FF0...) fits an OCaml int. *)
+let bits x = Int64.to_int (Int64.bits_of_float x)
+let of_bits b = Int64.float_of_bits (Int64.of_int b)
+
+(* [lo] satisfies [holds], [hi] does not: narrow to adjacent patterns. *)
+let rec bisect_bits ~holds lo hi =
+  if hi - lo <= 1 then (lo, hi)
+  else
+    let mid = lo + ((hi - lo) / 2) in
+    if holds (of_bits mid) then bisect_bits ~holds mid hi
+    else bisect_bits ~holds lo mid
+
+(* About 62 tail evaluations per threshold, paid once per code: the read
+   path asks for the same few (code, codewords) pairs on every device. *)
+let tail_cache : (Code_params.t * int, tail) Hashtbl.t = Hashtbl.create 16
+
+let tail params ~codewords =
+  Mutex.protect tolerable_mutex (fun () ->
+      let key = (params, codewords) in
+      match Hashtbl.find_opt tail_cache key with
+      | Some tail -> tail
+      | None ->
+          let fail rber = page_fail_prob params ~codewords ~rber in
+          (* fail 0. = 0. and fail 1. = 1. through the binomial tail's
+             own p <= 0 and p >= 1 branches. *)
+          let zero, _ =
+            bisect_bits ~holds:(fun rber -> fail rber = 0.) (bits 0.) (bits 1.)
+          in
+          let _, one =
+            bisect_bits ~holds:(fun rber -> fail rber <> 1.) zero (bits 1.)
+          in
+          let tail =
+            { params; codewords; zero_upto = of_bits zero;
+              one_from = of_bits one }
+          in
+          Hashtbl.add tail_cache key tail;
+          tail)
+
+let tail_prob tail ~rber =
+  if rber <= tail.zero_upto then 0.
+  else if rber >= tail.one_from then 1.
+  else page_fail_prob tail.params ~codewords:tail.codewords ~rber
+
 let expected_errors (params : Code_params.t) ~rber =
   float_of_int params.n_bits *. rber

@@ -26,11 +26,10 @@ let fpage_cost device ~block ~page ~opages =
   let raw_errors =
     (* mean raw bit errors the decoder grinds through for the codewords of
        the oPages actually transferred *)
-    let geometry = Flash.Chip.geometry chip in
-    match info.Salamander.Tiredness.params with
-    | Some params ->
+    match info.Salamander.Tiredness.tail with
+    | Some { Ecc.Reliability.params; codewords; _ } ->
         Ecc.Reliability.expected_errors params ~rber
-        *. float_of_int (geometry.Flash.Geometry.codewords_per_opage * opages)
+        *. float_of_int (codewords * opages)
     | None -> 0.
   in
   Flash.Latency.fpage_read_us latency

@@ -1,8 +1,4 @@
-type t = {
-  params : Ecc.Code_params.t;
-  codewords_per_opage : int;
-  tolerable_rber : float;
-}
+type t = { tolerable_rber : float; tail : Ecc.Reliability.tail }
 
 let of_geometry ?(target = Ecc.Reliability.default_codeword_target) geometry =
   let codewords = Flash.Geometry.codewords_per_fpage geometry in
@@ -13,14 +9,13 @@ let of_geometry ?(target = Ecc.Reliability.default_codeword_target) geometry =
   let spare_bytes = geometry.Flash.Geometry.spare_bytes / codewords in
   let params = Ecc.Code_params.for_sector ~data_bytes ~spare_bytes in
   {
-    params;
-    codewords_per_opage = geometry.Flash.Geometry.codewords_per_opage;
     tolerable_rber = Ecc.Reliability.tolerable_rber ~target params;
+    tail =
+      Ecc.Reliability.tail params
+        ~codewords:geometry.Flash.Geometry.codewords_per_opage;
   }
 
-let opage_read_fail_prob t ~rber =
-  Ecc.Reliability.page_fail_prob t.params ~codewords:t.codewords_per_opage
-    ~rber
+let opage_read_fail_prob t ~rber = Ecc.Reliability.tail_prob t.tail ~rber
 
 let page_is_tired t ~rber = rber > t.tolerable_rber
 let reclaim_margin = 0.9

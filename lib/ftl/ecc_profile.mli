@@ -3,10 +3,11 @@
     threshold, and the resulting read-failure probability. *)
 
 type t = private {
-  params : Ecc.Code_params.t;  (** per-codeword parameters at level 0 *)
-  codewords_per_opage : int;
   tolerable_rber : float;
       (** retire a page once its post-next-erase RBER exceeds this *)
+  tail : Ecc.Reliability.tail;
+      (** one oPage's read-failure tail: the level-0 per-codeword code
+          and the oPage's codeword count *)
 }
 
 val of_geometry : ?target:float -> Flash.Geometry.t -> t
@@ -15,7 +16,9 @@ val of_geometry : ?target:float -> Flash.Geometry.t -> t
     probability (default {!Ecc.Reliability.default_codeword_target}). *)
 
 val opage_read_fail_prob : t -> rber:float -> float
-(** Probability that reading one oPage (all its codewords) fails. *)
+(** Probability that reading one oPage (all its codewords) fails:
+    {!Ecc.Reliability.tail_prob} on [tail], bit for bit
+    {!Ecc.Reliability.page_fail_prob}. *)
 
 val page_is_tired : t -> rber:float -> bool
 (** True when the error rate exceeds what this profile tolerates. *)

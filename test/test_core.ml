@@ -38,8 +38,9 @@ let test_tiredness_level_table () =
   checki "L0 slots" 4 l0.Salamander.Tiredness.data_slots;
   checki "L1 slots" 3 l1.Salamander.Tiredness.data_slots;
   (* Paper's reference code: 2 KiB chunks, 256 B spare, t = 136 at L0. *)
-  (match l0.Salamander.Tiredness.params with
-  | Some p -> checki "L0 capability" 136 p.Ecc.Code_params.capability
+  (match l0.Salamander.Tiredness.tail with
+  | Some { Ecc.Reliability.params = p; _ } ->
+      checki "L0 capability" 136 p.Ecc.Code_params.capability
   | None -> Alcotest.fail "L0 has a code");
   checkb "L1 tolerates more errors" true
     (l1.Salamander.Tiredness.tolerable_rber
@@ -57,7 +58,7 @@ let test_tiredness_dead_level () =
     Salamander.Tiredness.info profile (Salamander.Tiredness.dead_level profile)
   in
   checki "dead slots" 0 dead.Salamander.Tiredness.data_slots;
-  checkb "dead has no code" true (dead.Salamander.Tiredness.params = None)
+  checkb "dead has no code" true (dead.Salamander.Tiredness.tail = None)
 
 let test_tiredness_level_for_rber () =
   let profile = Tiredness_helpers.reference_profile () in
@@ -825,6 +826,121 @@ let test_events_queue_interleaved () =
     "later pushes don't resurface drained events" [ ev 2 ]
     (Salamander.Events.Queue.drain q)
 
+(* --- Proactive retirement order ------------------------------------------ *)
+
+(* A RegenS device from the default factory after [writes] host writes:
+   fresh, every page senses the model's floor RBER, so the order is all
+   ties; 30k writes age it through its first decommissions, so RBERs are
+   distinct and levels mixed. *)
+let aged_regens ~writes () =
+  let d =
+    Salamander.Device.create
+      ~config:
+        (Experiments.Defaults.salamander_config ~mode:Salamander.Device.Regen_s)
+      ~geometry:Experiments.Defaults.geometry ~model:Experiments.Defaults.model
+      ~rng:(Sim.Rng.create 2027) ()
+  in
+  let device = Salamander.Device.pack d in
+  let pattern =
+    Workload.Pattern.uniform
+      ~window:(Ftl.Device_intf.logical_capacity device * 85 / 100)
+      ~read_fraction:0.
+  in
+  ignore
+    (Workload.Aging.run_epoch ~rng:(Sim.Rng.create 5) ~pattern ~device
+       ~quota:writes ());
+  d
+
+let page_levels d =
+  let g = Experiments.Defaults.geometry in
+  Array.init (Flash.Geometry.fpages g) (fun index ->
+      let ppb = g.Flash.Geometry.pages_per_block in
+      Salamander.Device.level_of_page d ~block:(index / ppb)
+        ~page:(index mod ppb))
+
+(* The former retirement order: every live page's (rber, block, page),
+   consed block-major and stably sorted by descending RBER; the pages
+   retired are its prefix until [budget] data oPages are counted. *)
+let list_retirement d ~budget =
+  let g = Experiments.Defaults.geometry in
+  let chip = Ftl.Engine.chip (Salamander.Device.engine d) in
+  let profile = Salamander.Device.profile d in
+  let levels = page_levels d in
+  let ppb = g.Flash.Geometry.pages_per_block in
+  let candidates = ref [] in
+  for block = 0 to g.Flash.Geometry.blocks - 1 do
+    for page = 0 to ppb - 1 do
+      if levels.((block * ppb) + page) < Salamander.Tiredness.dead_level profile
+      then
+        candidates :=
+          (Flash.Chip.rber chip ~block ~page, block, page) :: !candidates
+    done
+  done;
+  let sorted =
+    List.sort (fun (a, _, _) (b, _, _) -> Float.compare b a) !candidates
+  in
+  let retired = ref 0 in
+  List.filter_map
+    (fun (_, block, page) ->
+      if !retired >= budget then None
+      else begin
+        let index = (block * ppb) + page in
+        retired :=
+          !retired + Salamander.Tiredness.data_slots profile levels.(index);
+        Some index
+      end)
+    sorted
+
+(* The order shows through budgets: one oPage past the first j pages'
+   worth retires exactly the first j + 1, on a fresh twin each; the full
+   budget ends at the same levels as the list version. *)
+let check_retirement_order ~what make =
+  let profile = Salamander.Device.profile (make ()) in
+  let before = page_levels (make ()) in
+  let budget = Experiments.Defaults.mdisk_opages in
+  let expected = list_retirement (make ()) ~budget in
+  checkb (what ^ ": retirement takes several pages") true
+    (List.length expected > 4);
+  let levels_after retired =
+    Array.mapi
+      (fun index level -> if List.mem index retired then level + 1 else level)
+      before
+  in
+  let spent = ref 0 in
+  List.iteri
+    (fun j index ->
+      let d = make () in
+      Salamander.Device.retire_worn_pages d ~budget:(!spent + 1);
+      let prefix = List.filteri (fun i _ -> i <= j) expected in
+      if page_levels d <> levels_after prefix then
+        Alcotest.failf
+          "%s: budget %d retired other than the list order's first %d" what
+          (!spent + 1) (j + 1);
+      spent := !spent + Salamander.Tiredness.data_slots profile before.(index))
+    expected;
+  let d = make () in
+  Salamander.Device.retire_worn_pages d ~budget;
+  checkb (what ^ ": same levels after the full budget") true
+    (page_levels d = levels_after expected)
+
+let test_retire_worn_pages_matches_list_order () =
+  let fresh = aged_regens ~writes:0 in
+  let steady = aged_regens ~writes:30_000 in
+  let rbers d =
+    let chip = Ftl.Engine.chip (Salamander.Device.engine d) in
+    let g = Experiments.Defaults.geometry in
+    List.init (Flash.Geometry.fpages g) (fun index ->
+        let ppb = g.Flash.Geometry.pages_per_block in
+        Flash.Chip.rber chip ~block:(index / ppb) ~page:(index mod ppb))
+  in
+  checki "fresh: one RBER, all ties" 1
+    (List.length (List.sort_uniq Float.compare (rbers (fresh ()))));
+  let levels = page_levels (steady ()) in
+  checkb "steady: pages at L0 and L1" true
+    (Array.mem 0 levels && Array.mem 1 levels);
+  check_retirement_order ~what:"fresh" fresh;
+  check_retirement_order ~what:"steady" steady
+
 let suite =
   [
     ("tiredness level table", `Quick, test_tiredness_level_table);
@@ -860,6 +976,8 @@ let suite =
      test_device_grace_keeps_data_readable);
     ("device grace emergency override", `Slow,
      test_device_grace_emergency_override);
+    ("retire worn pages matches list order", `Quick,
+     test_retire_worn_pages_matches_list_order);
     ("events queue fifo order", `Quick, test_events_queue_fifo_order);
     ("events queue drain empties", `Quick, test_events_queue_drain_empties);
     ("events queue interleaved", `Quick, test_events_queue_interleaved);

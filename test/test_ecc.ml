@@ -311,6 +311,82 @@ let test_reliability_page_vs_codeword () =
   checkb "page fail above codeword fail" true (page >= cw);
   checkb "page fail below union bound" true (page <= (8. *. cw) +. 1e-12)
 
+(* --- Exact-0 / exact-1 read tail ------------------------------------- *)
+
+(* Every code the default geometry builds: the conventional profile's is
+   Tiredness L0's, and L0-L3 carry t = 136, 546, 1280 and 3373. *)
+let default_tails =
+  lazy
+    (let profile =
+       Salamander.Tiredness.profile ~max_level:3 Experiments.Defaults.geometry
+     in
+     Array.init 4 (fun level ->
+         Option.get
+           (Salamander.Tiredness.info profile level).Salamander.Tiredness.tail))
+
+let same_bits tail ~rber =
+  Int64.equal
+    (Int64.bits_of_float (Ecc.Reliability.tail_prob tail ~rber))
+    (Int64.bits_of_float
+       (Ecc.Reliability.page_fail_prob tail.Ecc.Reliability.params
+          ~codewords:tail.Ecc.Reliability.codewords ~rber))
+
+(* [tail_prob] only skips [page_fail_prob] outside (zero_upto, one_from),
+   so it is exact unless the float tail is non-monotone near a threshold:
+   exactly 0 somewhere above a nonzero value, or exactly 1 below a value
+   short of 1.  The float tail carries a relative error of about 1e-10,
+   and one ulp of RBER moves the tail by about (t+1) * 2^-52 relative, so
+   a glitch could only sit within a few thousand ulps of a threshold.
+   The sweep covers 2^18 ulps on each side, about 100x that. *)
+let sweep_radius = 1 lsl 18
+
+let test_tail_float_boundaries () =
+  let tails = Lazy.force default_tails in
+  check Alcotest.(list int) "capabilities" [ 136; 546; 1280; 3373 ]
+    (List.map
+       (fun tail -> tail.Ecc.Reliability.params.Ecc.Code_params.capability)
+       (Array.to_list tails));
+  checkb "conventional code is L0's" true
+    ((Ftl.Ecc_profile.of_geometry Experiments.Defaults.geometry)
+       .Ftl.Ecc_profile.tail
+    == tails.(0));
+  Array.iter
+    (fun tail ->
+      let params = tail.Ecc.Reliability.params in
+      let codewords = tail.Ecc.Reliability.codewords in
+      let fail rber = Ecc.Reliability.page_fail_prob params ~codewords ~rber in
+      let label = Printf.sprintf "t=%d" params.Ecc.Code_params.capability in
+      let zero = tail.Ecc.Reliability.zero_upto
+      and one = tail.Ecc.Reliability.one_from in
+      checkb (label ^ ": 0 at zero_upto") true (fail zero = 0.);
+      checkb (label ^ ": > 0 just above") true (fail (Float.succ zero) > 0.);
+      checkb (label ^ ": 1 at one_from") true (fail one = 1.);
+      checkb (label ^ ": < 1 just below") true (fail (Float.pred one) < 1.);
+      List.iter
+        (fun threshold ->
+          let centre = Int64.bits_of_float threshold in
+          for ulps = -sweep_radius to sweep_radius do
+            let rber =
+              Int64.float_of_bits (Int64.add centre (Int64.of_int ulps))
+            in
+            if not (same_bits tail ~rber) then
+              Alcotest.failf "%s: tail_prob differs from page_fail_prob at %h"
+                label rber
+          done)
+        [ zero; one ])
+    tails
+
+let prop_tail_matches_page_fail_prob =
+  let half = Int64.to_int (Int64.bits_of_float 0.5) in
+  QCheck.Test.make ~count:4000
+    ~name:"tail_prob is page_fail_prob bit for bit on [0, 0.5]"
+    QCheck.(pair (int_range 0 3) int)
+    (fun (level, bits) ->
+      let rber =
+        Int64.float_of_bits (Int64.of_int ((bits land max_int) mod (half + 1)))
+      in
+      same_bits (Lazy.force default_tails).(level) ~rber)
+
 (* The codec is the oracle for the analytic tail: on small codes where
    decoding is cheap, flip each stored bit independently with probability
    [rber] and count the words the decoder fails to restore.  Bounded-
@@ -495,6 +571,8 @@ let suite =
      test_reliability_tolerable_rber_grows_with_spare);
     ("reliability page vs codeword", `Quick, test_reliability_page_vs_codeword);
     ("reliability matches live codec", `Slow, test_reliability_matches_live_codec);
+    ("reliability tail float boundaries", `Slow, test_tail_float_boundaries);
+    qc prop_tail_matches_page_fail_prob;
     ("rs systematic and verify", `Quick, test_rs_systematic_and_verify);
     ("rs reconstruct each share", `Quick, test_rs_reconstruct_each_share);
     ("rs too few shares", `Quick, test_rs_too_few_shares);

@@ -865,8 +865,8 @@ let test_cvss_outlives_baseline () =
 
 (* --- Read-retry ladder ---------------------------------------------------- *)
 
-let make_ladder_engine ?(config = Ftl.Engine.default_config) ~read_fail_prob
-    seed =
+let make_ladder_engine ?(config = Ftl.Engine.default_config) ?rng
+    ~read_fail_prob seed =
   let chip =
     Flash.Chip.create ~rng:(Sim.Rng.create seed) ~geometry ~model:gentle_model
       ()
@@ -875,9 +875,10 @@ let make_ladder_engine ?(config = Ftl.Engine.default_config) ~read_fail_prob
     { (Ftl.Policy.always_fresh ~opages_per_fpage:4) with
       Ftl.Policy.read_fail_prob = read_fail_prob }
   in
-  Ftl.Engine.create ~config ~chip
-    ~rng:(Sim.Rng.create (seed + 1))
-    ~policy ~logical_capacity:64 ()
+  let rng =
+    match rng with Some rng -> rng | None -> Sim.Rng.create (seed + 1)
+  in
+  Ftl.Engine.create ~config ~chip ~rng ~policy ~logical_capacity:64 ()
 
 let test_retry_ladder_bounded () =
   (* A permanently failing page walks exactly [read_retries] rungs, and
@@ -954,6 +955,75 @@ let test_retry_ladder_deterministic () =
   checki "same retry count" n1 n2;
   checki "same rescue count" s1 s2;
   checkb "ladder actually exercised" true (n1 > 0 && s1 > 0)
+
+(* The exact-0 / exact-1 thresholds are invisible to the engine: two
+   engines on one seed, one whose policy evaluates [page_fail_prob] and one
+   [tail_prob], read alike.  Each page's rung-0 RBER is pinned to a target
+   around the thresholds (the ladder then halves it per rung), so reads
+   land at or below [zero_upto], inside the band and at or above
+   [one_from], walk the ladder and escalate to a hook that rescues only
+   some LBAs. *)
+let test_tail_prob_engine_differential () =
+  let tail = (Ftl.Ecc_profile.of_geometry geometry).Ftl.Ecc_profile.tail in
+  let zero = tail.Ecc.Reliability.zero_upto
+  and one = tail.Ecc.Reliability.one_from in
+  let targets =
+    [| zero /. 2.; zero; Float.succ zero; sqrt (zero *. one);
+       Float.pred one; one; 2. *. one; 16. *. one |]
+  in
+  let below = ref 0 and inside = ref 0 and above = ref 0 in
+  let run eval =
+    let rng = Sim.Rng.create 90 in
+    let chip = ref None in
+    let engine =
+      make_ladder_engine ~rng
+        ~read_fail_prob:(fun ~rber ~block ~page ->
+          (* [rber] is the chip's rate times 0.5^rung, so this ratio is
+             exact and the target keeps the ladder's halving. *)
+          let sensed = Flash.Chip.rber (Option.get !chip) ~block ~page in
+          let rber =
+            targets.(((block * geometry.Flash.Geometry.pages_per_block) + page)
+                     mod Array.length targets)
+            *. (rber /. sensed)
+          in
+          incr
+            (if rber <= zero then below else if rber >= one then above
+             else inside);
+          eval ~rber)
+        89
+    in
+    chip := Some (Ftl.Engine.chip engine);
+    Ftl.Engine.set_recovery_hook engine
+      (Some (fun ~logical -> if logical mod 3 = 0 then None else Some logical));
+    for logical = 0 to 63 do
+      ignore (Ftl.Engine.write engine ~logical ~payload:logical)
+    done;
+    ignore (Ftl.Engine.flush engine);
+    let results =
+      List.init 600 (fun i -> Ftl.Engine.read engine ~logical:(i mod 64))
+    in
+    ( results,
+      [ Ftl.Engine.read_retries engine; Ftl.Engine.retry_successes engine;
+        Ftl.Engine.read_escalations engine;
+        Ftl.Engine.escalation_successes engine ],
+      rng )
+  in
+  let exact, exact_counts, exact_rng =
+    run (Ecc.Reliability.page_fail_prob tail.Ecc.Reliability.params
+           ~codewords:tail.Ecc.Reliability.codewords)
+  in
+  let fast, fast_counts, fast_rng = run (Ecc.Reliability.tail_prob tail) in
+  checkb "same read results" true (exact = fast);
+  Alcotest.(check (list int)) "same retries, rescues and escalations"
+    exact_counts fast_counts;
+  checkb "same RNG position" true (Sim.Rng.equal exact_rng fast_rng);
+  checkb "reads below, inside and above the band" true
+    (!below > 0 && !inside > 0 && !above > 0);
+  match exact_counts with
+  | [ retries; rescues; escalations; _ ] ->
+      checkb "ladder and escalation exercised" true
+        (retries > 0 && rescues > 0 && escalations > 0)
+  | _ -> assert false
 
 (* --- Read-recovery escalation ---------------------------------------------- *)
 
@@ -1152,6 +1222,8 @@ let suite =
     ("retry ladder absorbs transient", `Quick,
      test_retry_ladder_absorbs_transient);
     ("retry ladder deterministic", `Quick, test_retry_ladder_deterministic);
+    ("tail_prob engine differential", `Quick,
+     test_tail_prob_engine_differential);
     qc prop_zero_retries_escalates_immediately;
     ("escalation backoff budget", `Quick, test_escalation_backoff_budget);
     qc prop_crash_adversarial_timing;
