@@ -77,17 +77,28 @@ let pp_tail_cause fmt hist =
     cause
   end
 
+(* The four most frequent cause sets among tagged ops: count
+   descending, ties in natural name order. *)
 let pp_cause_mix fmt mix =
-  match Obs.Topk.Counts.to_list mix with
+  let by_count a b =
+    match compare mix.(b) mix.(a) with
+    | 0 ->
+        Monitor.Health.natural_compare (Obs.Cause.to_string a)
+          (Obs.Cause.to_string b)
+    | c -> c
+  in
+  let tagged =
+    List.init (Array.length mix - 1) succ |> List.filter (fun s -> mix.(s) > 0)
+  in
+  match List.sort by_count tagged with
   | [] -> ()
-  | entries ->
+  | sets ->
       Format.fprintf fmt "  causes:";
       List.iteri
-        (fun i (id, est, err) ->
+        (fun i s ->
           if i < 4 then
-            Format.fprintf fmt " %s=%d%s" id est
-              (if err > 0 then Printf.sprintf "(-%d)" err else ""))
-        entries;
+            Format.fprintf fmt " %s=%d" (Obs.Cause.to_string s) mix.(s))
+        sets;
       Format.fprintf fmt "@."
 
 let run_cell ~registry ?obs ~spec ~trace ~seed ~batch ~qos ~plan ~kind ~chaos

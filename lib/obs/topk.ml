@@ -1,4 +1,4 @@
-(* Bounded top-K trackers for fleet-scale streams.
+(* Bounded top-K tracker for fleet-scale streams.
 
    [Topk] keeps the K highest-scoring subjects seen so far.  Each chunk
    keeps its own tracker over its devices; because every device is
@@ -6,16 +6,8 @@
    union of per-chunk top Ks, so the merged result is *exact*, not an
    approximation — the brute-force worst-device scan, in O(K) memory.
 
-   [Counts] is the space-saving heavy-hitter sketch (Metwally et al.):
-   K counter slots; a new subject evicts the smallest counter and
-   inherits its value as over-estimation error.  Any subject with true
-   frequency above total/K is guaranteed present, and
-   [estimate - error <= true <= estimate].  The replayer feeds it one
-   cause-set string per tagged op to report the dominant cause mixes
-   without a per-mix table.
-
-   Both structures order deterministically (score/count descending,
-   then natural id order) and merge in submission order. *)
+   It orders deterministically (score descending, then natural id
+   order) and merges in submission order. *)
 
 let id_compare = Monitor.Health.natural_compare
 
@@ -65,60 +57,4 @@ module Topk = struct
       src.entries
 
   let to_list t = List.map (fun e -> (e.id, e.score, e.payload)) t.entries
-end
-
-module Counts = struct
-  type slot = { id : string; mutable count : int; mutable error : int }
-
-  type t = {
-    k : int;
-    table : (string, slot) Hashtbl.t;
-    mutable observed : int; (* total stream weight *)
-  }
-
-  let create ~k () =
-    if k < 1 then invalid_arg "Counts.create: k must be >= 1";
-    { k; table = Hashtbl.create (2 * k); observed = 0 }
-
-  let k t = t.k
-  let observed t = t.observed
-
-  (* Deterministic victim: smallest count, ties by natural id order. *)
-  let victim t =
-    Hashtbl.fold
-      (fun _ slot acc ->
-        match acc with
-        | None -> Some slot
-        | Some best ->
-            if
-              slot.count < best.count
-              || (slot.count = best.count && id_compare slot.id best.id < 0)
-            then Some slot
-            else acc)
-      t.table None
-
-  let add ?(by = 1) t id =
-    if by < 1 then invalid_arg "Counts.add: by must be >= 1";
-    t.observed <- t.observed + by;
-    match Hashtbl.find_opt t.table id with
-    | Some slot -> slot.count <- slot.count + by
-    | None ->
-        if Hashtbl.length t.table < t.k then
-          Hashtbl.replace t.table id { id; count = by; error = 0 }
-        else begin
-          match victim t with
-          | None -> ()
-          | Some v ->
-              Hashtbl.remove t.table v.id;
-              Hashtbl.replace t.table id
-                { id; count = v.count + by; error = v.count }
-        end
-
-  let to_list t =
-    Hashtbl.fold (fun _ s acc -> (s.id, s.count, s.error) :: acc) t.table []
-    |> List.sort (fun (ia, ca, _) (ib, cb, _) ->
-           match compare cb ca with 0 -> id_compare ia ib | c -> c)
-
-  let merge ~into src =
-    List.iter (fun (id, count, _) -> add ~by:count into id) (to_list src)
 end

@@ -1,6 +1,5 @@
-(** Bounded top-K trackers: exact worst-subject selection and
-    space-saving heavy hitters, both in O(K) memory with deterministic
-    ordering and submission-order merges. *)
+(** Bounded top-K tracker: exact worst-subject selection in O(K) memory
+    with deterministic ordering and submission-order merges. *)
 
 module Topk : sig
   type 'a t
@@ -20,29 +19,4 @@ module Topk : sig
 
   val to_list : 'a t -> (string * float * 'a) list
   (** Retained entries, best first. *)
-end
-
-module Counts : sig
-  (** Space-saving frequency sketch over a stream of subject ids. *)
-
-  type t
-
-  val create : k:int -> unit -> t
-  val k : t -> int
-
-  val observed : t -> int
-  (** Total stream weight seen (kept exactly). *)
-
-  val add : ?by:int -> t -> string -> unit
-  (** Count one occurrence ([by] >= 1).  A subject not currently
-      tracked evicts the smallest slot and inherits its count as
-      over-estimation error. *)
-
-  val to_list : t -> (string * int * int) list
-  (** [(id, estimate, error)] sorted by estimate descending (ties by
-      natural id order); [estimate - error <= true count <= estimate],
-      and any subject with true count above [observed / k] is
-      guaranteed present. *)
-
-  val merge : into:t -> t -> unit
 end

@@ -197,6 +197,31 @@ let test_cluster_golden_digest () =
     "cluster outputs digest" golden_cluster_digest
     (Digest.to_hex (Digest.string (Buffer.contents buffer)))
 
+(* --- timing golden digest --------------------------------------------------------------- *)
+
+(* Golden digest of every output that reads the flash timing model:
+   Fig. 3c/d's points (hex floats, so one ulp moves the digest),
+   AB-ECC-PLACE, and AB-QUEUE's closed-loop runs through
+   [Flash.Service].  A change to [Flash.Latency] or to how a caller
+   derives a cost from it moves this digest. *)
+let golden_timing_digest = "7065bb16e0353673c025b73ccfdc85a3"
+
+let test_timing_golden_digest () =
+  let buffer = Buffer.create 4096 in
+  let fmt = Format.formatter_of_buffer buffer in
+  List.iter
+    (fun (p : Experiments.Fig3perf.point) ->
+      Format.fprintf fmt "%h %h %h %h %h %h@." p.l1_fraction
+        p.seq_throughput_mib_s p.random16k_pages p.random16k_us
+        p.random16k_parallel_us p.random4k_us)
+    (Experiments.Fig3perf.measure ());
+  Experiments.Ablations.ecc_placement fmt;
+  Experiments.Ablations.queueing fmt;
+  Format.pp_print_flush fmt ();
+  Alcotest.(check string)
+    "timing outputs digest" golden_timing_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buffer)))
+
 let suite =
   [
     ("report table alignment", `Quick, test_report_table_alignment);
@@ -212,4 +237,5 @@ let suite =
     ("uber reliability holds", `Slow, test_uber_reliability_holds);
     ("fig4/tco/terms run", `Quick, test_fig4_runs_with_measured_factors);
     ("cluster golden digest", `Quick, test_cluster_golden_digest);
+    ("timing golden digest", `Quick, test_timing_golden_digest);
   ]

@@ -63,54 +63,6 @@ let test_topk_natural_tie_order () =
     [ "dev-1"; "dev-2"; "dev-9" ]
     (List.map (fun (id, _, ()) -> id) (Obs.Topk.Topk.to_list t))
 
-(* --- Counts ------------------------------------------------------------------ *)
-
-let test_counts_error_bounds () =
-  (* A skewed stream over 26 subjects through k=8 slots. *)
-  let truth = Hashtbl.create 26 in
-  let c = Obs.Topk.Counts.create ~k:8 () in
-  let n = 5000 in
-  for i = 0 to n - 1 do
-    (* Zipf-ish: subject j gets ~ n/2^j occurrences. *)
-    let rec pick j acc = if i land acc <> 0 || j >= 25 then j else pick (j + 1) (acc * 2) in
-    let subject = Printf.sprintf "s%c" (Char.chr (Char.code 'a' + pick 0 1)) in
-    Hashtbl.replace truth subject
-      (1 + Option.value ~default:0 (Hashtbl.find_opt truth subject));
-    Obs.Topk.Counts.add c subject
-  done;
-  checki "observed keeps exact stream weight" n (Obs.Topk.Counts.observed c);
-  let entries = Obs.Topk.Counts.to_list c in
-  checkb "at most k slots" true (List.length entries <= 8);
-  List.iter
-    (fun (id, est, err) ->
-      let true_count = Option.value ~default:0 (Hashtbl.find_opt truth id) in
-      checkb
-        (Printf.sprintf "%s: est-err <= true <= est" id)
-        true
-        (est - err <= true_count && true_count <= est))
-    entries;
-  (* Any subject above observed/k must be present. *)
-  Hashtbl.iter
-    (fun id count ->
-      if count > n / 8 then
-        checkb
-          (Printf.sprintf "heavy hitter %s retained" id)
-          true
-          (List.exists (fun (i, _, _) -> i = id) entries))
-    truth
-
-let test_counts_merge_conservative () =
-  let a = Obs.Topk.Counts.create ~k:4 () and b = Obs.Topk.Counts.create ~k:4 () in
-  for _ = 1 to 10 do Obs.Topk.Counts.add a "x" done;
-  for _ = 1 to 6 do Obs.Topk.Counts.add b "x" done;
-  for _ = 1 to 3 do Obs.Topk.Counts.add b "y" done;
-  Obs.Topk.Counts.merge ~into:a b;
-  checki "merge sums stream weight" 19 (Obs.Topk.Counts.observed a);
-  match List.find_opt (fun (id, _, _) -> id = "x") (Obs.Topk.Counts.to_list a) with
-  | Some (_, est, err) ->
-      checkb "merged estimate brackets truth" true (est - err <= 16 && 16 <= est)
-  | None -> Alcotest.fail "x evicted despite dominating the stream"
-
 (* --- Fleet report ------------------------------------------------------------ *)
 
 let obs ?(pec_max = 10) ?(pec_min = 5) ?(rber = 1e-4) ?(tol = 1e-2)
@@ -326,8 +278,6 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_topk_exact_vs_brute_force;
     ("topk: natural tie order", `Quick, test_topk_natural_tie_order);
-    ("counts: error bounds", `Quick, test_counts_error_bounds);
-    ("counts: conservative merge", `Quick, test_counts_merge_conservative);
     ("report: grading", `Quick, test_report_grading);
     ("report: balance statistics", `Quick, test_report_balance_stats);
     ("report: merge determinism", `Quick, test_report_merge_deterministic);
