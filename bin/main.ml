@@ -295,8 +295,9 @@ let jobs_term =
   let doc =
     "Worker domains for the parallel sections (fleet aging, experiment \
      fan-out).  1 runs everything sequentially; output is byte-identical \
-     at any value.  Values above the hardware's recommended domain count \
-     are clamped."
+     at any value.  The default is the hardware's recommended domain \
+     count less one; larger values are honoured, oversubscribing the \
+     cores."
   in
   Arg.(
     value

@@ -3,9 +3,6 @@ type mode = Shrink_s | Regen_s
 type config = {
   mode : mode;
   mdisk_opages : int;
-  over_provisioning : float;
-  decommission_headroom : float;
-  regen_headroom : float;
   max_level : int;
   scrub_on_decommission : bool;
   decommission_grace : bool;
@@ -15,15 +12,21 @@ let default_config =
   {
     mode = Regen_s;
     mdisk_opages = 256;
-    over_provisioning = 0.07;
-    decommission_headroom = 1.05;
-    regen_headroom = 1.06;
     max_level = 1;
     scrub_on_decommission = true;
     decommission_grace = false;
   }
 
-let shrink_config = { default_config with mode = Shrink_s }
+(* Initial over-provisioning fraction, left unexported. *)
+let over_provisioning = 0.07
+
+(* Eq. 2 margin: decommission when physical data slots fall below this
+   multiple of the exported LBAs. *)
+let decommission_headroom = 1.05
+
+(* Regenerate a minidisk only when slots exceed this multiple of
+   (LBAs + mSize): hysteresis just above the decommission threshold. *)
+let regen_headroom = 1.06
 
 (* Telemetry handles, bound at device creation.  [decommissions] and
    [regenerations] are counts whose [n] is this device's own tally (the
@@ -149,10 +152,6 @@ let create ?(config = default_config) ?registry ~geometry ~model ~rng () =
     match registry with Some r -> r | None -> Telemetry.Registry.null
   in
   if config.mdisk_opages <= 0 then invalid_arg "Device.create: mdisk_opages";
-  if config.decommission_headroom < 1. then
-    invalid_arg "Device.create: decommission_headroom must be >= 1";
-  if config.regen_headroom <= config.decommission_headroom then
-    invalid_arg "Device.create: regen_headroom must exceed decommission_headroom";
   let max_level = match config.mode with Shrink_s -> 0 | Regen_s -> config.max_level in
   let profile = Tiredness.profile ~max_level geometry in
   let chip =
@@ -233,7 +232,7 @@ let create ?(config = default_config) ?registry ~geometry ~model ~rng () =
   let initial =
     Stdlib.min slots
       (int_of_float
-         (float_of_int total_opages *. (1. -. config.over_provisioning))
+         (float_of_int total_opages *. (1. -. over_provisioning))
       / config.mdisk_opages)
   in
   let registry =
@@ -473,7 +472,7 @@ let check_capacity t =
   let deficit () =
     Limbo.capacity_deficit t.limbo
       ~lbas:(Minidisk.Registry.active_opages t.registry)
-      ~headroom:t.config.decommission_headroom
+      ~headroom:decommission_headroom
   in
   let continue = ref (deficit () > 0) in
   while (not t.dead) && !continue do
@@ -486,7 +485,7 @@ let check_capacity t =
   if (not t.dead) && t.config.mode = Regen_s then begin
     let slack_for_one_more () =
       float_of_int (Limbo.total_data_opages t.limbo)
-      >= t.config.regen_headroom
+      >= regen_headroom
          *. float_of_int
               (Minidisk.Registry.active_opages t.registry
               + t.config.mdisk_opages)

@@ -20,14 +20,6 @@ type mode = Shrink_s | Regen_s
 type config = {
   mode : mode;
   mdisk_opages : int;  (** mSize in oPages; 256 = 1 MiB with 4 KiB oPages *)
-  over_provisioning : float;  (** initial OP fraction (default 0.07) *)
-  decommission_headroom : float;
-      (** Eq. 2 margin: decommission when physical data slots fall below
-          [headroom * exported LBAs] (default 1.05) *)
-  regen_headroom : float;
-      (** regenerate a minidisk only when slots exceed
-          [headroom * (LBAs + mSize)] — hysteresis just above the
-          decommission threshold (default 1.06) *)
   max_level : int;  (** highest usable tiredness level in RegenS
                         (default 1, the paper's recommendation) *)
   scrub_on_decommission : bool;
@@ -44,10 +36,11 @@ type config = {
 }
 
 val default_config : config
-(** RegenS, 1 MiB minidisks, the paper's parameters. *)
-
-val shrink_config : config
-(** Same but [mode = Shrink_s]. *)
+(** RegenS, 1 MiB minidisks, the paper's parameters.  Every device
+    leaves 7 % of its oPages unexported as over-provisioning, shrinks
+    when its physical data slots fall below 1.05x the exported LBAs
+    (Eq. 2) and regenerates a minidisk only when they exceed 1.06x the
+    LBAs plus one mSize. *)
 
 type t
 
@@ -62,9 +55,7 @@ val create :
 (** Telemetry (device, chip and engine metrics plus trace events) binds
     against [registry]; omitting it falls back to
     {!Telemetry.Registry.null}, i.e. inert.
-    @raise Invalid_argument if a minidisk does not fit the geometry or the
-    headroom parameters are not [>= 1] with
-    [regen_headroom > decommission_headroom]. *)
+    @raise Invalid_argument if a minidisk does not fit the geometry. *)
 
 (** {2 I/O at minidisk granularity} *)
 

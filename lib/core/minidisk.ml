@@ -23,7 +23,6 @@ module Registry = struct
     by_id : (int, mdisk) Hashtbl.t;
     mutable free_slots : int list;
     mutable next_id : int;
-    mutable decommissioned : int;
     mutable view : view;
   }
 
@@ -81,7 +80,6 @@ module Registry = struct
         by_id = Hashtbl.create 64;
         free_slots = List.init slots Fun.id;
         next_id = 0;
-        decommissioned = 0;
         view = derive ~opages_per_mdisk [||] (* replaced below *);
       }
     in
@@ -110,7 +108,6 @@ module Registry = struct
           invalid_arg "Minidisk.Registry.decommission: already decommissioned";
         mdisk.state <- Decommissioned;
         t.free_slots <- mdisk.slot :: t.free_slots;
-        t.decommissioned <- t.decommissioned + 1;
         let owner = Array.copy t.view.owner in
         owner.(mdisk.slot) <- None;
         rebuild t owner;
@@ -133,7 +130,6 @@ module Registry = struct
   let active_count t = Array.length t.view.active
   let active_opages t = active_count t * t.opages_per_mdisk
   let created_total t = t.next_id
-  let decommissioned_total t = t.decommissioned
 
   let engine_logical t mdisk ~lba =
     if lba < 0 || lba >= mdisk.opages then

@@ -78,7 +78,6 @@ module Registry : sig
   (** Total LBAs currently exported: |LBAs| in Eq. 2. *)
 
   val created_total : t -> int
-  val decommissioned_total : t -> int
 
   val engine_logical : t -> mdisk -> lba:int -> int
   (** Translate a minidisk-relative LBA to the engine's flat index: the

@@ -29,7 +29,7 @@ let tolerable_rber ?(target = default_codeword_target)
           let rber =
             Sim.Special.solve_monotone
               ~f:(fun rber -> codeword_fail_prob params ~rber)
-              ~target ~lo:0. ~hi:0.5 ()
+              ~target ~lo:0. ~hi:0.5
           in
           Hashtbl.add tolerable_cache key rber;
           rber)

@@ -1,13 +1,7 @@
 let kinds : Fleet.kind list = [ `Baseline; `Cvss; `Shrinks; `Regens ]
 
-let run ?days ?years ?(devices = Defaults.fleet_devices) ?(dwpd = 1.)
+let run ?(days = 150) ?(devices = Defaults.fleet_devices) ?(dwpd = 1.)
     ?aging ?(epoch_days = 1) ?(kinds = kinds) ?(ctx = Ctx.default) fmt =
-  let days =
-    match (years, days) with
-    | Some y, _ -> y * 365
-    | None, Some d -> d
-    | None, None -> 150
-  in
   let results =
     List.map
       (fun kind -> Fleet.run ~days ~devices ~dwpd ?aging ~epoch_days ~ctx kind)

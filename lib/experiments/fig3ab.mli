@@ -9,7 +9,6 @@
 
 val run :
   ?days:int ->
-  ?years:int ->
   ?devices:int ->
   ?dwpd:float ->
   ?aging:Workload.Aging.path ->
@@ -24,8 +23,7 @@ val run :
     CLI's [fleet --mode regens --devices 100000] path runs one kind at
     datacenter scale; [dwpd] scales the daily write quota.
 
-    [years] overrides [days] with [365 * years] (default: 150 days);
-    [epoch_days] coalesces days into multi-day aging epochs and [aging]
+    [days] defaults to 150; [epoch_days] coalesces days into multi-day aging epochs and [aging]
     picks the epoch driver — both forwarded to {!Fleet.run}.  The report
     tables stride by 5 days, rounded up to whole epochs when epochs are
     coarser. *)

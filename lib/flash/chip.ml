@@ -122,7 +122,7 @@ let create ?registry ~rng ~geometry ~model () =
      the total spread matches {!Rber_model.sample_strength}.  The draw
      order (block strength, then that block's page strengths) is part of
      the determinism contract — goldens pin it. *)
-  let component_sigma = model.Rber_model.strength_sigma *. sqrt 0.5 in
+  let component_sigma = Rber_model.strength_sigma *. sqrt 0.5 in
   let blocks = geometry.Geometry.blocks in
   let ppb = geometry.Geometry.pages_per_block in
   let opages = geometry.Geometry.opages_per_fpage in

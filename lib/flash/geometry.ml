@@ -7,25 +7,23 @@ type t = {
   codewords_per_opage : int;
 }
 
-let create ?(opage_bytes = 4096) ?(opages_per_fpage = 4) ?(spare_bytes = 2048)
-    ?(codewords_per_opage = 2) ~pages_per_block ~blocks () =
+let create ?(opages_per_fpage = 4) ?(spare_bytes = 2048) ~pages_per_block
+    ~blocks () =
   let positive name v =
     if v <= 0 then
       invalid_arg (Printf.sprintf "Geometry.create: %s must be > 0" name)
   in
-  positive "opage_bytes" opage_bytes;
   positive "opages_per_fpage" opages_per_fpage;
   positive "spare_bytes" spare_bytes;
-  positive "codewords_per_opage" codewords_per_opage;
   positive "pages_per_block" pages_per_block;
   positive "blocks" blocks;
   {
-    opage_bytes;
+    opage_bytes = 4096;
     opages_per_fpage;
     spare_bytes;
     pages_per_block;
     blocks;
-    codewords_per_opage;
+    codewords_per_opage = 2;
   }
 
 let fpage_data_bytes t = t.opage_bytes * t.opages_per_fpage

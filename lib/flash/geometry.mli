@@ -17,16 +17,15 @@ type t = private {
 }
 
 val create :
-  ?opage_bytes:int ->
   ?opages_per_fpage:int ->
   ?spare_bytes:int ->
-  ?codewords_per_opage:int ->
   pages_per_block:int ->
   blocks:int ->
   unit ->
   t
-(** Defaults give the paper's reference geometry: 4 KiB oPages, 4 per
-    fPage (16 KiB), 2 KiB spare, 2 codewords per oPage.
+(** Every geometry has the paper's 4 KiB oPages and 2 codewords per
+    oPage; the defaults give its reference fPage: 4 oPages (16 KiB) and
+    2 KiB spare.
     @raise Invalid_argument on non-positive dimensions. *)
 
 val fpage_data_bytes : t -> int

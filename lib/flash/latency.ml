@@ -7,13 +7,15 @@ type t = {
   decode_us_per_error : float;
 }
 
-let create ?(read_us = 60.) ?(program_us = 700.) ?(erase_us = 5000.)
-    ?(transfer_us_per_kib = 0.25) ?(retry_us = 40.)
-    ?(decode_us_per_error = 0.02) () =
-  { read_us; program_us; erase_us; transfer_us_per_kib; retry_us;
-    decode_us_per_error }
-
-let default = create ()
+let default =
+  {
+    read_us = 60.;
+    program_us = 700.;
+    erase_us = 5000.;
+    transfer_us_per_kib = 0.25;
+    retry_us = 40.;
+    decode_us_per_error = 0.02;
+  }
 
 let expected_retries ~margin =
   if margin < 0.5 then 0

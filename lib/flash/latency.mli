@@ -1,8 +1,11 @@
 (** Timing model for flash operations (microseconds).
 
-    Used by the performance experiments (Figs. 3c and 3d): an access that
-    spans more fPages pays more page reads and transfers, which is exactly
-    how RegenS's 4/(4-L) degradation arises.  Read-retry latency grows as
+    {!default} is the simulator's one set of device timings: the
+    performance experiments (Figs. 3c and 3d, the AB-ECC-PLACE and
+    AB-QUEUE ablations), the chip's modelled operation time and the
+    traffic replayer's device charges all read it.  An access that spans
+    more fPages pays more page reads and transfers, which is exactly how
+    RegenS's 4/(4-L) degradation arises.  Read-retry latency grows as
     the error count approaches the code's capability, modelling the
     iterative voltage adjustment described in §2. *)
 
@@ -17,17 +20,8 @@ type t = private {
 
 val default : t
 (** Representative TLC timings: 60 us read, 700 us program, 5 ms erase,
-    0.25 us/KiB transfer (~4 GB/s channel). *)
-
-val create :
-  ?read_us:float ->
-  ?program_us:float ->
-  ?erase_us:float ->
-  ?transfer_us_per_kib:float ->
-  ?retry_us:float ->
-  ?decode_us_per_error:float ->
-  unit ->
-  t
+    0.25 us/KiB transfer (~4 GB/s channel), 40 us per read-retry rung,
+    0.02 us of decode per raw bit error. *)
 
 val expected_retries : margin:float -> int
 (** Retry count as the RBER margin degrades: [margin] is

@@ -4,43 +4,29 @@
     al. FAST '19; Cai et al. 2017), RBER grows polynomially with program/
     erase cycles:
 
-    {v rber(pec) = floor + strength * coefficient * (pec / pec_scale)^exponent v}
+    {v rber(pec) = floor + strength * coefficient * (pec / pec_scale)^3.5 v}
 
-    [strength] is a per-page multiplier (lognormal across pages) modelling
-    the large page-to-page endurance variance in 3D NAND that motivates
-    Salamander's page-granularity retirement.  The exponent defaults to
-    3.5, which makes the L1/L0 lifetime ratio land at the paper's ~1.5x
-    (see DESIGN.md, Calibration). *)
+    The floor (pristine flash) is 1e-6.  [strength] is a per-page
+    multiplier (lognormal with sigma {!strength_sigma} across pages)
+    modelling the large page-to-page endurance variance in 3D NAND that
+    motivates Salamander's page-granularity retirement.  The exponent
+    3.5 makes the L1/L0 lifetime ratio land at the paper's ~1.5x (see
+    DESIGN.md, Calibration).  Only the endurance scale and read disturb
+    vary between models. *)
 
 type t = private {
-  floor_rber : float;  (** error rate of pristine flash *)
   coefficient : float;  (** wear-induced RBER at [pec = pec_scale], strength 1 *)
-  exponent : float;  (** polynomial growth exponent *)
   pec_scale : float;  (** normalization constant, in erase cycles *)
-  strength_sigma : float;  (** lognormal sigma of the per-page multiplier *)
   read_disturb_per_read : float;
       (** RBER added per read of the page since its block's last erase
           (§2 lists read disturb among the error sources).  0 disables
           the effect; devices counter it with read-reclaim scrubbing. *)
 }
 
-val default_exponent : float
-val default_strength_sigma : float
-
-val create :
-  ?floor_rber:float ->
-  ?exponent:float ->
-  ?strength_sigma:float ->
-  ?read_disturb_per_read:float ->
-  coefficient:float ->
-  pec_scale:float ->
-  unit ->
-  t
+val strength_sigma : float
+(** Lognormal sigma of the per-page strength multiplier (0.9). *)
 
 val calibrate :
-  ?floor_rber:float ->
-  ?exponent:float ->
-  ?strength_sigma:float ->
   ?read_disturb_per_read:float ->
   target_rber:float ->
   target_pec:int ->
@@ -50,7 +36,10 @@ val calibrate :
     median-strength page reaches [target_rber] after exactly [target_pec]
     erase cycles — the standard way to pin the simulated endurance to a
     known device class (e.g. 3 000 cycles for datacenter TLC), or to an
-    accelerated scale for fleet simulations. *)
+    accelerated scale for fleet simulations.  [read_disturb_per_read]
+    defaults to 0.
+    @raise Invalid_argument if [target_pec <= 0] or [target_rber] is at
+    or below the floor. *)
 
 val rber : ?reads:int -> t -> pec:int -> strength:float -> float
 (** Current raw bit-error rate: the wear term plus [reads] (reads of the

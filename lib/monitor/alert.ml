@@ -3,13 +3,12 @@ type direction = Above | Below
 type rule = {
   rule : string;
   metric : string;
-  field : string;
   direction : direction;
   fire : float;
   resolve : float;
 }
 
-let rule ?(field = "value") ?(direction = Above) ~metric ~fire ~resolve name =
+let rule ?(direction = Above) ~metric ~fire ~resolve name =
   (match direction with
   | Above ->
       if resolve > fire then
@@ -17,7 +16,7 @@ let rule ?(field = "value") ?(direction = Above) ~metric ~fire ~resolve name =
   | Below ->
       if resolve < fire then
         invalid_arg "Alert.rule: Below needs resolve >= fire");
-  { rule = name; metric; field; direction; fire; resolve }
+  { rule = name; metric; direction; fire; resolve }
 
 type state = Firing | Resolved
 
@@ -45,7 +44,7 @@ let eval t ~time sampler =
     (fun r ->
       List.iter
         (fun ((k : Sampler.Key.t), s) ->
-          if k.name = r.metric && k.field = r.field then
+          if k.name = r.metric && k.field = "value" then
             match Series.last s with
             | None -> ()
             | Some v ->

@@ -1,6 +1,6 @@
 (** Threshold alerting with hysteresis over sampled series.
 
-    A rule watches every series whose (metric, field) matches and keeps
+    A rule watches every ["value"] series of its metric and keeps
     one firing/resolved state per series.  An [Above] rule fires when
     the latest value reaches [fire] and resolves only once it drops
     below [resolve] (with [resolve <= fire], the hysteresis band);
@@ -13,21 +13,19 @@ type direction = Above | Below
 type rule = private {
   rule : string;
   metric : string;
-  field : string;
   direction : direction;
   fire : float;
   resolve : float;
 }
 
 val rule :
-  ?field:string ->
   ?direction:direction ->
   metric:string ->
   fire:float ->
   resolve:float ->
   string ->
   rule
-(** [field] defaults to ["value"], [direction] to [Above].
+(** [direction] defaults to [Above].
     @raise Invalid_argument when the hysteresis band is inverted
     ([Above] needs [resolve <= fire]; [Below] the opposite). *)
 

@@ -72,10 +72,10 @@ let slope points =
       in
       if var = 0. then 0. else cov /. var
 
-let assess ?(thresholds = default_thresholds) ?(group_by = "device") sampler =
+let assess ?(thresholds = default_thresholds) sampler =
   let all = Sampler.series sampler in
   let subject_of ((k : Sampler.Key.t), _) =
-    List.assoc_opt group_by k.labels
+    List.assoc_opt "device" k.labels
   in
   let subjects =
     List.filter_map subject_of all

@@ -63,10 +63,10 @@ val default_thresholds : thresholds
 (** target_pec 60 (the experiment calibration), margin 1.25,
     retry rate 1e-3, live-repair rate 1e-4. *)
 
-val assess :
-  ?thresholds:thresholds -> ?group_by:string -> Sampler.t -> report list
-(** One report per subject, in natural subject order ([regens-2] before
-    [regens-10]).  Series that carry no [group_by] label are assessed
+val assess : ?thresholds:thresholds -> Sampler.t -> report list
+(** One report per subject — the value of each series' ["device"]
+    label — in natural subject order ([regens-2] before
+    [regens-10]).  Series that carry no ["device"] label are assessed
     as a single subject named ["device"] when {e no} series carries the
     label (the single-device case); otherwise unlabeled series are
     ignored. *)

@@ -31,8 +31,8 @@ type t = { capacity : int; table : (Key.t, Series.t) Hashtbl.t }
 
 let create ?(capacity = 256) () = { capacity; table = Hashtbl.create 64 }
 
-let key ?(labels = []) ?(field = "value") name =
-  { Key.name; labels = Telemetry.Registry.Labels.v labels; field }
+let key ?(labels = []) name =
+  { Key.name; labels = Telemetry.Registry.Labels.v labels; field = "value" }
 
 let series_for t k =
   match Hashtbl.find_opt t.table k with

@@ -33,9 +33,8 @@ type t
 val create : ?capacity:int -> unit -> t
 (** [capacity] bounds every per-key series (default 256 points). *)
 
-val key :
-  ?labels:(string * string) list -> ?field:string -> string -> Key.t
-(** Build a key; [field] defaults to ["value"].
+val key : ?labels:(string * string) list -> string -> Key.t
+(** Build the key of a metric's ["value"] field.
     @raise Invalid_argument on malformed labels. *)
 
 val observe : t -> time:float -> Key.t -> float -> unit

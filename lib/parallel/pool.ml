@@ -37,14 +37,14 @@ let rec worker_loop t =
    measurably worse on the 40-day fleet at --jobs 4. *)
 let min_minor_heap_words = 4 * 1024 * 1024
 
-let tune_gc words =
+let tune_gc () =
   let g = Gc.get () in
-  if g.Gc.minor_heap_size < words then
-    Gc.set { g with Gc.minor_heap_size = words }
+  if g.Gc.minor_heap_size < min_minor_heap_words then
+    Gc.set { g with Gc.minor_heap_size = min_minor_heap_words }
 
-let create_sized ~nursery_words ~domains =
+let create ~domains =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
-  tune_gc nursery_words;
+  tune_gc ();
   let t =
     {
       mutex = Mutex.create ();
@@ -57,12 +57,9 @@ let create_sized ~nursery_words ~domains =
   t.workers <-
     Array.init domains (fun _ ->
         Domain.spawn (fun () ->
-            tune_gc nursery_words;
+            tune_gc ();
             worker_loop t));
   t
-
-let create ~domains =
-  create_sized ~nursery_words:min_minor_heap_words ~domains
 
 let domains t = Array.length t.workers
 
@@ -166,6 +163,6 @@ let shutdown t =
   Mutex.unlock t.mutex;
   if fresh then Array.iter Domain.join t.workers
 
-let with_pool ?(nursery_words = min_minor_heap_words) ~domains f =
-  let t = create_sized ~nursery_words ~domains in
+let with_pool ~domains f =
+  let t = create ~domains in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -29,7 +29,10 @@
 type t
 
 val create : domains:int -> t
-(** [create ~domains] spawns [domains] worker domains (at least 1).
+(** [create ~domains] spawns [domains] worker domains (at least 1) and
+    grows every participating domain's minor heap (workers and caller)
+    to at least 4M words, the measured sweet spot for the fleet
+    workloads; minor heaps are never shrunk back.
     @raise Invalid_argument if [domains < 1]. *)
 
 val domains : t -> int
@@ -41,12 +44,6 @@ val default_domains : unit -> int
 
 val submit : t -> (unit -> unit) -> unit
 (** Enqueue one task.  @raise Invalid_argument after {!shutdown}. *)
-
-val submit_batch : t -> (unit -> unit) list -> unit
-(** Enqueue every task under a single lock acquisition and wake the
-    workers with one [Condition.broadcast] — the batched form {!map} and
-    {!map_chunked} are built on.  @raise Invalid_argument after
-    {!shutdown}. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map t f xs] evaluates [f x] for every element on the pool's workers
@@ -101,9 +98,6 @@ val shutdown : t -> unit
 (** Drain nothing, accept nothing: wake every worker and join them.
     Idempotent.  Outstanding {!map} calls must have returned. *)
 
-val with_pool : ?nursery_words:int -> domains:int -> (t -> 'a) -> 'a
+val with_pool : domains:int -> (t -> 'a) -> 'a
 (** Scoped create/shutdown: the pool is torn down when the callback
-    returns or raises.  [nursery_words] overrides the per-domain
-    minor-heap floor the pool grows every participating domain (workers
-    and caller) to; the default is the measured sweet spot for the
-    fleet workloads.  Minor heaps are only ever grown, never shrunk. *)
+    returns or raises. *)

@@ -118,9 +118,9 @@ let binomial_tail_exact_sum n p t =
       exp (max_term +. log sum)
   end
 
-let solve_monotone ?(iterations = 200) ~f ~target ~lo ~hi () =
+let solve_monotone ~f ~target ~lo ~hi =
   let lo = ref lo and hi = ref hi in
-  for _ = 1 to iterations do
+  for _ = 1 to 200 do
     let mid = 0.5 *. (!lo +. !hi) in
     if f mid < target then lo := mid else hi := mid
   done;

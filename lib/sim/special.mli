@@ -19,9 +19,6 @@ val betai : float -> float -> float -> float
 (** [betai a b x] is the regularized incomplete beta function I_x(a,b),
     for [a, b > 0] and [x] in \[0, 1\]. *)
 
-val binomial_cdf : int -> float -> int -> float
-(** [binomial_cdf n p t] = P(X <= t) for X ~ Binomial(n, p). *)
-
 val binomial_tail : int -> float -> int -> float
 (** [binomial_tail n p t] = P(X > t) for X ~ Binomial(n, p): the probability
     that more than [t] of [n] bits flip when each flips independently with
@@ -33,9 +30,8 @@ val binomial_tail_exact_sum : int -> float -> int -> float
     tests to validate {!binomial_tail} and available for small [n]. *)
 
 val solve_monotone :
-  ?iterations:int -> f:(float -> float) -> target:float -> lo:float ->
-  hi:float -> unit -> float
-(** [solve_monotone ~f ~target ~lo ~hi ()] finds [x] in \[lo, hi\] with
+  f:(float -> float) -> target:float -> lo:float -> hi:float -> float
+(** [solve_monotone ~f ~target ~lo ~hi] finds [x] in \[lo, hi\] with
     [f x = target] by bisection, assuming [f] is monotonically increasing on
-    the interval.  Runs [iterations] (default 200) halvings, which is enough
-    to exhaust double precision. *)
+    the interval.  Runs 200 halvings, which is enough to exhaust double
+    precision. *)

@@ -2,13 +2,10 @@
     sources.  Collected in one place so every experiment cites the same
     numbers and sensitivity sweeps have an obvious anchor. *)
 
-val f_op_datacenter : float
-(** 0.58 — fraction of datacenter emissions that are operational
-    (Wang et al., ISCA '24 [25]). *)
-
 val f_op_ssd_servers : float
-(** 0.46 — the paper's conservative 20% reduction of the above for
-    SSD-heavy storage servers (§4.1). *)
+(** 0.46 — the paper's conservative 20% reduction, for SSD-heavy
+    storage servers, of the 0.58 operational share of datacenter
+    emissions (Wang et al., ISCA '24 [25]) (§4.1). *)
 
 val power_effectiveness : float
 (** 1.06 — operational-emissions penalty of keeping old drives instead of
@@ -43,14 +40,3 @@ val capacity_gap_fraction : float
 (** 0.4 — fraction of a Salamander drive's capacity that must be
     backfilled with new baseline drives during its shrunken phase
     (average shrunk capacity 60% of baseline, §4.4). *)
-
-val annual_failure_rate : float
-(** 0.01 — reported SSD AFR in large deployments [28] (§2.1). *)
-
-val bad_block_brick_threshold : float
-(** 0.025 — worn-block fraction at which baseline firmware bricks [14]. *)
-
-val ssd_carbon_intensity_kg_per_tb : float
-(** 17.3 kgCO2e/TB — the (low-end) intensity estimate behind [25]'s
-    carbon model, which the paper notes is conservative for its
-    analysis. *)

@@ -30,11 +30,6 @@ val intensity : spec -> op:int -> float
 (** Diurnal arrival-intensity multiplier at op index [op], in
     [1 - diurnal_amplitude, 1]; constantly 1 when disabled. *)
 
-val tenant_on : spec -> tenant:int -> op:int -> bool
-(** Burst gate: whether the tenant's on/off envelope (phase-shifted by a
-    hash of its id) is "on" at op index [op]; always true when
-    disabled. *)
-
 val generate : spec -> seed:int -> Workload.Trace.t
 (** Produce exactly [spec.ops] events, deterministically from [seed].
     @raise Invalid_argument on a malformed spec (non-positive

@@ -35,11 +35,9 @@ val create : ?profiles:profile list -> tenants:int -> unit -> t
 val tenants : t -> int
 val profiles : t -> profile array
 
-val profile_index : t -> int -> int
+val profile_of : t -> int -> profile
 (** Profile of a tenant id, by striping shares across the id space:
     deterministic, allocation-free. *)
-
-val profile_of : t -> int -> profile
 
 val base_lba : t -> int -> window:int -> int
 (** Start of the tenant's footprint inside a [window]-LBA address space,

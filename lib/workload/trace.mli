@@ -38,8 +38,6 @@ val of_events : event list -> t
     [of_string (to_string t)] is the identity on the event list; loaders
     reject unknown versions instead of misreading them. *)
 
-val format_version : int
-
 val to_string : t -> string
 val of_string : string -> (t, string) result
 

@@ -83,12 +83,12 @@ let prop_rber_split_bit_exact =
       in
       let strength = Float.exp log_strength in
       let closed_form =
-        model.Flash.Rber_model.floor_rber
+        1e-6
         +. strength
            *. ((model.Flash.Rber_model.coefficient
                *. Float.pow
                     (float_of_int pec /. model.Flash.Rber_model.pec_scale)
-                    model.Flash.Rber_model.exponent)
+                    3.5)
               +. (model.Flash.Rber_model.read_disturb_per_read
                  *. float_of_int reads))
       in
@@ -111,7 +111,7 @@ let test_rber_strength_distribution () =
   in
   (* Lognormal with mu=0: log has mean 0, stddev = sigma. *)
   checkf 0.02 "median 1" 0. mean;
-  checkf 0.02 "sigma" Flash.Rber_model.default_strength_sigma stddev
+  checkf 0.02 "sigma" Flash.Rber_model.strength_sigma stddev
 
 (* --- Chip --------------------------------------------------------------- *)
 

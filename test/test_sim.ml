@@ -269,7 +269,7 @@ let test_binomial_tail_monotone_in_p () =
 
 let test_solve_monotone () =
   let root =
-    Sim.Special.solve_monotone ~f:(fun x -> x *. x) ~target:2. ~lo:0. ~hi:2. ()
+    Sim.Special.solve_monotone ~f:(fun x -> x *. x) ~target:2. ~lo:0. ~hi:2.
   in
   checkf 1e-9 "sqrt 2" (sqrt 2.) root
 
