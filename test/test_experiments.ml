@@ -197,6 +197,34 @@ let test_cluster_golden_digest () =
     "cluster outputs digest" golden_cluster_digest
     (Digest.to_hex (Digest.string (Buffer.contents buffer)))
 
+(* --- fault-table golden digest ----------------------------------------------------------- *)
+
+(* Golden digest of the chaos report under the [sticky] and [silent]
+   presets at seed 11 over 1000 steps: every cell's chips carry live
+   injected fault cells (sticky RBER excess, silent XOR masks) on worn
+   blocks while the diFS scrubs and repairs through them.  A change to
+   how [Flash.Chip] finds a page's faults or wear, to how a minidisk
+   target reaches its device, or to how a chunk's expected payloads are
+   derived moves this digest if it moves one read's outcome. *)
+let golden_fault_table_digest = "2e2989e63b60bc8544679c89976d4cd2"
+
+let test_fault_table_golden_digest () =
+  let buffer = Buffer.create 16384 in
+  let fmt = Format.formatter_of_buffer buffer in
+  let passed =
+    List.map
+      (fun preset ->
+        Experiments.Chaos.run
+          ~plan:(List.assoc preset Faults.Plan.presets)
+          ~seed:11 ~steps:1000 fmt)
+      [ "sticky"; "silent" ]
+  in
+  Format.pp_print_flush fmt ();
+  checkb "sticky and silent verdicts pass" true (List.for_all Fun.id passed);
+  Alcotest.(check string)
+    "fault-table outputs digest" golden_fault_table_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buffer)))
+
 (* --- timing golden digest --------------------------------------------------------------- *)
 
 (* Golden digest of every output that reads the flash timing model:
@@ -238,4 +266,5 @@ let suite =
     ("fig4/tco/terms run", `Quick, test_fig4_runs_with_measured_factors);
     ("cluster golden digest", `Quick, test_cluster_golden_digest);
     ("timing golden digest", `Quick, test_timing_golden_digest);
+    ("fault-table golden digest", `Quick, test_fault_table_golden_digest);
   ]
