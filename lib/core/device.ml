@@ -525,34 +525,19 @@ let maintain t =
 
 (* --- I/O ----------------------------------------------------------------- *)
 
-let find_active t id =
-  match Minidisk.Registry.find t.registry id with
-  | Some mdisk when mdisk.Minidisk.state = Minidisk.Active -> Some mdisk
-  | _ -> None
-
-(* Readable minidisks include draining ones: the grace period exists
-   precisely so the diFS can still read the retiring data. *)
-let find_readable t id =
-  match Minidisk.Registry.find t.registry id with
-  | Some mdisk
-    when mdisk.Minidisk.state = Minidisk.Active
-         || mdisk.Minidisk.state = Minidisk.Draining ->
-      Some mdisk
-  | _ -> None
-
 (* Eq. 2 normally shrinks the device before space truly runs out, but a
    garbage-collection cascade can retire many blocks within a single
    host write.  Keep decommissioning until the write fits or nothing is
    left to give up.  Shared by the per-op write path and the bulk-aging
    stream wrapper, so both recover identically. *)
-let recover_no_space t ~mdisk ~logical ~payload =
+let recover_no_space t ~(mdisk : Minidisk.t) ~logical ~payload =
   let rec recover () =
     if t.dead then Error `No_space
     else if not (decommission_one ~urgent:true t) then begin
       t.dead <- true;
       Error `No_space
     end
-    else if find_active t mdisk = None then
+    else if mdisk.Minidisk.state <> Minidisk.Active then
       (* the victim was this write's own minidisk *)
       Error `Unknown_mdisk
     else
@@ -589,33 +574,49 @@ let read_logical t ~logical =
       e
   | result -> result
 
-let write t ~mdisk ~lba ~payload =
+(* Writes and trims take only [Active] minidisks; reads also take
+   [Draining] ones: the grace period exists precisely so the diFS can
+   still read the retiring data.  The registry never replaces a record,
+   so a caller holding one sees every state change. *)
+let write_mdisk t (m : Minidisk.t) ~lba ~payload =
   if t.dead then Error `Dead
+  else if m.Minidisk.state <> Minidisk.Active then Error `Unknown_mdisk
   else
-    match find_active t mdisk with
-    | None -> Error `Unknown_mdisk
-    | Some m ->
-        write_logical t ~mdisk
-          ~logical:(Minidisk.Registry.engine_logical t.registry m ~lba)
-          ~payload
+    write_logical t ~mdisk:m
+      ~logical:(Minidisk.Registry.engine_logical t.registry m ~lba)
+      ~payload
 
-let read t ~mdisk ~lba =
+let read_mdisk t (m : Minidisk.t) ~lba =
   if t.dead then Error `Dead
   else
-    match find_readable t mdisk with
-    | None -> Error `Unknown_mdisk
-    | Some m ->
+    match m.Minidisk.state with
+    | Minidisk.Decommissioned -> Error `Unknown_mdisk
+    | Minidisk.Active | Minidisk.Draining ->
         (read_logical t
            ~logical:(Minidisk.Registry.engine_logical t.registry m ~lba)
           :> (int, read_error) result)
 
+let trim_mdisk t (m : Minidisk.t) ~lba =
+  if (not t.dead) && m.Minidisk.state = Minidisk.Active then
+    Ftl.Engine.discard t.engine
+      ~logical:(Minidisk.Registry.engine_logical t.registry m ~lba)
+
+(* The id-keyed calls look the record up and delegate; an unknown id
+   fails like a decommissioned one, after the death check. *)
+let write t ~mdisk ~lba ~payload =
+  match Minidisk.Registry.find t.registry mdisk with
+  | Some m -> write_mdisk t m ~lba ~payload
+  | None -> if t.dead then Error `Dead else Error `Unknown_mdisk
+
+let read t ~mdisk ~lba =
+  match Minidisk.Registry.find t.registry mdisk with
+  | Some m -> read_mdisk t m ~lba
+  | None -> if t.dead then Error `Dead else Error `Unknown_mdisk
+
 let trim t ~mdisk ~lba =
-  if not t.dead then
-    match find_active t mdisk with
-    | None -> ()
-    | Some m ->
-        Ftl.Engine.discard t.engine
-          ~logical:(Minidisk.Registry.engine_logical t.registry m ~lba)
+  match Minidisk.Registry.find t.registry mdisk with
+  | Some m -> trim_mdisk t m ~lba
+  | None -> ()
 
 (* Engine logicals are slot-addressed; the view's owner table maps one
    back to the minidisk holding that slot.  Draining minidisks still own
@@ -703,7 +704,7 @@ module As_device = struct
     else
       let i = lba / per in
       match
-        write_logical t ~mdisk:v.active.(i).Minidisk.id
+        write_logical t ~mdisk:v.active.(i)
           ~logical:(v.base.(i) + (lba mod per))
           ~payload
       with
@@ -763,7 +764,7 @@ module As_device = struct
               go accepted
           | Ftl.Engine.Stream_no_space lba -> (
               match
-                recover_no_space t ~mdisk:v.active.(lba / per).Minidisk.id
+                recover_no_space t ~mdisk:v.active.(lba / per)
                   ~logical:(translate lba)
                   ~payload:(payload_base + accepted)
               with

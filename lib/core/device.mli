@@ -73,6 +73,19 @@ val read : t -> mdisk:int -> lba:int -> (int, read_error) result
 
 val trim : t -> mdisk:int -> lba:int -> unit
 
+(** The same three calls on a minidisk record the caller holds (one of
+    this device's, e.g. from {!active_mdisks} or
+    {!Minidisk.Registry.find} on {!registry}), with no lookup per oPage.
+    Each accepts and rejects exactly what its id-keyed twin above does
+    for the record's id, with the same error: the id-keyed calls are
+    lookups that delegate here. *)
+
+val write_mdisk :
+  t -> Minidisk.t -> lba:int -> payload:int -> (unit, write_error) result
+
+val read_mdisk : t -> Minidisk.t -> lba:int -> (int, read_error) result
+val trim_mdisk : t -> Minidisk.t -> lba:int -> unit
+
 val set_recovery_hook :
   t ->
   ?config:Ftl.Engine.recovery_config ->

@@ -5,15 +5,36 @@ type t = {
   opages : int;
   mutable version : int;
   mutable shares : share list;
+  payloads : int array;
+  mutable payloads_version : int;
 }
 
-let create ~id ~opages = { id; opages; version = 0; shares = [] }
+let create ~id ~opages =
+  {
+    id;
+    opages;
+    version = 0;
+    shares = [];
+    payloads = Array.make opages 0;
+    payloads_version = -1;
+  }
 
 let payload ~id ~offset ~version =
   (* 32-bit fingerprint: survives the byte-level erasure coder while
      staying collision-poor enough that version/offset confusion cannot
      go unnoticed. *)
   Hashtbl.hash (id, offset, version) land 0xFFFFFFFF
+
+(* The first lookup after a version bump fills the whole chunk: a write
+   or a scrub then reads every offset, so no hash is wasted. *)
+let data_payload t ~offset =
+  if t.payloads_version <> t.version then begin
+    for i = 0 to t.opages - 1 do
+      t.payloads.(i) <- payload ~id:t.id ~offset:i ~version:t.version
+    done;
+    t.payloads_version <- t.version
+  end;
+  t.payloads.(offset)
 
 let payload_bytes payload =
   let b = Bytes.create 4 in

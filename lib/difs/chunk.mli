@@ -23,6 +23,10 @@ type t = {
   opages : int;  (** chunk data size, in oPages *)
   mutable version : int;  (** bumped on every overwrite *)
   mutable shares : share list;
+  payloads : int array;
+      (** {!data_payload}'s cache: every data oPage's {!payload} at
+          [payloads_version] *)
+  mutable payloads_version : int;  (** [-1] until first filled *)
 }
 
 val create : id:int -> opages:int -> t
@@ -31,6 +35,11 @@ val payload : id:int -> offset:int -> version:int -> int
 (** Expected content fingerprint of data oPage [offset] of the chunk.
     Payloads fit in 32 bits so they round-trip through the erasure
     coder's byte representation. *)
+
+val data_payload : t -> offset:int -> int
+(** [payload ~id:t.id ~offset ~version:t.version], from a per-chunk
+    cache refilled once per version: a scrub sweep re-verifies every
+    oPage of a chunk it has not rewritten, and pays no hash for it. *)
 
 val payload_bytes : int -> bytes
 (** 4-byte little-endian encoding of a payload, for the RS coder. *)

@@ -30,7 +30,7 @@ let device ~id ~node backend =
 
 type io =
   | Whole of Ftl.Device_intf.packed
-  | Mdisk of { device : Salamander.Device.t; mdisk : int }
+  | Mdisk of { device : Salamander.Device.t; mdisk : Salamander.Minidisk.t }
 
 type state = Active | Failed
 
@@ -42,12 +42,15 @@ type t = {
   chunk_opages : int;
   mutable state : state;
   mutable free_ranges : int list;
+  mutable free : int;
 }
 
 let create ~device io ~capacity ~chunk_opages =
   if chunk_opages <= 0 then invalid_arg "Target.create: chunk_opages";
   let mdisk =
-    match io with Whole _ -> None | Mdisk { mdisk; _ } -> Some mdisk
+    match io with
+    | Whole _ -> None
+    | Mdisk { mdisk; _ } -> Some mdisk.Salamander.Minidisk.id
   in
   let ranges = capacity / chunk_opages in
   {
@@ -58,6 +61,7 @@ let create ~device io ~capacity ~chunk_opages =
     chunk_opages;
     state = Active;
     free_ranges = List.init ranges (fun i -> i * chunk_opages);
+    free = ranges;
   }
 
 (* --- I/O ------------------------------------------------------------------ *)
@@ -71,7 +75,7 @@ let write t ~lba ~payload =
     match t.io with
     | Whole d -> failed (Ftl.Device_intf.write d ~lba ~payload)
     | Mdisk { device; mdisk } ->
-        failed (Salamander.Device.write device ~mdisk ~lba ~payload)
+        failed (Salamander.Device.write_mdisk device mdisk ~lba ~payload)
 
 let read t ~lba =
   if t.device.killed then Error `Unreadable
@@ -79,13 +83,13 @@ let read t ~lba =
     match t.io with
     | Whole d -> unreadable (Ftl.Device_intf.read d ~lba)
     | Mdisk { device; mdisk } ->
-        unreadable (Salamander.Device.read device ~mdisk ~lba)
+        unreadable (Salamander.Device.read_mdisk device mdisk ~lba)
 
 let trim t ~lba =
   if not t.device.killed then
     match t.io with
     | Whole d -> Ftl.Device_intf.trim d ~lba
-    | Mdisk { device; mdisk } -> Salamander.Device.trim device ~mdisk ~lba
+    | Mdisk { device; mdisk } -> Salamander.Device.trim_mdisk device mdisk ~lba
 
 (* --- range allocator ------------------------------------------------------ *)
 
@@ -97,14 +101,19 @@ let allocate t =
       | [] -> None
       | base :: rest ->
           t.free_ranges <- rest;
+          t.free <- t.free - 1;
           Some base)
 
 let release t base =
-  if t.state = Active then t.free_ranges <- base :: t.free_ranges
+  if t.state = Active then begin
+    t.free_ranges <- base :: t.free_ranges;
+    t.free <- t.free + 1
+  end
 
 let fail t =
   t.state <- Failed;
-  t.free_ranges <- []
+  t.free_ranges <- [];
+  t.free <- 0
 
 let truncate t ~capacity =
   if capacity >= t.capacity then []
@@ -112,6 +121,7 @@ let truncate t ~capacity =
     let in_bounds base = base + t.chunk_opages <= capacity in
     let was_free = t.free_ranges in
     t.free_ranges <- List.filter in_bounds was_free;
+    t.free <- List.length t.free_ranges;
     (* Allocated ranges now out of bounds: every range past the new
        capacity that was not sitting in the free pool. *)
     let lost = ref [] in
@@ -127,6 +137,5 @@ let truncate t ~capacity =
   end
 
 let is_active t = t.state = Active
-let free_count t = List.length t.free_ranges
-let used_count t =
-  (t.capacity / t.chunk_opages) - List.length t.free_ranges
+let free_count t = t.free
+let used_count t = (t.capacity / t.chunk_opages) - t.free

@@ -43,8 +43,10 @@ val device : id:int -> node:int -> backend -> device
 (** Where a target's LBAs live. *)
 type io =
   | Whole of Ftl.Device_intf.packed  (** a monolithic device's flat space *)
-  | Mdisk of { device : Salamander.Device.t; mdisk : int }
-      (** one minidisk, through Salamander's native per-mDisk I/O *)
+  | Mdisk of { device : Salamander.Device.t; mdisk : Salamander.Minidisk.t }
+      (** one minidisk, through Salamander's native per-mDisk I/O on
+          its record (the registry never replaces a record, so the one
+          resolved at creation tracks the minidisk's state for good) *)
 
 type state = Active | Failed
 
@@ -56,6 +58,7 @@ type t = private {
   chunk_opages : int;
   mutable state : state;
   mutable free_ranges : int list;  (** base LBAs of unallocated ranges *)
+  mutable free : int;  (** length of [free_ranges] *)
 }
 
 val create : device:device -> io -> capacity:int -> chunk_opages:int -> t
@@ -65,7 +68,8 @@ val create : device:device -> io -> capacity:int -> chunk_opages:int -> t
     Every device error, and any I/O on a killed device, folds into one
     outcome: the cluster only needs to know that the target did not
     answer.  A minidisk target goes through Salamander's native
-    per-mDisk calls, so it answers exactly when the device would. *)
+    per-mDisk calls on its record, so it answers exactly when the
+    device's id-keyed calls would, with no lookup per oPage. *)
 
 val write : t -> lba:int -> payload:int -> (unit, [ `Target_failed ]) result
 val read : t -> lba:int -> (int, [ `Unreadable ]) result

@@ -13,11 +13,13 @@
     reuse, wear accounting, and the RBER of every page.  Policy (ECC
     sufficiency, retirement, mapping) belongs to the layers above.
 
-    The store is packed for fleet scale: per-block PEC words, one
-    state word per fPage (programmed bit + read-disturb count), unboxed
-    per-fPage strengths and a flat per-slot payload array — no per-page
-    records or option boxes — with injected faults in a sparse side
-    table (they touch a handful of pages while a chip holds thousands).
+    The store is packed for fleet scale: per-block PEC words and
+    cached no-read wear terms, one state word per fPage (programmed
+    bit, has-a-fault bit and read-disturb count), unboxed per-fPage
+    strengths and a flat per-slot payload array — no per-page records
+    or option boxes — with injected faults in a sparse side table (they
+    touch a handful of pages while a chip holds thousands) that only a
+    page whose fault bit is set looks up.
     A 32x16x4 device's media state is ~20 KB instead of ~200 KB, which
     is what lets one process age a 100k-device fleet. *)
 
@@ -76,7 +78,7 @@ type wear = { wear_pec_max : int; wear_pec_min : int; wear_rber_worst : float }
 
 val wear : t -> wear
 (** Current wear summary by on-demand scan — O(blocks + fPages), so the
-    erase hot path stays free of bookkeeping when telemetry is off.
+    erase hot path keeps no running summary when telemetry is off.
     [wear_rber_worst] is the worst {e pure-wear} page RBER at current
     P/E counts (no read disturb, no injected faults), the same quantity
     the [flash_rber_worst] gauge tracks as a running max. *)
@@ -90,8 +92,9 @@ val rber : t -> block:int -> page:int -> float
 
 val erased_wear : t -> block:int -> float
 (** The {!Rber_model.wear} term every page of [block] shares while the
-    block is freshly erased (its current PEC, no reads).  Pass it to
-    {!erased_rber} for each page. *)
+    block is freshly erased (its current PEC, no reads).  The chip
+    caches it per block when it erases, so this costs no [Float.pow].
+    Pass it to {!erased_rber} for each page. *)
 
 val erased_rber : t -> wear:float -> block:int -> page:int -> float
 (** [erased_rber t ~wear:(erased_wear t ~block) ~block ~page] is bit for

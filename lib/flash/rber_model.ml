@@ -30,6 +30,9 @@ let wear t ~pec ~reads =
   (t.coefficient *. Float.pow (float_of_int pec /. t.pec_scale) exponent)
   +. (t.read_disturb_per_read *. float_of_int reads)
 
+let[@inline] disturbed t ~wear ~reads =
+  wear +. (t.read_disturb_per_read *. float_of_int reads)
+
 let[@inline] of_wear _t ~wear ~strength = floor_rber +. (strength *. wear)
 
 let rber ?(reads = 0) t ~pec ~strength =

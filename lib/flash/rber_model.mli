@@ -53,6 +53,12 @@ val wear : t -> pec:int -> reads:int -> float
     its [Float.pow] once per block.
     @raise Invalid_argument on a negative [pec] or [reads]. *)
 
+val disturbed : t -> wear:float -> reads:int -> float
+(** [disturbed t ~wear:(wear t ~pec ~reads:0) ~reads] is
+    [wear t ~pec ~reads], bit for bit: the wear term is non-negative, so
+    adding the zero disturb of no reads left it unchanged.  A chip
+    caches each block's no-read wear and pays no [Float.pow] per read. *)
+
 val of_wear : t -> wear:float -> strength:float -> float
 (** [of_wear t ~wear ~strength] scales a {!wear} term by the page strength
     and adds the floor: [rber ~reads t ~pec ~strength] is exactly
