@@ -172,6 +172,15 @@ let default_rules () =
       ~resolve:(0.7 *. tolerable) "rber-near-tolerable";
   ]
 
+(* Health grading on the experiment calibration: wear is judged against
+   the rated target P/E count.  The health report and the fleet report
+   grade with the same thresholds. *)
+let health_thresholds =
+  {
+    Monitor.Health.default_thresholds with
+    Monitor.Health.target_pec = float_of_int Experiments.Defaults.target_pec;
+  }
+
 (* Build the monitor engine when any monitor flag is set, run [f] with
    it, then write the requested artifacts and render the health report. *)
 let with_monitor mon f =
@@ -205,17 +214,10 @@ let with_monitor mon f =
               (Monitor.Chrome_trace.to_string sink))
           (Monitor.Engine.sink engine))
       mon.chrome_trace;
-    if mon.health then begin
-      let thresholds =
-        {
-          Monitor.Health.default_thresholds with
-          Monitor.Health.target_pec =
-            float_of_int Experiments.Defaults.target_pec;
-        }
-      in
+    if mon.health then
       Monitor.Health.pp fmt
-        (Monitor.Health.assess ~thresholds (Monitor.Engine.sampler engine))
-    end;
+        (Monitor.Health.assess ~thresholds:health_thresholds
+           (Monitor.Engine.sampler engine));
     result
   end
 
@@ -269,14 +271,9 @@ let obs_opts_term =
 let with_obs obs ~epoch f =
   if not (obs_active obs) then f None
   else begin
-    let thresholds =
-      {
-        Monitor.Health.default_thresholds with
-        Monitor.Health.target_pec = float_of_int Experiments.Defaults.target_pec;
-      }
-    in
     let acc =
-      Obs.Fleet_report.Acc.create ~top_k:(Stdlib.max 1 obs.top_k) ~thresholds ()
+      Obs.Fleet_report.Acc.create ~top_k:(Stdlib.max 1 obs.top_k)
+        ~thresholds:health_thresholds ()
     in
     let result = f (Some acc) in
     let report = Obs.Fleet_report.build ~epoch acc in
@@ -410,26 +407,16 @@ let age_cmd =
     let registry = ctx.Experiments.Ctx.registry in
     let device = Experiments.Defaults.make_device ~registry kind ~seed in
     let pattern =
-      Workload.Pattern.uniform
-        ~window:
-          (Stdlib.max 1
-             (int_of_float
-                (utilization
-                *. float_of_int (Ftl.Device_intf.logical_capacity device))))
-        ~read_fraction:0.05
+      Workload.Aging.uniform ~utilization ~read_fraction:0.05 device
     in
-    let max_writes = 50_000_000 in
     let rng = Sim.Rng.create (seed + 1) in
-    let age quota =
-      Workload.Aging.run_epoch ~quota ~utilization ~rng ~pattern ~device ()
-    in
     (* One outcome per aging slice; the report sums them. *)
     let slices =
       match ctx.Experiments.Ctx.monitor with
       | None ->
           [
             Telemetry.Trace.with_span ~registry "age" (fun () ->
-                age max_writes);
+                Workload.Aging.to_death ~utilization ~rng ~pattern ~device ());
           ]
       | Some monitor ->
           (* Same workload stream, cut into fixed write slices so the
@@ -459,12 +446,14 @@ let age_cmd =
                   Telemetry.Trace.with_span ?sink
                     ~args:[ ("epoch", string_of_int epoch) ]
                     "age:epoch"
-                    (fun () -> age epoch_writes)
+                    (fun () ->
+                      Workload.Aging.run_epoch ~quota:epoch_writes
+                        ~utilization ~rng ~pattern ~device ())
                 in
                 let written = written + o.Workload.Aging.host_writes in
                 let finished =
                   o.Workload.Aging.died || o.Workload.Aging.host_writes = 0
-                  || written >= max_writes
+                  || written >= Workload.Aging.lifetime_writes
                 in
                 if Monitor.Engine.due monitor ~tick:epoch || finished then
                   sample epoch;
@@ -620,21 +609,12 @@ let stats_cmd =
     with_context { opts with tel = { opts.tel with metrics } } @@ fun ctx ->
     let registry = ctx.Experiments.Ctx.registry in
     Telemetry.Trace.with_span ~registry "stats" @@ fun () ->
-    let utilization = 0.85 in
     let device = Experiments.Defaults.make_device ~registry kind ~seed in
-    let pattern =
-      Workload.Pattern.uniform
-        ~window:
-          (Stdlib.max 1
-             (int_of_float
-                (utilization
-                *. float_of_int (Ftl.Device_intf.logical_capacity device))))
-        ~read_fraction:0.2
-    in
     ignore
-      (Workload.Aging.run_epoch ~quota:writes ~utilization
+      (Workload.Aging.run_epoch ~quota:writes
          ~rng:(Sim.Rng.create (seed + 1))
-         ~pattern ~device ())
+         ~pattern:(Workload.Aging.uniform ~read_fraction:0.2 device)
+         ~device ())
   in
   Cmd.v
     (Cmd.info "stats"

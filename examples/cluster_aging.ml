@@ -8,27 +8,14 @@
 let printf = Format.printf
 
 let () =
-  let geometry = Flash.Geometry.create ~pages_per_block:16 ~blocks:32 () in
-  let profile = Salamander.Tiredness.profile ~max_level:1 geometry in
-  let model =
-    Flash.Rber_model.calibrate
-      ~target_rber:
-        (Salamander.Tiredness.info profile 0).Salamander.Tiredness.tolerable_rber
-      ~target_pec:60 ()
-  in
+  (* Six drives on the experiments' shared scale: 8 MiB of flash wearing
+     out within ~60 erase cycles, 256 KiB minidisks, RegenS. *)
   let cluster = Difs.Cluster.create () in
   let devices =
     List.init 6 (fun i ->
         let d =
-          Salamander.Device.create
-            ~config:
-              {
-                Salamander.Device.default_config with
-                Salamander.Device.mdisk_opages = 64;
-              }
-            ~geometry ~model
-            ~rng:(Sim.Rng.create (100 + i))
-            ()
+          Experiments.Defaults.salamander ~mode:Salamander.Device.Regen_s
+            ~rng:(Sim.Rng.create (100 + i)) ()
         in
         ignore
           (Difs.Cluster.add_device cluster ~node:i (Difs.Cluster.Salamander d));

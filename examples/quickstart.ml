@@ -46,9 +46,7 @@ let () =
   (* 3. Age the device with random overwrites through the flat adapter. *)
   printf "@.aging the device...@.";
   let pattern =
-    Workload.Pattern.uniform
-      ~window:(Salamander.Device.active_opages device * 85 / 100)
-      ~read_fraction:0.
+    Workload.Aging.uniform ~read_fraction:0. (Salamander.Device.pack device)
   in
   let rec age_until_events tries =
     let outcome =
@@ -74,8 +72,8 @@ let () =
 
   (* 5. Keep going until the device gives up entirely. *)
   let outcome =
-    Workload.Aging.run_epoch ~quota:50_000_000 ~rng:(Sim.Rng.create 7)
-      ~pattern ~device:(Salamander.Device.pack device) ()
+    Workload.Aging.to_death ~rng:(Sim.Rng.create 7) ~pattern
+      ~device:(Salamander.Device.pack device) ()
   in
   printf
     "@.device absorbed %d more writes before dying; final decommissions %d, \

@@ -7,6 +7,8 @@ type t = {
   mutable shares : share list;
   payloads : int array;
   mutable payloads_version : int;
+  mutable scrub_failures : int;
+  mutable scrub_next : int;
 }
 
 let create ~id ~opages =
@@ -17,6 +19,8 @@ let create ~id ~opages =
     shares = [];
     payloads = Array.make opages 0;
     payloads_version = -1;
+    scrub_failures = 0;
+    scrub_next = 0;
   }
 
 let payload ~id ~offset ~version =

@@ -27,6 +27,10 @@ type t = {
       (** {!data_payload}'s cache: every data oPage's {!payload} at
           [payloads_version] *)
   mutable payloads_version : int;  (** [-1] until first filled *)
+  mutable scrub_failures : int;
+      (** consecutive scrub sweeps whose repair of this chunk failed *)
+  mutable scrub_next : int;
+      (** first scrub sweep the chunk is eligible for again (backoff) *)
 }
 
 val create : id:int -> opages:int -> t

@@ -154,10 +154,6 @@ type t = {
          themselves escalate; the nested escalation must degrade (so the
          outer repair just moves to the next share) instead of recursing *)
   mutable scrub_cursor : int;
-  scrub_backoff : (int, int * int) Hashtbl.t;
-      (* chunk id -> (consecutive repair failures, first sweep eligible
-         again): exponential backoff so a chunk that cannot be repaired
-         (no capacity, too few survivors) does not eat every sweep. *)
 }
 
 let create ?(config = default_config) ?registry () =
@@ -188,7 +184,6 @@ let create ?(config = default_config) ?registry () =
     in_recovery = false;
     in_live_repair = false;
     scrub_cursor = -1;
-    scrub_backoff = Hashtbl.create 16;
   }
 
 let config t = t.config
@@ -900,10 +895,7 @@ let delete_chunk t id =
   | Some chunk ->
       List.iter (release_share t) chunk.Chunk.shares;
       Hashtbl.remove t.chunks id;
-      t.ids <- Ids.remove id t.ids;
-      (* A chunk re-created under this id starts with no repair
-         history. *)
-      Hashtbl.remove t.scrub_backoff id
+      t.ids <- Ids.remove id t.ids
 
 let repair t =
   with_recovery t @@ fun () ->
@@ -914,42 +906,29 @@ let repair t =
 (* --- background scrubber --------------------------------------------------- *)
 
 type scrub_report = {
-  chunks_scanned : int;
-  opages_verified : int;
-  mismatches : int;
-  unreadable_shares : int;
-  repairs : int;
-  repair_failures : int;
-  skipped_backoff : int;
+  mutable chunks_scanned : int;
+  mutable opages_verified : int;
+  mutable mismatches : int;
+  mutable unreadable_shares : int;
+  mutable repairs : int;
+  mutable repair_failures : int;
+  mutable skipped_backoff : int;
 }
-
-let empty_scrub_report =
-  {
-    chunks_scanned = 0;
-    opages_verified = 0;
-    mismatches = 0;
-    unreadable_shares = 0;
-    repairs = 0;
-    repair_failures = 0;
-    skipped_backoff = 0;
-  }
 
 (* One backoff step never exceeds this many sweeps. *)
 let scrub_backoff_cap = 64
 
-(* Verify one chunk share-by-share in index order.  Content mismatches on
-   a live target are repaired in place (the payload is recomputable from
-   the chunk's identity); a share that stops answering — or dies under
-   the repair write — is dropped and rebuilt from survivors like any
-   failed share.  Returns the per-chunk report slice and whether every
-   needed repair landed. *)
-let scrub_chunk t chunk =
-  let verified = ref 0
-  and mismatches = ref 0
-  and repairs = ref 0
-  and failures = ref 0 in
+(* Verify one chunk share-by-share in index order, tallying into the
+   sweep's [report].  Content mismatches on a live target are repaired
+   in place (the payload is recomputable from the chunk's identity); a
+   share that stops answering — or dies under the repair write — is
+   dropped and rebuilt from survivors like any failed share.  Returns
+   whether every needed repair landed. *)
+let scrub_chunk t report chunk =
+  report.chunks_scanned <- report.chunks_scanned + 1;
+  let failures = report.repair_failures in
   let repaired () =
-    incr repairs;
+    report.repairs <- report.repairs + 1;
     bump t.tel.scrub_repairs
   in
   let scrub_share (share : Chunk.share) =
@@ -961,11 +940,11 @@ let scrub_chunk t chunk =
         match Target.read share.Chunk.target ~lba with
         | Error `Unreadable -> false
         | Ok payload when payload = expected ->
-            incr verified;
+            report.opages_verified <- report.opages_verified + 1;
             true
         | Ok _ -> (
-            incr verified;
-            incr mismatches;
+            report.opages_verified <- report.opages_verified + 1;
+            report.mismatches <- report.mismatches + 1;
             bump t.tel.scrub_mismatches;
             match Target.write share.Chunk.target ~lba ~payload:expected with
             | Ok () ->
@@ -984,35 +963,16 @@ let scrub_chunk t chunk =
     (fun (share : Chunk.share) ->
       (* Unlike the target-failure paths, the share's target is still
          alive here — hand its range back or the allocation leaks. *)
+      report.unreadable_shares <- report.unreadable_shares + 1;
       release_share t share;
       drop_share t chunk (share_key share);
       if rebuild_share t chunk ~index:share.Chunk.index then repaired ()
       else begin
-        incr failures;
+        report.repair_failures <- report.repair_failures + 1;
         Telemetry.Registry.Counter.incr t.tel.scrub_repair_failures
       end)
     dead;
-  ( {
-      chunks_scanned = 1;
-      opages_verified = !verified;
-      mismatches = !mismatches;
-      unreadable_shares = List.length dead;
-      repairs = !repairs;
-      repair_failures = !failures;
-      skipped_backoff = 0;
-    },
-    !failures = 0 )
-
-let add_scrub_report a b =
-  {
-    chunks_scanned = a.chunks_scanned + b.chunks_scanned;
-    opages_verified = a.opages_verified + b.opages_verified;
-    mismatches = a.mismatches + b.mismatches;
-    unreadable_shares = a.unreadable_shares + b.unreadable_shares;
-    repairs = a.repairs + b.repairs;
-    repair_failures = a.repair_failures + b.repair_failures;
-    skipped_backoff = a.skipped_backoff + b.skipped_backoff;
-  }
+  report.repair_failures = failures
 
 let scrub ?limit t =
   with_recovery t @@ fun () ->
@@ -1037,40 +997,39 @@ let scrub ?limit t =
   (match (limit, List.rev scan) with
   | None, _ | _, [] -> t.scrub_cursor <- -1
   | Some _, last :: _ -> t.scrub_cursor <- last);
-  let report = ref empty_scrub_report in
+  let report =
+    {
+      chunks_scanned = 0;
+      opages_verified = 0;
+      mismatches = 0;
+      unreadable_shares = 0;
+      repairs = 0;
+      repair_failures = 0;
+      skipped_backoff = 0;
+    }
+  in
   List.iter
     (fun id ->
       match Hashtbl.find_opt t.chunks id with
       | None -> ()
+      | Some chunk when sweep < chunk.Chunk.scrub_next ->
+          report.skipped_backoff <- report.skipped_backoff + 1
       | Some chunk ->
-          let eligible =
-            match Hashtbl.find_opt t.scrub_backoff id with
-            | None -> true
-            | Some (_, next) -> sweep >= next
-          in
-          if not eligible then
-            report :=
-              add_scrub_report !report
-                { empty_scrub_report with skipped_backoff = 1 }
+          (* Exponential backoff: a chunk that cannot be repaired (no
+             capacity, too few survivors) must not eat every sweep. *)
+          if scrub_chunk t report chunk then begin
+            chunk.Chunk.scrub_failures <- 0;
+            chunk.Chunk.scrub_next <- 0
+          end
           else begin
-            let slice, ok = scrub_chunk t chunk in
-            report := add_scrub_report !report slice;
-            if ok then Hashtbl.remove t.scrub_backoff id
-            else begin
-              let fails =
-                match Hashtbl.find_opt t.scrub_backoff id with
-                | None -> 1
-                | Some (f, _) -> f + 1
-              in
-              let delay =
-                Stdlib.min scrub_backoff_cap (1 lsl Stdlib.min fails 6)
-              in
-              Hashtbl.replace t.scrub_backoff id (fails, sweep + delay)
-            end
+            let fails = chunk.Chunk.scrub_failures + 1 in
+            chunk.Chunk.scrub_failures <- fails;
+            chunk.Chunk.scrub_next <-
+              sweep + Stdlib.min scrub_backoff_cap (1 lsl Stdlib.min fails 6)
           end)
     scan;
   process_events t;
-  !report
+  report
 
 (* --- placement audit ------------------------------------------------------- *)
 

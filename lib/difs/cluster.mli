@@ -181,14 +181,16 @@ val corrupt_reads_with_replica : t -> int
     chunk cannot monopolize every sweep. *)
 
 type scrub_report = {
-  chunks_scanned : int;
-  opages_verified : int;  (** oPages read and compared *)
-  mismatches : int;  (** content that failed verification *)
-  unreadable_shares : int;  (** shares dropped and rebuilt *)
-  repairs : int;  (** in-place rewrites + share rebuilds that landed *)
-  repair_failures : int;  (** rebuilds that found no destination *)
-  skipped_backoff : int;  (** chunks skipped while backing off *)
+  mutable chunks_scanned : int;
+  mutable opages_verified : int;  (** oPages read and compared *)
+  mutable mismatches : int;  (** content that failed verification *)
+  mutable unreadable_shares : int;  (** shares dropped and rebuilt *)
+  mutable repairs : int;  (** in-place rewrites + share rebuilds that landed *)
+  mutable repair_failures : int;  (** rebuilds that found no destination *)
+  mutable skipped_backoff : int;  (** chunks skipped while backing off *)
 }
+(** One sweep's tallies: a fresh record per {!scrub} call, filled as the
+    sweep goes. *)
 
 val scrub : ?limit:int -> t -> scrub_report
 (** Run one scrub sweep.  [limit] caps the chunks scanned this sweep; a

@@ -4,17 +4,10 @@ let age_device ?(seed = 515) ?registry config =
       ~model:Defaults.model ~rng:(Sim.Rng.create seed) ()
   in
   let packed = Salamander.Device.pack device in
-  let pattern =
-    Workload.Pattern.uniform
-      ~window:
-        (Stdlib.max 1
-           (int_of_float
-              (0.85 *. float_of_int (Ftl.Device_intf.logical_capacity packed))))
-      ~read_fraction:0.
-  in
   let outcome =
-    Workload.Aging.run_epoch ~quota:50_000_000
-      ~rng:(Sim.Rng.create (seed + 1)) ~pattern ~device:packed ()
+    Workload.Aging.to_death ~rng:(Sim.Rng.create (seed + 1))
+      ~pattern:(Workload.Aging.uniform ~read_fraction:0. packed)
+      ~device:packed ()
   in
   (device, outcome)
 
@@ -149,9 +142,7 @@ let placement ?(ctx = Ctx.default) fmt =
     let devices =
       List.init 4 (fun i ->
           let d =
-            Salamander.Device.create
-              ~config:(Defaults.salamander_config ~mode:Salamander.Device.Regen_s)
-              ~registry ~geometry:Defaults.geometry ~model:Defaults.model
+            Defaults.salamander ~registry ~mode:Salamander.Device.Regen_s
               ~rng:(Sim.Rng.create (800 + i)) ()
           in
           ignore
@@ -260,17 +251,11 @@ let pattern ?(ctx = Ctx.default) fmt =
                    (kind :> Defaults.kind)
                    ~seed:902
                in
-               let window =
-                 Stdlib.max 1
-                   (int_of_float
-                      (0.85
-                      *. float_of_int
-                           (Ftl.Device_intf.logical_capacity device)))
-               in
                let outcome =
-                 Workload.Aging.run_epoch ~quota:50_000_000
-                   ~rng:(Sim.Rng.create 903)
-                   ~pattern:(make_pattern shape ~window)
+                 Workload.Aging.to_death ~rng:(Sim.Rng.create 903)
+                   ~pattern:
+                     (make_pattern shape
+                        ~window:(Workload.Aging.window device))
                    ~device ()
                in
                string_of_int outcome.Workload.Aging.host_writes)

@@ -180,9 +180,7 @@ let run_cluster_arena ~registry ?mon ?obs ?(obs_prefix = "cluster")
     Array.init cluster_devices (fun i ->
         let rng = Sim.Rng.split root in
         let d =
-          Salamander.Device.create
-            ~config:(Defaults.salamander_config ~mode:Salamander.Device.Regen_s)
-            ~registry ~geometry:Defaults.geometry ~model:Defaults.model ~rng ()
+          Defaults.salamander ~registry ~mode:Salamander.Device.Regen_s ~rng ()
         in
         ignore (Difs.Cluster.add_device cluster ~node:i (Difs.Cluster.Salamander d));
         d)
@@ -193,16 +191,9 @@ let run_cluster_arena ~registry ?mon ?obs ?(obs_prefix = "cluster")
   if live_repair then Difs.Cluster.enable_live_repair cluster;
   let monotone = Faults.Verdict.Monotone.create () in
   let inj = Faults.Injector.create ~rng:inj_rng (cluster_plan plan) in
-  let physical_per_chunk =
-    Difs.Cluster.share_opages cluster * Difs.Cluster.total_shares cluster
+  let chunk_count =
+    Defaults.fill_cluster cluster ~devices:cluster_devices ~percent:30
   in
-  let raw_capacity =
-    cluster_devices * Flash.Geometry.total_opages Defaults.geometry
-  in
-  let chunk_count = raw_capacity * 30 / 100 / physical_per_chunk in
-  for id = 0 to chunk_count - 1 do
-    ignore (Difs.Cluster.write_chunk cluster id)
-  done;
   Telemetry.Trace.with_span
     ?sink:(Option.bind mon Monitor.Engine.sink)
     ~args:[ ("arena", "cluster"); ("seed", string_of_int seed) ]
@@ -270,40 +261,27 @@ let run_cluster_arena ~registry ?mon ?obs ?(obs_prefix = "cluster")
   Format.fprintf fmt "  chunks: intact=%d degraded=%d lost=%d@." health.intact
     health.degraded health.lost;
   Faults.Verdict.pp fmt verdict;
+  (* A killed member reads as not alive even when its Salamander state
+     would still accept writes. *)
+  let alive i d =
+    Salamander.Device.alive d && not (Difs.Cluster.is_device_killed cluster i)
+  in
   let capacity_opages =
     Array.to_list devices
     |> List.mapi (fun i d -> (i, d))
     |> List.fold_left
          (fun acc (i, d) ->
-           if Salamander.Device.alive d && not (Difs.Cluster.is_device_killed cluster i)
-           then acc + Salamander.Device.active_opages d
-           else acc)
+           if alive i d then acc + Salamander.Device.active_opages d else acc)
          0
   in
-  (* One observation per member device; a killed member reads as not
-     alive even when its Salamander state would still accept writes. *)
   Option.iter
     (fun acc ->
       Array.iteri
         (fun i d ->
-          let packed = Salamander.Device.pack d in
-          let w = Ftl.Device_intf.wear_stats packed in
-          let bg = Ftl.Device_intf.bg_stats packed in
           Obs.Fleet_report.Acc.observe acc
-            {
-              Obs.Fleet_report.id = Printf.sprintf "%s-%d" obs_prefix i;
-              pec_max = w.Ftl.Device_intf.pec_max;
-              pec_min = w.Ftl.Device_intf.pec_min;
-              rber_worst = w.Ftl.Device_intf.rber_worst;
-              tolerable_rber = w.Ftl.Device_intf.tolerable_rber;
-              retries = bg.Ftl.Device_intf.read_retries;
-              escalations = bg.Ftl.Device_intf.live_repair_attempts;
-              reclaims = bg.Ftl.Device_intf.read_reclaims;
-              host_writes = Ftl.Device_intf.host_writes packed;
-              alive =
-                Salamander.Device.alive d
-                && not (Difs.Cluster.is_device_killed cluster i);
-            })
+            (Defaults.observation
+               ~id:(Printf.sprintf "%s-%d" obs_prefix i)
+               ~alive:(alive i d) (Salamander.Device.pack d)))
         devices)
     obs;
   {

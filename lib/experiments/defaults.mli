@@ -33,6 +33,17 @@ type kind = [ `Baseline | `Cvss | `Shrinks | `Regens ]
 (** The four competing designs: the bricking baseline SSD, CVSS, and
     Salamander's ShrinkS and RegenS. *)
 
+val salamander :
+  ?registry:Telemetry.Registry.t ->
+  ?model:Flash.Rber_model.t ->
+  mode:Salamander.Device.mode ->
+  rng:Sim.Rng.t ->
+  unit ->
+  Salamander.Device.t
+(** A fresh Salamander device in [mode] on the shared scale
+    ({!geometry}, {!salamander_config}), drawing from [rng]; [model]
+    defaults to {!model}. *)
+
 val device :
   ?registry:Telemetry.Registry.t ->
   ?model:Flash.Rber_model.t ->
@@ -59,4 +70,20 @@ val make_device_rng :
     the building block for deterministic parallel fleets, where each
     device's stream is split off a root RNG in submission order. *)
 
+val fill_cluster : Difs.Cluster.t -> devices:int -> percent:int -> int
+(** Write chunks [0], [1], ... until they fill [percent] % of the raw
+    flash of [devices] shared-scale devices (counting every share), and
+    return the chunk count.  Write errors are ignored: a chunk that
+    could not be placed stays absent. *)
+
 val kind_label : kind -> string
+
+val observation :
+  id:string ->
+  alive:bool ->
+  Ftl.Device_intf.packed ->
+  Obs.Fleet_report.observation
+(** The device's end-of-run fleet-report observation: its wear and
+    background-work statistics under [id], with the caller's verdict on
+    whether it is [alive] (a fleet may count a device dead that its own
+    state would still call alive). *)

@@ -56,14 +56,7 @@ let simulate_device ~kind ~days ~dwpd ~afr_per_day ~aging ~epoch_days ~streams
             "device_capacity_opages" ))
       acc.ctx.Ctx.monitor
   in
-  let pattern =
-    Workload.Pattern.uniform
-      ~window:
-        (Stdlib.max 1
-           (int_of_float
-              (0.85 *. float_of_int (Ftl.Device_intf.logical_capacity device))))
-      ~read_fraction:0.
-  in
+  let pattern = Workload.Aging.uniform ~read_fraction:0. device in
   let afr_dead = ref false and wear_dead = ref false in
   let alive () =
     (not !afr_dead) && (not !wear_dead) && Ftl.Device_intf.alive device
@@ -148,22 +141,10 @@ let simulate_device ~kind ~days ~dwpd ~afr_per_day ~aging ~epoch_days ~streams
      once per device per run, not per op. *)
   Option.iter
     (fun o ->
-      let w = Ftl.Device_intf.wear_stats device in
-      let bg = Ftl.Device_intf.bg_stats device in
       Obs.Fleet_report.Acc.observe o
-        {
-          Obs.Fleet_report.id =
-            Printf.sprintf "%s-%d" (Defaults.kind_label kind) index;
-          pec_max = w.Ftl.Device_intf.pec_max;
-          pec_min = w.Ftl.Device_intf.pec_min;
-          rber_worst = w.Ftl.Device_intf.rber_worst;
-          tolerable_rber = w.Ftl.Device_intf.tolerable_rber;
-          retries = bg.Ftl.Device_intf.read_retries;
-          escalations = bg.Ftl.Device_intf.live_repair_attempts;
-          reclaims = bg.Ftl.Device_intf.read_reclaims;
-          host_writes = Ftl.Device_intf.host_writes device;
-          alive = alive ();
-        })
+        (Defaults.observation
+           ~id:(Printf.sprintf "%s-%d" (Defaults.kind_label kind) index)
+           ~alive:(alive ()) device))
     acc.ctx.Ctx.obs
 
 (* Chunk sizing depends only on the fleet shape — never on the job
@@ -199,24 +180,24 @@ let run ?(devices = Defaults.fleet_devices) ?(days = 150) ?(dwpd = 1.)
           ~monitored:(Option.is_some ctx.Ctx.monitor)
   in
   let outcomes =
-    Parallel.Pool.accumulate ctx.Ctx.pool ~chunk_size ~n:devices
-      {
-        Parallel.Pool.Accumulator.create =
-          (fun chunk ->
-            {
-              chunk;
-              ctx = Ctx.sub ctx;
-              alive_by_day = Array.make (days + 1) 0;
-              cap_by_day = Array.make (days + 1) 0;
-              acc_host_writes = 0;
-              acc_wear_deaths = 0;
-              acc_afr_deaths = 0;
-            });
-        item =
+    Parallel.Pool.map_chunked ctx.Ctx.pool ~chunk_size ~n:devices
+      (fun chunk ->
+        let acc =
+          {
+            chunk;
+            ctx = Ctx.sub ctx;
+            alive_by_day = Array.make (days + 1) 0;
+            cap_by_day = Array.make (days + 1) 0;
+            acc_host_writes = 0;
+            acc_wear_deaths = 0;
+            acc_afr_deaths = 0;
+          }
+        in
+        for index = chunk.Parallel.Pool.lo to chunk.Parallel.Pool.hi - 1 do
           simulate_device ~kind ~days ~dwpd ~afr_per_day ~aging ~epoch_days
-            ~streams;
-        finish = Fun.id;
-      }
+            ~streams acc index
+        done;
+        acc)
   in
   (* Reduce in submission (= chunk) order: sums are order-insensitive,
      the registry and monitor merges are not (gauges keep the last

@@ -49,7 +49,7 @@ val run :
     identical whether [ctx] carries a pool or not, at any domain count.
     With [ctx.pool] set, devices age in parallel, chunked: one pool task
     simulates a run of consecutive devices into a chunk-local scratch
-    registry/monitor ({!Parallel.Pool.accumulate}) that is merged once
+    registry/monitor ({!Parallel.Pool.map_chunked}) that is merged once
     at the barrier.  [chunk_size] overrides the sizing policy (one
     device per chunk when a monitor is attached — each device keeps its
     own label — otherwise up to 64 chunks across the fleet); the

@@ -10,17 +10,10 @@ let kinds : Defaults.kind list =
 
 let age_one ~registry kind ~seed =
   let device = Defaults.make_device ~registry kind ~seed in
-  let pattern =
-    Workload.Pattern.uniform
-      ~window:
-        (Stdlib.max 1
-           (int_of_float
-              (0.85 *. float_of_int (Ftl.Device_intf.logical_capacity device))))
-      ~read_fraction:0.
-  in
   let outcome =
-    Workload.Aging.run_epoch ~quota:50_000_000
-      ~rng:(Sim.Rng.create (seed + 1)) ~pattern ~device ()
+    Workload.Aging.to_death ~rng:(Sim.Rng.create (seed + 1))
+      ~pattern:(Workload.Aging.uniform ~read_fraction:0. device)
+      ~device ()
   in
   (outcome.Workload.Aging.host_writes,
    Ftl.Device_intf.write_amplification device)

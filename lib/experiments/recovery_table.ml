@@ -11,71 +11,61 @@ let kinds : Defaults.kind list =
   [ `Baseline; `Cvss; `Shrinks; `Regens ]
 
 let backend ~registry kind ~seed =
+  let salamander mode =
+    Difs.Cluster.Salamander
+      (Defaults.salamander ~registry ~mode ~rng:(Sim.Rng.create seed) ())
+  in
   match kind with
-  | `Shrinks ->
-      Difs.Cluster.Salamander
-        (Salamander.Device.create
-           ~config:(Defaults.salamander_config ~mode:Salamander.Device.Shrink_s)
-           ~registry ~geometry:Defaults.geometry ~model:Defaults.model
-           ~rng:(Sim.Rng.create seed) ())
-  | `Regens ->
-      Difs.Cluster.Salamander
-        (Salamander.Device.create
-           ~config:(Defaults.salamander_config ~mode:Salamander.Device.Regen_s)
-           ~registry ~geometry:Defaults.geometry ~model:Defaults.model
-           ~rng:(Sim.Rng.create seed) ())
+  | `Shrinks -> salamander Salamander.Device.Shrink_s
+  | `Regens -> salamander Salamander.Device.Regen_s
   | (`Baseline | `Cvss) as k ->
       Difs.Cluster.Monolithic (Defaults.make_device ~registry k ~seed)
 
-let measure_kind ~registry kind ~devices ~seed =
-  let cluster = Difs.Cluster.create ~registry () in
-  List.iter
-    (fun i ->
-      ignore
-        (Difs.Cluster.add_device cluster ~node:i
-           (backend ~registry kind ~seed:(seed + (61 * i)))))
-    (List.init devices Fun.id);
-  (* Populate to ~40% of raw cluster capacity, then rewrite until the
-     cluster can no longer maintain the working set (most devices dead or
-     shrunk away). *)
+(* Populate to ~40% of raw cluster capacity, then rewrite until the
+   cluster can no longer maintain the working set (most devices dead or
+   shrunk away), then repair.  Returns the cluster and the host oPages
+   its rewrites stored. *)
+let age_cluster ~registry ?config kind ~devices ~seed =
+  let cluster = Difs.Cluster.create ?config ~registry () in
+  for i = 0 to devices - 1 do
+    ignore
+      (Difs.Cluster.add_device cluster ~node:i
+         (backend ~registry kind ~seed:(seed + (61 * i))))
+  done;
+  let chunk_count = Defaults.fill_cluster cluster ~devices ~percent:40 in
   let physical_per_chunk =
     Difs.Cluster.share_opages cluster * Difs.Cluster.total_shares cluster
   in
-  let raw_capacity =
-    devices * Flash.Geometry.total_opages Defaults.geometry
-  in
-  let chunk_count = raw_capacity * 40 / 100 / physical_per_chunk in
-  for id = 0 to chunk_count - 1 do
-    ignore (Difs.Cluster.write_chunk cluster id)
-  done;
   let rng = Sim.Rng.create (seed + 7) in
   let host_writes = ref 0 in
   let consecutive_failures = ref 0 in
   while !consecutive_failures < 200 && !host_writes < 30_000_000 do
-    let id = Sim.Rng.int rng chunk_count in
-    match Difs.Cluster.write_chunk cluster id with
+    match Difs.Cluster.write_chunk cluster (Sim.Rng.int rng chunk_count) with
     | Ok () ->
         host_writes := !host_writes + physical_per_chunk;
         consecutive_failures := 0
     | Error _ -> incr consecutive_failures
   done;
   Difs.Cluster.repair cluster;
-  {
-    kind;
-    recovery_opages = Difs.Cluster.recovery_opages cluster;
-    recovery_events = Difs.Cluster.recovery_events cluster;
-    host_writes = !host_writes;
-    lost_chunks = Difs.Cluster.lost_chunks cluster;
-    recovery_per_host_write =
-      float_of_int (Difs.Cluster.recovery_opages cluster)
-      /. float_of_int (Stdlib.max 1 !host_writes);
-  }
+  (cluster, !host_writes)
 
 let measure ?(devices = 6) ?(seed = 4242) ?(ctx = Ctx.default) () =
   (* One cluster per kind, each fully self-contained: the pool runs the
      four cluster lifetimes concurrently. *)
   Ctx.map ctx kinds (fun sub kind ->
-      measure_kind ~registry:sub.Ctx.registry kind ~devices ~seed)
+      let cluster, host_writes =
+        age_cluster ~registry:sub.Ctx.registry kind ~devices ~seed
+      in
+      {
+        kind;
+        recovery_opages = Difs.Cluster.recovery_opages cluster;
+        recovery_events = Difs.Cluster.recovery_events cluster;
+        host_writes;
+        lost_chunks = Difs.Cluster.lost_chunks cluster;
+        recovery_per_host_write =
+          float_of_int (Difs.Cluster.recovery_opages cluster)
+          /. float_of_int (Stdlib.max 1 host_writes);
+      })
 
 (* Same aging protocol, but comparing redundancy schemes on identical
    RegenS fleets: replication recovers a lost share with one read; (4,2)
@@ -87,37 +77,11 @@ let measure_redundancy ?(devices = 8) ?(seed = 5353) ?(ctx = Ctx.default) () =
       ("replication x3", Difs.Cluster.default_config);
       ("erasure (4,2)", Difs.Cluster.default_ec_config);
     ]
-    (fun sub (label, cluster_config) ->
-      let registry = sub.Ctx.registry in
-      let cluster = Difs.Cluster.create ~config:cluster_config ~registry () in
-      List.iter
-        (fun i ->
-          ignore
-            (Difs.Cluster.add_device cluster ~node:i
-               (backend ~registry `Regens ~seed:(seed + (61 * i)))))
-        (List.init devices Fun.id);
-      let physical_per_chunk =
-        Difs.Cluster.share_opages cluster * Difs.Cluster.total_shares cluster
+    (fun sub (label, config) ->
+      let cluster, host_writes =
+        age_cluster ~registry:sub.Ctx.registry ~config `Regens ~devices ~seed
       in
-      let raw_capacity =
-        devices * Flash.Geometry.total_opages Defaults.geometry
-      in
-      let chunk_count = raw_capacity * 40 / 100 / physical_per_chunk in
-      for id = 0 to chunk_count - 1 do
-        ignore (Difs.Cluster.write_chunk cluster id)
-      done;
-      let rng = Sim.Rng.create (seed + 7) in
-      let host_writes = ref 0 in
-      let consecutive_failures = ref 0 in
-      while !consecutive_failures < 200 && !host_writes < 30_000_000 do
-        match Difs.Cluster.write_chunk cluster (Sim.Rng.int rng chunk_count) with
-        | Ok () ->
-            host_writes := !host_writes + physical_per_chunk;
-            consecutive_failures := 0
-        | Error _ -> incr consecutive_failures
-      done;
-      Difs.Cluster.repair cluster;
-      (label, cluster, !host_writes))
+      (label, cluster, host_writes))
 
 let run ?(ctx = Ctx.default) fmt =
   Report.section fmt

@@ -200,20 +200,9 @@ let run_cell ~registry ?obs ~spec ~trace ~seed ~batch ~qos ~plan ~kind ~chaos
   let cell_id = label ^ if chaos then "+chaos" else "" in
   Option.iter
     (fun acc ->
-      let w = Ftl.Device_intf.wear_stats device in
       Obs.Fleet_report.Acc.observe acc
-        {
-          Obs.Fleet_report.id = cell_id;
-          pec_max = w.Ftl.Device_intf.pec_max;
-          pec_min = w.Ftl.Device_intf.pec_min;
-          rber_worst = w.Ftl.Device_intf.rber_worst;
-          tolerable_rber = w.Ftl.Device_intf.tolerable_rber;
-          retries = bg.Ftl.Device_intf.read_retries;
-          escalations = bg.Ftl.Device_intf.live_repair_attempts;
-          reclaims = bg.Ftl.Device_intf.read_reclaims;
-          host_writes = Ftl.Device_intf.host_writes device;
-          alive = Ftl.Device_intf.alive device;
-        })
+        (Defaults.observation ~id:cell_id
+           ~alive:(Ftl.Device_intf.alive device) device))
     obs;
   let p q = Traffic.Lathist.percentile o.Traffic.Replay.all q in
   {

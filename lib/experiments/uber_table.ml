@@ -26,17 +26,10 @@ let measure_kind ~registry kind ~seed =
     Defaults.device ~registry ~model:disturb_model kind
       ~rng:(Sim.Rng.create seed)
   in
-  let pattern =
-    Workload.Pattern.uniform
-      ~window:
-        (Stdlib.max 1
-           (int_of_float
-              (0.85 *. float_of_int (Ftl.Device_intf.logical_capacity device))))
-      ~read_fraction:0.3
-  in
   let outcome =
-    Workload.Aging.run_epoch ~quota:50_000_000
-      ~rng:(Sim.Rng.create (seed + 1)) ~pattern ~device ()
+    Workload.Aging.to_death ~rng:(Sim.Rng.create (seed + 1))
+      ~pattern:(Workload.Aging.uniform ~read_fraction:0.3 device)
+      ~device ()
   in
   {
     kind;

@@ -251,21 +251,8 @@ let pp fmt t =
       t.worst
   end
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
+(* Not [Telemetry.Export.json_float], which writes an infinity as
+   [null]: the fleet JSONL prints every non-NaN float with "%.17g". *)
 let jf v = if Float.is_nan v then "null" else Printf.sprintf "%.17g" v
 
 let jstats label (s : stats) =
@@ -279,7 +266,7 @@ let to_jsonl t =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"record\":\"fleet\",\"epoch\":\"%s\",\"devices\":%d,\"healthy\":%d,\"degraded\":%d,\"failing\":%d,\"retired\":%d,%s,%s,%s,%s,\"cv\":%s,\"gini\":%s,\"retries\":%d,\"escalations\":%d,\"reclaims\":%d,\"host_writes\":%d,\"retry_rate\":%s,\"escalation_rate\":%s}\n"
-       (json_escape t.epoch) t.devices
+       (Telemetry.Export.json_escape t.epoch) t.devices
        (grade_count t Health.Healthy)
        (grade_count t Health.Degraded)
        (grade_count t Health.Failing)
@@ -293,7 +280,7 @@ let to_jsonl t =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"record\":\"device\",\"rank\":%d,\"id\":\"%s\",\"grade\":\"%s\",\"pec_max\":%d,\"pec_min\":%d,\"rber_worst\":%s,\"tolerable_rber\":%s,\"retries\":%d,\"escalations\":%d,\"reclaims\":%d,\"host_writes\":%d,\"alive\":%b}\n"
-           (i + 1) (json_escape obs.id)
+           (i + 1) (Telemetry.Export.json_escape obs.id)
            (Health.grade_label g)
            obs.pec_max obs.pec_min (jf obs.rber_worst) (jf obs.tolerable_rber)
            obs.retries obs.escalations obs.reclaims obs.host_writes obs.alive))

@@ -139,22 +139,6 @@ let chunks ~chunk_size ~n =
 let map_chunked pool ~chunk_size ~n f =
   map_opt pool f (chunks ~chunk_size ~n)
 
-module Accumulator = struct
-  type ('acc, 'r) t = {
-    create : chunk -> 'acc;
-    item : 'acc -> int -> unit;
-    finish : 'acc -> 'r;
-  }
-end
-
-let accumulate pool ~chunk_size ~n (spec : _ Accumulator.t) =
-  map_chunked pool ~chunk_size ~n (fun c ->
-      let acc = spec.create c in
-      for i = c.lo to c.hi - 1 do
-        spec.item acc i
-      done;
-      spec.finish acc)
-
 let shutdown t =
   Mutex.lock t.mutex;
   let fresh = not t.closed in

@@ -12,9 +12,9 @@
 
     Chunked execution is the preferred shape for homogeneous work over
     an index range: one task per chunk amortizes the queue round-trip
-    and the completion handshake over [chunk_size] items, and the
-    {!Accumulator} pattern gives each chunk private accumulation state
-    (registry, monitor, plain [int ref]s) created once and merged once
+    and the completion handshake over [chunk_size] items, and each chunk
+    can build private accumulation state (registry, monitor, plain
+    counters) once, fold its items into it and return it for one merge
     at the barrier — no per-item synchronization at all.  Chunk
     boundaries must depend only on the item count, never on the domain
     count, so the merged result is identical at any [--jobs].
@@ -74,25 +74,6 @@ val map_chunked :
 (** [map_chunked pool ~chunk_size ~n f] applies [f] to every chunk of
     [\[0, n)] — one pool task per chunk, results in chunk order.  With
     [pool = None] the chunks run sequentially in the caller. *)
-
-(** Per-chunk accumulation: [create] builds the chunk-local state (sub
-    registry/monitor, plain counters) once, [item] folds each index into
-    it with no synchronization, [finish] extracts the mergeable result
-    returned in submission order. *)
-module Accumulator : sig
-  type ('acc, 'r) t = {
-    create : chunk -> 'acc;
-    item : 'acc -> int -> unit;
-    finish : 'acc -> 'r;
-  }
-end
-
-val accumulate :
-  t option -> chunk_size:int -> n:int -> ('acc, 'r) Accumulator.t -> 'r list
-(** [accumulate pool ~chunk_size ~n spec] runs [spec] over every chunk
-    of [\[0, n)] via {!map_chunked}: per-chunk state from [spec.create],
-    [spec.item] on each index in order, [spec.finish] results in chunk
-    order for the caller's deterministic merge. *)
 
 val shutdown : t -> unit
 (** Drain nothing, accept nothing: wake every worker and join them.

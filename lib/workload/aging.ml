@@ -6,13 +6,20 @@ type outcome = {
   died : bool;
 }
 
-let sync_window pattern device ~utilization =
-  let capacity = Ftl.Device_intf.logical_capacity device in
-  let window =
-    Stdlib.max 1 (int_of_float (float_of_int capacity *. utilization))
-  in
-  if window <> Pattern.window pattern && capacity > 0 then
-    Pattern.resize pattern ~window
+let window ?(utilization = 0.85) device =
+  Stdlib.max 1
+    (int_of_float
+       (float_of_int (Ftl.Device_intf.logical_capacity device) *. utilization))
+
+let uniform ?utilization ~read_fraction device =
+  Pattern.uniform ~window:(window ?utilization device) ~read_fraction
+
+let sync_window ?utilization pattern device =
+  let window = window ?utilization device in
+  if
+    window <> Pattern.window pattern
+    && Ftl.Device_intf.logical_capacity device > 0
+  then Pattern.resize pattern ~window
 
 (* The pattern window is resynced to the device's current capacity every
    [resync_every] accepted writes, so a shrink is noticed within one
@@ -32,7 +39,7 @@ let per_op ~utilization ~rng ~pattern ~device ~quota =
          raise Exit
        end;
        if !host_writes mod resync_every = 0 then
-         sync_window pattern device ~utilization;
+         sync_window ?utilization pattern device;
        let access = Pattern.next pattern rng in
        match access.Access.kind with
        | Access.Write -> (
@@ -44,7 +51,7 @@ let per_op ~utilization ~rng ~pattern ~device ~quota =
            | Error (`Dead | `No_space) ->
                died := true;
                raise Exit
-           | Error `Out_of_range -> sync_window pattern device ~utilization)
+           | Error `Out_of_range -> sync_window ?utilization pattern device)
        | Access.Read -> (
            incr reads;
            match Ftl.Device_intf.read device ~lba:access.Access.lba with
@@ -54,7 +61,7 @@ let per_op ~utilization ~rng ~pattern ~device ~quota =
            | Error `Dead ->
                died := true;
                raise Exit
-           | Error `Out_of_range -> sync_window pattern device ~utilization)
+           | Error `Out_of_range -> sync_window ?utilization pattern device)
        | Access.Trim -> Ftl.Device_intf.trim device ~lba:access.Access.lba
      done
    with Exit -> ());
@@ -73,8 +80,7 @@ type path = Auto | Per_op
    device state, and the RNG stream is identical: the fast path is
    bit-exact with [Per_op], which survives as the oracle for the
    differential suite. *)
-let run_epoch ?(path = Auto) ?(utilization = 0.85) ~rng ~pattern ~device
-    ~quota () =
+let run_epoch ?(path = Auto) ?utilization ~rng ~pattern ~device ~quota () =
   let per_op () = per_op ~utilization ~rng ~pattern ~device ~quota in
   match path with
   | Per_op -> per_op ()
@@ -90,7 +96,7 @@ let run_epoch ?(path = Auto) ?(utilization = 0.85) ~rng ~pattern ~device
              raise Exit
            end;
            if !host_writes mod resync_every = 0 then
-             sync_window pattern device ~utilization;
+             sync_window ?utilization pattern device;
            let budget =
              Stdlib.min (quota - !host_writes)
                (resync_every - (!host_writes mod resync_every))
@@ -104,7 +110,7 @@ let run_epoch ?(path = Auto) ?(utilization = 0.85) ~rng ~pattern ~device
            match r.Ftl.Device_intf.status with
            | Ftl.Device_intf.Stream_filled -> ()
            | Ftl.Device_intf.Stream_resync ->
-               sync_window pattern device ~utilization
+               sync_window ?utilization pattern device
            | Ftl.Device_intf.Stream_dead ->
                died := true;
                raise Exit
@@ -124,3 +130,8 @@ let run_epoch ?(path = Auto) ?(utilization = 0.85) ~rng ~pattern ~device
           uncorrectable_reads = 0;
           died = !died;
         }
+
+let lifetime_writes = 50_000_000
+
+let to_death ?utilization ~rng ~pattern ~device () =
+  run_epoch ?utilization ~rng ~pattern ~device ~quota:lifetime_writes ()

@@ -250,6 +250,24 @@ let test_timing_golden_digest () =
     "timing outputs digest" golden_timing_digest
     (Digest.to_hex (Digest.string (Buffer.contents buffer)))
 
+(* --- experiments golden digest ----------------------------------------------------------- *)
+
+(* Golden digest of the whole experiment suite on the default context:
+   the byte stream [experiments --jobs 1] prints.  The other digests pin
+   the diFS, fault-table and timing outputs; this one also pins TAB-LIFE,
+   TAB-UBER, Figs. 3a/b and the ablations, whose shared recipes (aging
+   window, lifetime run, shared-scale devices) a refactor could move. *)
+let golden_experiments_digest = "5047119001f2c68113fbff45d6af1027"
+
+let test_experiments_golden_digest () =
+  let buffer = Buffer.create 65536 in
+  let fmt = Format.formatter_of_buffer buffer in
+  Experiments.All.run fmt;
+  Format.pp_print_flush fmt ();
+  Alcotest.(check string)
+    "experiments output digest" golden_experiments_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buffer)))
+
 let suite =
   [
     ("report table alignment", `Quick, test_report_table_alignment);
@@ -267,4 +285,5 @@ let suite =
     ("cluster golden digest", `Quick, test_cluster_golden_digest);
     ("timing golden digest", `Quick, test_timing_golden_digest);
     ("fault-table golden digest", `Quick, test_fault_table_golden_digest);
+    ("experiments golden digest", `Slow, test_experiments_golden_digest);
   ]

@@ -124,15 +124,16 @@ let test_exception_mid_chunk_does_not_wedge () =
        (Parallel.Pool.map pool Fun.id [ 1; 2; 3; 4 ]))
 
 let test_accumulate_chunk_size_invariant () =
-  (* Merged output of [accumulate] must depend only on the item set, never
-     on where chunk boundaries fall: 1-per-chunk, odd size, one big chunk. *)
+  (* Per-chunk accumulators folded by [map_chunked] and merged in chunk
+     order must depend only on the item set, never on where chunk
+     boundaries fall: 1-per-chunk, odd size, one big chunk. *)
   let at chunk_size pool =
-    Parallel.Pool.accumulate pool ~chunk_size ~n:97
-      {
-        Parallel.Pool.Accumulator.create = (fun c -> ref (c.Parallel.Pool.lo * 0));
-        item = (fun acc i -> acc := !acc + (i * i));
-        finish = (fun acc -> !acc);
-      }
+    Parallel.Pool.map_chunked pool ~chunk_size ~n:97 (fun c ->
+        let acc = ref 0 in
+        for i = c.Parallel.Pool.lo to c.Parallel.Pool.hi - 1 do
+          acc := !acc + (i * i)
+        done;
+        !acc)
     |> List.fold_left ( + ) 0
   in
   let seq = at 1 None in
