@@ -387,7 +387,8 @@ let telemetry_subjects () =
 
 let parallel_subjects () =
   (* The tentpole's speedup claim: the default 24-device fleet aged on 1,
-     2 and 4 domains.  Identical seeds give byte-identical fleet results
+     2 and 4 domains (a [jobs]-domain pool is the calling domain plus
+     [jobs - 1] workers; jobs 1 runs without a pool).  Identical seeds give byte-identical fleet results
      at every job count; only the wall-clock should move.  The pool is a
      bechamel resource allocated once per subject and reused across
      iterations — domain spawn plus per-domain nursery commit is a fixed

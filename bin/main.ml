@@ -290,11 +290,12 @@ let with_obs obs ~epoch f =
 
 let jobs_term =
   let doc =
-    "Worker domains for the parallel sections (fleet aging, experiment \
-     fan-out).  1 runs everything sequentially; output is byte-identical \
-     at any value.  The default is the hardware's recommended domain \
-     count less one; larger values are honoured, oversubscribing the \
-     cores."
+    "Domains for the parallel sections (fleet aging, experiment \
+     fan-out), the calling one included: N runs N-1 worker domains \
+     beside it.  1 runs everything sequentially; output is \
+     byte-identical at any value.  The default is the hardware's \
+     recommended domain count; larger values are honoured, \
+     oversubscribing the cores."
   in
   Arg.(
     value

@@ -6,8 +6,7 @@ type t = {
   mutable workers : unit Domain.t array;
 }
 
-let default_domains () =
-  Stdlib.max 1 (Domain.recommended_domain_count () - 1)
+let default_domains () = Domain.recommended_domain_count ()
 
 let rec worker_loop t =
   Mutex.lock t.mutex;
@@ -23,18 +22,34 @@ let rec worker_loop t =
     worker_loop t
   end
 
+(* The caller's share of a batch: run queued tasks until none is left.
+   Only [run_all]'s own wrappers reach the queue, and they never raise. *)
+let rec help t =
+  Mutex.lock t.mutex;
+  match Queue.take_opt t.queue with
+  | None -> Mutex.unlock t.mutex
+  | Some task ->
+      Mutex.unlock t.mutex;
+      task ();
+      help t
+
 (* Every minor collection in any domain is a stop-the-world rendezvous
    of all of them.  At the 256k-word default nursery an allocation-brisk
    fleet run syncs thousands of times per second, and each sync pays
    scheduler latency per non-running domain — the very anti-scaling
    BENCH_6 recorded.  The nursery size is per-domain in OCaml 5 and is
    NOT inherited through [Domain.spawn], so each worker grows its own
-   at startup, and [create] grows the caller's (it allocates during the
-   barrier merges and attends every rendezvous too).  ~32 MB per domain
-   buys roughly 16x fewer rendezvous; never shrunk back.  Still the
-   measured sweet spot after the BENCH_10 allocation rewrites (~5x
-   fewer minor words per write): 8 MB and 128 MB nurseries both time
-   measurably worse on the 40-day fleet at --jobs 4. *)
+   at startup to 4M words (~32 MB), never shrunk back: 8 MB and 128 MB
+   nurseries both timed measurably worse on the 40-day fleet at --jobs 4.
+
+   The caller's nursery is left as it is.  Since the caller runs tasks
+   too, the smallest nursery sets the rendezvous rate: on a 2-vCPU host
+   one perfbench fleet repeat (1,600 devices aged 5 years, ~570M minor
+   words) runs about 1,120 minor collections, each attended by the
+   caller and its one worker, against about 95 with the caller's
+   nursery grown as well.  Growing it was no faster there (8.2–8.6M
+   against 9.2M simulated writes/s), but it raised perfbench's peak RSS
+   from 26–31 MB to 102–106 MB. *)
 let min_minor_heap_words = 4 * 1024 * 1024
 
 let tune_gc () =
@@ -44,7 +59,6 @@ let tune_gc () =
 
 let create ~domains =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
-  tune_gc ();
   let t =
     {
       mutex = Mutex.create ();
@@ -55,13 +69,13 @@ let create ~domains =
     }
   in
   t.workers <-
-    Array.init domains (fun _ ->
+    Array.init (domains - 1) (fun _ ->
         Domain.spawn (fun () ->
             tune_gc ();
             worker_loop t));
   t
 
-let domains t = Array.length t.workers
+let domains t = Array.length t.workers + 1
 
 let submit_batch t tasks =
   if tasks <> [] then begin
@@ -78,11 +92,10 @@ let submit_batch t tasks =
     Mutex.unlock t.mutex
   end
 
-let submit t task = submit_batch t [ task ]
-
-(* Shared barrier for [map]/[map_chunked]: workers post each result into
-   its submission-order slot, the caller sleeps until the last one lands.
-   Slots are written by exactly one worker before it takes the completion
+(* Shared barrier for [map]/[map_chunked]: each task posts its result
+   into its submission-order slot.  The caller runs tasks alongside the
+   workers until the queue is empty, then sleeps until the last one lands.
+   Slots are written by exactly one domain before it takes the completion
    mutex and read by the caller after the last release: the mutex orders
    every write before every read. *)
 let run_all t (jobs : (unit -> 'a) array) =
@@ -104,6 +117,7 @@ let run_all t (jobs : (unit -> 'a) array) =
           Mutex.unlock done_mutex)
   in
   submit_batch t tasks;
+  help t;
   Mutex.lock done_mutex;
   while !remaining > 0 do
     Condition.wait done_cond done_mutex

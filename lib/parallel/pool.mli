@@ -1,9 +1,11 @@
 (** Fixed-size domain pool: the execution substrate for device-parallel
     fleet aging and experiment-suite fan-out.
 
-    The pool owns [domains] worker domains (OCaml 5 shared-memory
-    parallelism; no dependencies beyond [Domain]/[Mutex]/[Condition])
-    pulling tasks off one queue.  {!map} and {!map_chunked} return
+    A pool of [domains] domains is the caller plus [domains - 1] worker
+    domains (OCaml 5 shared-memory parallelism; no dependencies beyond
+    [Domain]/[Mutex]/[Condition]) pulling tasks off one queue: the caller
+    of {!map} runs queued tasks too, until the queue is empty, and only
+    then waits for the workers to finish theirs.  {!map} and {!map_chunked} return
     results in submission order regardless of completion order, which is
     what lets callers keep the byte-identical-output determinism
     guarantee: as long as each task is self-contained (its own RNG
@@ -21,7 +23,7 @@
 
     Tasks must not submit work back into the pool they run on: workers
     block only between tasks, so a task that waits on a nested {!map}
-    against its own pool can deadlock once all workers are busy.  The
+    against its own pool can deadlock once all domains are busy.  The
     experiment layer therefore parallelizes at exactly one level per
     entry point (devices within a fleet, or experiments within the
     suite, never both on one pool). *)
@@ -29,25 +31,22 @@
 type t
 
 val create : domains:int -> t
-(** [create ~domains] spawns [domains] worker domains (at least 1) and
-    grows every participating domain's minor heap (workers and caller)
-    to at least 4M words, the measured sweet spot for the fleet
-    workloads; minor heaps are never shrunk back.
+(** [create ~domains] spawns [domains - 1] worker domains (none for
+    [domains = 1]) and grows each worker's minor heap to at least 4M
+    words, the measured sweet spot for the fleet workloads; minor heaps
+    are never shrunk back.  The caller's minor heap is left as it is.
     @raise Invalid_argument if [domains < 1]. *)
 
 val domains : t -> int
-(** Number of worker domains. *)
+(** Number of domains that run tasks: the workers plus the caller. *)
 
 val default_domains : unit -> int
-(** [Domain.recommended_domain_count () - 1] (the caller's domain keeps
-    one core), at least 1: the cap the CLI's [--jobs] flag defaults to. *)
-
-val submit : t -> (unit -> unit) -> unit
-(** Enqueue one task.  @raise Invalid_argument after {!shutdown}. *)
+(** [Domain.recommended_domain_count ()], caller included: the count
+    the CLI's [--jobs] flag defaults to. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map t f xs] evaluates [f x] for every element on the pool's workers
-    and returns the results in the order of [xs].  If any application
+(** [map t f xs] evaluates [f x] for every element on the pool's domains
+    (the calling one included) and returns the results in the order of [xs].  If any application
     raised, the first raising element's exception (in submission order)
     is re-raised in the caller after all tasks have settled — the pool
     itself stays usable. *)

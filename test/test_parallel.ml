@@ -66,6 +66,75 @@ let test_shutdown_semantics () =
     | exception Invalid_argument _ -> true);
   checkb "default_domains at least 1" true (Parallel.Pool.default_domains () >= 1)
 
+(* --- the caller as a pool domain --------------------------------------------- *)
+
+let test_single_domain_pool () =
+  Parallel.Pool.with_pool ~domains:1 @@ fun pool ->
+  checki "domains counts the caller" 1 (Parallel.Pool.domains pool);
+  let caller = (Domain.self () :> int) in
+  let ran_on =
+    Parallel.Pool.map pool (fun _ -> (Domain.self () :> int)) (List.init 8 Fun.id)
+  in
+  checkb "every task ran on the caller" true
+    (List.for_all (( = ) caller) ran_on);
+  let pool3 = Parallel.Pool.create ~domains:3 in
+  checki "domains counts workers and caller" 3 (Parallel.Pool.domains pool3);
+  Parallel.Pool.shutdown pool3
+
+(* Each of two tasks spins, at most [budget_s] of process CPU time, until
+   the other has started and reports whether it saw it.  On a 2-domain
+   pool that needs the caller to run one of them while the one worker
+   runs the other: a caller that only waited would leave them to run one
+   after the other, and the first would give up instead of hanging. *)
+let rendezvous ?(budget_s = 5.) ?(after = fun _ -> ()) pool =
+  let started = [| Atomic.make false; Atomic.make false |] in
+  Parallel.Pool.map pool
+    (fun i ->
+      Atomic.set started.(i) true;
+      let deadline = Sys.time () +. budget_s in
+      while (not (Atomic.get started.(1 - i))) && Sys.time () < deadline do
+        Domain.cpu_relax ()
+      done;
+      after i;
+      Atomic.get started.(1 - i))
+    [ 0; 1 ]
+
+let test_caller_runs_tasks () =
+  Parallel.Pool.with_pool ~domains:2 @@ fun pool ->
+  Alcotest.(check (list bool))
+    "both tasks saw the other start" [ true; true ] (rendezvous pool)
+
+let test_caller_exception_in_order () =
+  (Parallel.Pool.with_pool ~domains:1 @@ fun pool ->
+   let raised =
+     match
+       Parallel.Pool.map pool
+         (fun x -> if x mod 3 = 0 then failwith (string_of_int x) else x)
+         [ 1; 2; 3; 4; 6 ]
+     with
+     | _ -> None
+     | exception Failure m -> Some m
+   in
+   checkb "caller-run tasks: first raising element wins" true
+     (raised = Some "3"));
+  Parallel.Pool.with_pool ~domains:2 @@ fun pool ->
+  let caller = Domain.self () in
+  let on_caller = Atomic.make (-1) in
+  let raised =
+    match
+      rendezvous pool ~after:(fun i ->
+          if Domain.self () = caller then begin
+            Atomic.set on_caller i;
+            failwith (string_of_int i)
+          end)
+    with
+    | _ -> None
+    | exception Failure m -> Some m
+  in
+  checkb "the caller ran one of the pair" true (Atomic.get on_caller >= 0);
+  checkb "its exception surfaces" true
+    (raised = Some (string_of_int (Atomic.get on_caller)))
+
 (* --- chunked execution ------------------------------------------------------ *)
 
 let test_chunks_partition () =
@@ -272,6 +341,10 @@ let suite =
      test_accumulate_chunk_size_invariant);
     ("fleet invariant to chunk size", `Slow, test_fleet_chunk_size_invariant);
     ("shutdown semantics", `Quick, test_shutdown_semantics);
+    ("single-domain pool runs on the caller", `Quick, test_single_domain_pool);
+    ("caller runs tasks beside the workers", `Quick, test_caller_runs_tasks);
+    ("caller-run exceptions propagate in order", `Quick,
+     test_caller_exception_in_order);
     ("shared registry from workers", `Quick, test_shared_registry_from_workers);
     ("fleet deterministic across jobs", `Slow, test_fleet_jobs_deterministic);
     ("lifetime table deterministic across jobs", `Slow,
