@@ -101,8 +101,18 @@ let pp_cause_mix fmt mix =
         sets;
       Format.fprintf fmt "@."
 
-let run_cell ~registry ?obs ~spec ~trace ~seed ~batch ~qos ~plan ~kind ~chaos
-    fmt =
+(* [Gen.intensity] reads the op index only modulo the diurnal period:
+   evaluate it once per op of one period, and let every cell index the
+   table.  The same expression, so the same floats. *)
+let envelope spec =
+  let period = spec.Traffic.Gen.diurnal_period in
+  if period <= 0 then fun ~op:_ -> 1.
+  else
+    let table = Array.init period (fun op -> Traffic.Gen.intensity spec ~op) in
+    fun ~op -> table.(op mod period)
+
+let run_cell ~registry ?obs ~spec ~intensity ~trace ~seed ~batch ~qos ~plan
+    ~kind ~chaos fmt =
   let kind_index =
     match kind with `Baseline -> 0 | `Cvss -> 1 | `Regens -> 2
   in
@@ -148,8 +158,7 @@ let run_cell ~registry ?obs ~spec ~trace ~seed ~batch ~qos ~plan ~kind ~chaos
     Traffic.Replay.run
       ~config:{ Traffic.Replay.default_config with Traffic.Replay.batch }
       ?qos:(if qos then Some Traffic.Qos.default_config else None)
-      ~intensity:(fun ~op -> Traffic.Gen.intensity spec ~op)
-      ?on_batch ~population ~trace ~device ()
+      ~intensity ?on_batch ~population ~trace ~device ()
   in
   let o = outcome in
   Format.fprintf fmt "cell %s%s: completed=%d/%d prefilled=%d died=%b end_ms=%.1f@."
@@ -254,6 +263,7 @@ let run ?(ctx = Ctx.default) ?(tenants = 64) ?(ops = 12_000) ?(seed = 42)
   let cells =
     List.concat_map (fun kind -> [ (kind, false); (kind, true) ]) kinds
   in
+  let intensity = envelope spec in
   (* Six self-contained cells fan out over the pool via {!Ctx.map};
      rendering and sink absorption happen in submission order, so the
      report is byte-identical at any job count. *)
@@ -262,8 +272,8 @@ let run ?(ctx = Ctx.default) ?(tenants = 64) ?(ops = 12_000) ?(seed = 42)
         let buf = Buffer.create 2048 in
         let bfmt = Format.formatter_of_buffer buf in
         let row =
-          run_cell ~registry:sub.Ctx.registry ?obs:sub.Ctx.obs ~spec ~trace
-            ~seed ~batch ~qos ~plan ~kind ~chaos bfmt
+          run_cell ~registry:sub.Ctx.registry ?obs:sub.Ctx.obs ~spec ~intensity
+            ~trace ~seed ~batch ~qos ~plan ~kind ~chaos bfmt
         in
         Format.pp_print_flush bfmt ();
         (Buffer.contents buf, row))

@@ -43,7 +43,9 @@ type outcome = {
   cause_mix : int array;
 }
 
-let bg_cost (before : Ftl.Device_intf.bg_stats)
+(* The contention charge: every GC pass, relocation, retry rung, reclaim
+   and live-repair escalation between two snapshots, at its cost. *)
+let[@inline] bg_cost (before : Ftl.Device_intf.bg_stats)
     (after : Ftl.Device_intf.bg_stats) =
   (float_of_int (after.gc_runs - before.gc_runs) *. gc_us)
   +. float_of_int (after.relocated_opages - before.relocated_opages)
@@ -56,6 +58,30 @@ let bg_cost (before : Ftl.Device_intf.bg_stats)
      [error_us] host penalty an unrecoverable read would pay *)
   +. float_of_int (after.live_repair_attempts - before.live_repair_attempts)
      *. repair_us
+
+(* The simulated clock.  All-float, so the record is flat and the loop's
+   stores do not box. *)
+type clock = {
+  mutable arrival : float;
+  mutable device_free : float;
+  mutable throttle_us : float;
+  mutable start : float;  (** the current op's service start *)
+}
+
+(* [Stdlib.max] at a known float type, so the comparison is not the
+   polymorphic one. *)
+let[@inline] fmax (a : float) b = if a >= b then a else b
+
+(* Queue the op behind its tenant's bucket: re-admit after each delay,
+   and after four let it through — refill rounding can leave the bucket
+   a hair short of a full token.  Returns how many delays it took. *)
+let rec wait qos ~tenant clock delays =
+  match Qos.admit qos ~tenant ~now_us:clock.start with
+  | `Ok -> delays
+  | `Delay d ->
+      clock.throttle_us <- clock.throttle_us +. d;
+      clock.start <- clock.start +. d;
+      if delays < 3 then wait qos ~tenant clock (delays + 1) else delays + 1
 
 let run ?(config = default_config) ?qos ?intensity ?on_batch ~population ~trace
     ~device () =
@@ -78,14 +104,19 @@ let run ?(config = default_config) ?qos ?intensity ?on_batch ~population ~trace
   let unmapped_reads = ref 0 in
   let write_errors = ref 0 in
   let throttled_ops = ref 0 in
-  let throttle_us = ref 0. in
   let slo_violations = ref 0 in
   let died = ref false in
-  let arrival = ref 0. in
-  let device_free = ref 0. in
+  let clock = { arrival = 0.; device_free = 0.; throttle_us = 0.; start = 0. } in
   let capacity = ref (Ftl.Device_intf.logical_capacity device) in
   let base_gap = 1e6 /. config.arrival_rate_ops_per_s in
   let n_tenants = Tenant.tenants population in
+  let slo_us =
+    Array.init n_tenants (fun id -> (Tenant.profile_of population id).Tenant.slo_us)
+  in
+  (* One contention snapshot per op: op k's [after] is op k+1's [before].
+     Nothing between two ops touches the device's counters except the
+     batch hook, so the snapshot is re-taken after it. *)
+  let snapshot = ref (Ftl.Device_intf.bg_stats device) in
   let op = ref 0 in
   (try
      Workload.Trace.iter_events trace (fun event ->
@@ -97,7 +128,9 @@ let run ?(config = default_config) ?qos ?intensity ?on_batch ~population ~trace
          let batch_head = k mod config.batch = 0 in
          if batch_head then begin
            (match on_batch with
-           | Some f -> f ~batch:(k / config.batch)
+           | Some f ->
+               f ~batch:(k / config.batch);
+               snapshot := Ftl.Device_intf.bg_stats device
            | None -> ());
            capacity := Ftl.Device_intf.logical_capacity device;
            if !capacity <= 0 || not (Ftl.Device_intf.alive device) then begin
@@ -107,10 +140,10 @@ let run ?(config = default_config) ?qos ?intensity ?on_batch ~population ~trace
          end;
          let gap =
            match intensity with
-           | Some f -> base_gap /. Stdlib.max 1e-6 (f ~op:k)
+           | Some f -> base_gap /. fmax 1e-6 (f ~op:k)
            | None -> base_gap
          in
-         arrival := !arrival +. gap;
+         clock.arrival <- clock.arrival +. gap;
          incr issued;
          let tenant =
            ((event.Workload.Trace.tenant mod n_tenants) + n_tenants)
@@ -121,33 +154,15 @@ let run ?(config = default_config) ?qos ?intensity ?on_batch ~population ~trace
            ((raw mod !capacity) + !capacity) mod !capacity
          in
          (* Queue behind the device, then behind the tenant's bucket. *)
-         let start = ref (Stdlib.max !arrival !device_free) in
-         let op_throttled = ref false in
-         (match qos with
-         | None -> ()
-         | Some qos ->
-             let rec wait attempts =
-               match Qos.admit qos ~tenant ~now_us:!start with
-               | `Ok ->
-                   if attempts > 0 then begin
-                     incr throttled_ops;
-                     Tenant.Accounts.record_throttle accounts ~tenant
-                   end
-               | `Delay d ->
-                   op_throttled := true;
-                   throttle_us := !throttle_us +. d;
-                   start := !start +. d;
-                   (* Refill rounding can leave the bucket a hair short of
-                      a full token; after a few laps let the op through. *)
-                   if attempts < 3 then wait (attempts + 1)
-                   else begin
-                     incr throttled_ops;
-                     Tenant.Accounts.record_throttle accounts ~tenant
-                   end
-             in
-             wait 0);
+         clock.start <- fmax clock.arrival clock.device_free;
+         let delays =
+           match qos with None -> 0 | Some qos -> wait qos ~tenant clock 0
+         in
+         if delays > 0 then begin
+           incr throttled_ops;
+           Tenant.Accounts.record_throttle accounts ~tenant
+         end;
          let kind = event.Workload.Trace.access.Workload.Access.kind in
-         let before = Ftl.Device_intf.bg_stats device in
          let base =
            match kind with
            | Workload.Access.Read -> (
@@ -187,16 +202,18 @@ let run ?(config = default_config) ?qos ?intensity ?on_batch ~population ~trace
                Ftl.Device_intf.trim device ~lba;
                trim_us
          in
+         let before = !snapshot in
          let after = Ftl.Device_intf.bg_stats device in
+         snapshot := after;
          let service =
            per_op_us
            +. (if batch_head then submit_us else 0.)
            +. base
            +. bg_cost before after
          in
-         let completion = !start +. service in
-         device_free := completion;
-         let latency = completion -. !arrival in
+         let completion = clock.start +. service in
+         clock.device_free <- completion;
+         let latency = completion -. clock.arrival in
          incr completed;
          (* Root-cause attribution: which background activities billed
             time into this op's latency. *)
@@ -207,7 +224,7 @@ let run ?(config = default_config) ?qos ?intensity ?on_batch ~population ~trace
              ~escalation:
                (after.live_repair_attempts > before.live_repair_attempts)
              ~scrub:(after.read_reclaims > before.read_reclaims)
-             ~qos_throttle:!op_throttled
+             ~qos_throttle:(delays > 0)
          in
          Lathist.observe_tagged all latency ~tags:causes;
          (match kind with
@@ -218,7 +235,7 @@ let run ?(config = default_config) ?qos ?intensity ?on_batch ~population ~trace
          cause_mix.(causes) <- cause_mix.(causes) + 1;
          Tenant.Accounts.record_op accounts ~tenant
            ~read:(kind = Workload.Access.Read);
-         if latency > (Tenant.profile_of population tenant).Tenant.slo_us then begin
+         if latency > slo_us.(tenant) then begin
            incr slo_violations;
            Tenant.Accounts.record_violation accounts ~tenant
          end)
@@ -230,10 +247,10 @@ let run ?(config = default_config) ?qos ?intensity ?on_batch ~population ~trace
     unmapped_reads = !unmapped_reads;
     write_errors = !write_errors;
     throttled_ops = !throttled_ops;
-    throttle_us = !throttle_us;
+    throttle_us = clock.throttle_us;
     slo_violations = !slo_violations;
     died = !died;
-    end_us = !device_free;
+    end_us = clock.device_free;
     all;
     reads = read_lat;
     writes = write_lat;

@@ -11,7 +11,9 @@
     device's {!Ftl.Device_intf.bg_stats} are diffed around the op, and
     every GC pass, relocation, retry rung and read-reclaim that fired
     inside it stalls the queue by its cost — which is how GC, scrub and
-    regeneration churn surface as tail latency.
+    regeneration churn surface as tail latency.  One snapshot is taken
+    per op and serves as the next op's baseline; it is re-taken after
+    [on_batch], so background work a hook causes is billed to no op.
 
     The flash costs come from {!Flash.Latency.default}, the timing model
     Figs. 3c/3d use: a read and a read-reclaim cost one sense (60 us), a
@@ -30,7 +32,11 @@
     billed into it (plus QoS throttling), fed to
     {!Lathist.observe_tagged} for tail attribution and counted per set
     into an exact cause mix.  Everything is sequential and
-    deterministic for a given trace, device and config. *)
+    deterministic for a given trace, device and config.  The per-op
+    loop allocates no closure, ref or record of its own: per op, a
+    replay allocates what the device calls do, one snapshot, and the
+    floats boxed across calls to [intensity], {!Qos.admit} and
+    {!Lathist}. *)
 
 type config = {
   arrival_rate_ops_per_s : float;  (** offered load before intensity shaping *)

@@ -1,12 +1,21 @@
 type event = { tenant : int; access : Access.t }
 
-type t = { mutable events : event list; mutable count : int }
-(* stored in reverse order; reversed on iteration *)
+(* [events.(0 .. count - 1)] in record order; the slots past [count] are
+   spare room, doubled when full, so appending is amortized O(1) and
+   iteration allocates nothing. *)
+type t = { mutable events : event array; mutable count : int }
 
-let create () = { events = []; count = 0 }
+let spare = { tenant = 0; access = { Access.kind = Access.Read; lba = 0 } }
+
+let create () = { events = [||]; count = 0 }
 
 let record_event t event =
-  t.events <- event :: t.events;
+  if t.count = Array.length t.events then begin
+    let events = Array.make (Stdlib.max 64 (2 * t.count)) spare in
+    Array.blit t.events 0 events 0 t.count;
+    t.events <- events
+  end;
+  t.events.(t.count) <- event;
   t.count <- t.count + 1
 
 let record t access = record_event t { tenant = 0; access }
@@ -18,13 +27,19 @@ let capture t pattern rng ~n =
     record t (Pattern.next pattern rng)
   done
 
-let to_events t = List.rev t.events
-let to_list t = List.map (fun e -> e.access) (to_events t)
-let iter t f = List.iter f (to_list t)
-let iter_events t f = List.iter f (to_events t)
+let iter_events t f =
+  let events = t.events in
+  for i = 0 to t.count - 1 do
+    f events.(i)
+  done
+
+let iter t f = iter_events t (fun e -> f e.access)
+let to_events t = List.init t.count (Array.get t.events)
+let to_list t = List.init t.count (fun i -> t.events.(i).access)
 
 let of_events events =
-  { events = List.rev events; count = List.length events }
+  let events = Array.of_list events in
+  { events; count = Array.length events }
 
 let of_list accesses =
   of_events (List.map (fun access -> { tenant = 0; access }) accesses)

@@ -1,6 +1,11 @@
 (** Access-trace recording, replay and persistence, so an experiment can
     subject two device designs to the byte-identical request stream — in
-    one process or across runs via the versioned on-disk format. *)
+    one process or across runs via the versioned on-disk format.
+
+    Events are kept in record order in a growable array (doubled when
+    full), so appending is amortized O(1) and {!iter_events} allocates
+    nothing: a trace can be replayed any number of times at no cost
+    beyond the replayer's own. *)
 
 type event = { tenant : int; access : Access.t }
 (** One traced access, attributed to the simulated tenant that issued it.
@@ -24,6 +29,7 @@ val iter : t -> (Access.t -> unit) -> unit
 (** Replay in recorded order. *)
 
 val iter_events : t -> (event -> unit) -> unit
+(** Replay in recorded order, with tenants; allocates nothing. *)
 
 val to_list : t -> Access.t list
 val of_list : Access.t list -> t

@@ -290,6 +290,40 @@ let test_replay_deterministic () =
   in
   checkb "two identical runs agree exactly" true (run () = run ())
 
+(* Background work the batch hook causes is billed to no op: the
+   contention snapshot is re-taken after the hook.  The hook rewrites
+   the window hard enough to run GC, and the read-only trace never
+   does, so no op may carry the gc cause. *)
+let test_replay_hook_work_unbilled () =
+  let population = Traffic.Tenant.create ~tenants:4 () in
+  let trace = Workload.Trace.create () in
+  for i = 0 to 1_999 do
+    Workload.Trace.record_event trace
+      {
+        Workload.Trace.tenant = i;
+        access = { Workload.Access.kind = Workload.Access.Read; lba = i };
+      }
+  done;
+  let device = make_baseline 21 in
+  ignore (Ftl.Device_intf.write_many device (Array.init 2_048 (fun i -> (i, i))));
+  let on_batch ~batch =
+    for i = 0 to 1_023 do
+      ignore (Ftl.Device_intf.write device ~lba:i ~payload:(batch + i))
+    done
+  in
+  let gc_before = (Ftl.Device_intf.bg_stats device).Ftl.Device_intf.gc_runs in
+  let o = Traffic.Replay.run ~on_batch ~population ~trace ~device () in
+  checki "every op completed" 2_000 o.Traffic.Replay.completed;
+  checkb "the hook ran GC" true
+    ((Ftl.Device_intf.bg_stats device).Ftl.Device_intf.gc_runs > gc_before);
+  let gc_bit = Obs.Cause.of_flags ~gc:true ~relocation:false ~retry:false
+      ~escalation:false ~scrub:false ~qos_throttle:false in
+  Array.iteri
+    (fun set n ->
+      if set land gc_bit <> 0 then
+        checki (Printf.sprintf "ops tagged %s" (Obs.Cause.to_string set)) 0 n)
+    o.Traffic.Replay.cause_mix
+
 let test_replay_rejects_bad_config () =
   let population = Traffic.Tenant.create ~tenants:4 () in
   let trace = Workload.Trace.create () in
@@ -365,6 +399,159 @@ let test_traffic_run_golden_digest () =
     "rows_to_json digest" golden_json_digest
     (Digest.to_hex (Digest.string (Experiments.Traffic_run.rows_to_json rows)))
 
+(* Golden digest of every field of a replay outcome, at the replayer's
+   own interface.  The experiment golden above only sees the rounded
+   latency table; this one pins the loop itself bit for bit: each float
+   goes in as hex, each histogram by its sum and percentiles, each tail
+   by its tag totals and exemplar, each tenant by its four counters.
+   Seven cells over one 64-tenant trace: the three designs clean and
+   under the [media] plan, plus RegenS under media with QoS off and a
+   batch head on every op. *)
+let replay_golden_digest = "54381d3ce78aeebc9680f573bb862c0c"
+
+let replay_spec =
+  {
+    Traffic.Gen.default_spec with
+    Traffic.Gen.tenants = 64;
+    ops = 20_000;
+    window = 1024;
+  }
+
+let media_plan =
+  List.filter
+    (function
+      | Faults.Plan.Transient_flips _ | Faults.Plan.Sticky_pages _
+      | Faults.Plan.Silent_corruption _ ->
+          true
+      | _ -> false)
+    (List.assoc "media" Faults.Plan.presets)
+
+(* A cell the way the traffic experiment builds one: a fresh device of
+   [kind] with its window prefilled, and a media injector on the batch
+   hook when [chaos].  Returns the population and the replay, not yet
+   run. *)
+let replay_cell ?qos ?(batch = 16) ~trace ~kind ~chaos seed =
+  let device, engine =
+    Experiments.Defaults.device kind ~rng:(Sim.Rng.create seed)
+  in
+  ignore
+    (Ftl.Device_intf.write_many device
+       (Array.init
+          (Stdlib.min 1024 (Ftl.Device_intf.logical_capacity device))
+          (fun i -> (i, i))));
+  let chip = Ftl.Engine.chip engine in
+  let on_batch =
+    if not chaos then None
+    else
+      let inj =
+        Faults.Injector.create ~rng:(Sim.Rng.create (seed + 1000)) media_plan
+      in
+      Some
+        (fun ~batch ->
+          List.iter
+            (function
+              | Faults.Injector.Inject { block; page; fault } ->
+                  Flash.Chip.inject chip ~block ~page fault
+              | Faults.Injector.Kill_device _ | Faults.Injector.Power_cut -> ())
+            (Faults.Injector.step inj ~geometry:(Flash.Chip.geometry chip)
+               ~step:batch))
+  in
+  let population =
+    Traffic.Tenant.create ~profiles:replay_spec.Traffic.Gen.profiles
+      ~tenants:replay_spec.Traffic.Gen.tenants ()
+  in
+  ( population,
+    fun () ->
+      Traffic.Replay.run
+        ~config:{ Traffic.Replay.default_config with Traffic.Replay.batch }
+        ?qos
+        ~intensity:(fun ~op -> Traffic.Gen.intensity replay_spec ~op)
+        ?on_batch ~population ~trace ~device () )
+
+let outcome_fingerprint b population (o : Traffic.Replay.outcome) =
+  let int n = Buffer.add_string b (string_of_int n ^ " ") in
+  let float x = Buffer.add_string b (Printf.sprintf "%h " x) in
+  let quantiles = [ 0.; 0.5; 0.9; 0.95; 0.99; 0.999; 1. ] in
+  let hist h =
+    int (Traffic.Lathist.count h);
+    List.iter float
+      [ Traffic.Lathist.sum h; Traffic.Lathist.min h; Traffic.Lathist.max h ];
+    List.iter
+      (fun q ->
+        float (Traffic.Lathist.percentile h q);
+        int (Traffic.Lathist.count_above h q);
+        Array.iter int (Traffic.Lathist.tag_totals_above h q);
+        match Traffic.Lathist.exemplar_above h q with
+        | Some (us, tags) ->
+            float us;
+            int tags
+        | None -> Buffer.add_string b "- ")
+      quantiles
+  in
+  List.iter int
+    [
+      o.Traffic.Replay.issued;
+      o.completed;
+      o.read_errors;
+      o.unmapped_reads;
+      o.write_errors;
+      o.throttled_ops;
+      o.slo_violations;
+      Bool.to_int o.died;
+    ];
+  float o.throttle_us;
+  float o.end_us;
+  List.iter hist [ o.all; o.reads; o.writes ];
+  Array.iter int o.cause_mix;
+  let a = o.accounts in
+  for id = 0 to Traffic.Tenant.tenants population - 1 do
+    List.iter int
+      [
+        Traffic.Tenant.Accounts.ops a id;
+        Traffic.Tenant.Accounts.reads a id;
+        Traffic.Tenant.Accounts.throttles a id;
+        Traffic.Tenant.Accounts.violations a id;
+      ]
+  done;
+  Buffer.add_char b '\n'
+
+let test_replay_golden_digest () =
+  let trace = Traffic.Gen.generate replay_spec ~seed:4242 in
+  let b = Buffer.create 65_536 in
+  let cell ?qos ?batch kind chaos seed =
+    let population, replay = replay_cell ?qos ?batch ~trace ~kind ~chaos seed in
+    let o = replay () in
+    checki "cell ran to the end" 20_000 o.Traffic.Replay.issued;
+    outcome_fingerprint b population o
+  in
+  let qos = Traffic.Qos.default_config in
+  List.iteri
+    (fun i kind ->
+      cell ~qos kind false (100 + i);
+      cell ~qos kind true (100 + i))
+    [ `Baseline; `Cvss; `Regens ];
+  cell ~batch:1 `Regens true 102;
+  Alcotest.(check string)
+    "outcome digest" replay_golden_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* Minor words per op of a clean RegenS replay, device calls included.
+   The loop body allocates no closure, ref or record of its own; what is
+   left is the device calls', one contention snapshot and the floats
+   boxed across calls. *)
+let test_replay_allocation () =
+  let trace = Traffic.Gen.generate replay_spec ~seed:4242 in
+  let _, replay =
+    replay_cell ~qos:Traffic.Qos.default_config ~trace ~kind:`Regens
+      ~chaos:false 7
+  in
+  let before = Gc.minor_words () in
+  let o = replay () in
+  let words = Gc.minor_words () -. before in
+  let per_op = words /. float_of_int o.Traffic.Replay.completed in
+  checkb (Printf.sprintf "%.1f minor words per op <= 40" per_op) true
+    (per_op <= 40.)
+
 let suite =
   [
     ("lathist exact stats", `Quick, test_lathist_exact_stats);
@@ -380,8 +567,11 @@ let suite =
     ("replay accounts every op", `Quick, test_replay_accounts_every_op);
     ("replay deterministic", `Quick, test_replay_deterministic);
     ("replay rejects bad config", `Quick, test_replay_rejects_bad_config);
+    ("replay bills hook work to no op", `Quick, test_replay_hook_work_unbilled);
     ( "traffic experiment deterministic across jobs; chaos degrades tails",
       `Slow,
       test_traffic_run_jobs_deterministic_and_chaos_degrades );
     ("traffic replay golden digest", `Quick, test_traffic_run_golden_digest);
+    ("replay outcome golden digest", `Quick, test_replay_golden_digest);
+    ("replay allocation per op", `Slow, test_replay_allocation);
   ]

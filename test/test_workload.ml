@@ -133,28 +133,85 @@ let test_trace_file_roundtrip () =
           checkb "events identical after disk roundtrip" true
             (Workload.Trace.to_events loaded = Workload.Trace.to_events trace))
 
+let gen_event =
+  QCheck.(
+    map
+      (fun (tenant, op, lba) ->
+        let kind =
+          match op with
+          | 0 -> Workload.Access.Read
+          | 1 -> Workload.Access.Write
+          | _ -> Workload.Access.Trim
+        in
+        { Workload.Trace.tenant; access = { Workload.Access.kind; lba } })
+      (triple int (int_range 0 2) int))
+
 let prop_trace_string_roundtrip =
   (* of_string (to_string t) is the identity on events — including tenant
      ids and LBAs no generator would emit (negative, huge). *)
   QCheck.Test.make ~count:200 ~name:"trace of_string inverts to_string"
-    QCheck.(list (triple int (int_range 0 2) int))
-    (fun raw ->
-      let events =
-        List.map
-          (fun (tenant, op, lba) ->
-            let kind =
-              match op with
-              | 0 -> Workload.Access.Read
-              | 1 -> Workload.Access.Write
-              | _ -> Workload.Access.Trim
-            in
-            { Workload.Trace.tenant; access = { Workload.Access.kind; lba } })
-          raw
-      in
+    (QCheck.list gen_event)
+    (fun events ->
       let trace = Workload.Trace.of_events events in
       match Workload.Trace.of_string (Workload.Trace.to_string trace) with
       | Error _ -> false
       | Ok parsed -> Workload.Trace.to_events parsed = events)
+
+(* --- trace storage ------------------------------------------------------- *)
+
+let prop_trace_events_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"trace to_events inverts of_events"
+    (QCheck.list gen_event)
+    (fun events ->
+      let trace = Workload.Trace.of_events events in
+      Workload.Trace.to_events trace = events
+      && Workload.Trace.length trace = List.length events)
+
+(* The events are appended into an array that doubles when full; record
+   order, [length] and the text round trip must hold on both sides of
+   each growth boundary, and after [of_events] hands the array over
+   exactly full. *)
+let test_trace_growth_boundaries () =
+  let event i =
+    {
+      Workload.Trace.tenant = i mod 7;
+      access =
+        {
+          Workload.Access.kind =
+            (if i mod 3 = 0 then Workload.Access.Write else Workload.Access.Read);
+          lba = i;
+        };
+    }
+  in
+  List.iter
+    (fun n ->
+      let what s = Printf.sprintf "%d events: %s" n s in
+      let trace = Workload.Trace.create () in
+      for i = 0 to n - 1 do
+        Workload.Trace.record_event trace (event i);
+        if i = n / 2 then
+          checki (what "length midway") (i + 1) (Workload.Trace.length trace)
+      done;
+      checki (what "length") n (Workload.Trace.length trace);
+      let next = ref 0 in
+      Workload.Trace.iter_events trace (fun e ->
+          checkb (what "iter_events in record order") true (e = event !next);
+          incr next);
+      checki (what "iter_events visits every event") n !next;
+      let expected = List.init n event in
+      checkb (what "to_events") true (Workload.Trace.to_events trace = expected);
+      (match Workload.Trace.of_string (Workload.Trace.to_string trace) with
+      | Ok parsed ->
+          checkb (what "text round trip") true
+            (Workload.Trace.to_events parsed = expected)
+      | Error e -> Alcotest.fail e);
+      let handed = Workload.Trace.of_events expected in
+      Workload.Trace.record_event handed (event n);
+      checki (what "append after of_events") (n + 1)
+        (Workload.Trace.length handed);
+      checkb (what "append keeps order") true
+        (Workload.Trace.to_events handed = List.init (n + 1) event))
+    [ 0; 1; 63; 64; 65; 10_000 ]
 
 (* --- aging ------------------------------------------------------------------ *)
 
@@ -227,6 +284,8 @@ let suite =
     ("trace rejects garbage", `Quick, test_trace_rejects_garbage);
     ("trace file roundtrip", `Quick, test_trace_file_roundtrip);
     QCheck_alcotest.to_alcotest prop_trace_string_roundtrip;
+    QCheck_alcotest.to_alcotest prop_trace_events_roundtrip;
+    ("trace growth boundaries", `Quick, test_trace_growth_boundaries);
     ("aging stops at cap", `Quick, test_aging_stops_at_cap);
     ("aging runs to death", `Slow, test_aging_runs_to_death);
     ("aging window tracks capacity", `Slow, test_aging_window_tracks_capacity);
